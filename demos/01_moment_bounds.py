@@ -13,7 +13,6 @@ import numpy as np
 
 from drdetect import (
     MomentSequence,
-    build_sdp,
     chebyshev_bound,
     chi_squared_moments,
     hankel_pair,
@@ -30,9 +29,9 @@ from drdetect import (
 
 moments = chi_squared_moments(2, 4)
 print("chi-squared(2) moments:", moments.moments)
-pair = hankel_pair(moments)
-print("hankel eigenvalues:", np.linalg.eigvalsh(pair.r_even).round(6),
-      np.linalg.eigvalsh(pair.r_odd).round(6))
+r_even, r_odd = hankel_pair(moments)
+print("hankel eigenvalues:", np.linalg.eigvalsh(r_even).round(6),
+      np.linalg.eigvalsh(r_odd).round(6))
 print("feasible:", is_feasible(moments))
 
 # a sequence no distribution can realize: its variance would be negative
@@ -49,9 +48,9 @@ m1 = moments.truncated(1)
 m2 = moments.truncated(2)
 print(f"\nthreshold {alpha}")
 print("markov      :", markov_bound(m1, alpha))
-print("sdp   (k=1) :", solve_sdp(build_sdp(m1, alpha)).objective)
+print("sdp   (k=1) :", solve_sdp(m1, alpha).objective)
 print("chebyshev   :", chebyshev_bound(m2, alpha))
-print("sdp   (k=2) :", solve_sdp(build_sdp(m2, alpha)).objective)
+print("sdp   (k=2) :", solve_sdp(m2, alpha).objective)
 
 # ---------------------------------------------------------------------------
 # Higher moments buy strictly smaller worst cases.  The SDP emits a
@@ -60,7 +59,7 @@ print("sdp   (k=2) :", solve_sdp(build_sdp(m2, alpha)).objective)
 # distribution matching the moments.
 
 for k in (1, 2, 3, 4):
-    sol = solve_sdp(build_sdp(moments.truncated(k), alpha))
+    sol = solve_sdp(moments.truncated(k), alpha)
     print(f"k={k}: worst-case tail {sol.objective:.6f}, "
           f"certificate valid: {sol.y.is_valid()}")
 
@@ -71,6 +70,6 @@ for k in (1, 2, 3, 4):
 
 for k in (2, 4):
     seq = moments.truncated(k)
-    sdp = solve_sdp(build_sdp(seq, alpha)).objective
+    sdp = solve_sdp(seq, alpha).objective
     lp = oracle_worst_case(seq, alpha, grid=4000)
     print(f"k={k}: oracle {lp:.6f} <= sdp {sdp:.6f}, gap {sdp - lp:.2e}")

@@ -9,7 +9,6 @@ attacks.
 """
 
 from .attack_reach import (
-    AttackMode,
     AttackPolicy,
     Ellipsoid,
     ReachBound,
@@ -22,7 +21,6 @@ from .attack_reach import (
 from .benchmark import benchmark_system, gaussian_config, laplacian_config
 from .bound_engine import (
     PolyBound,
-    SdpProblem,
     SdpSolution,
     build_sdp,
     chebyshev_bound,
@@ -46,14 +44,11 @@ from .detector_tuning import (
     TuningError,
     chi_squared_threshold,
     closed_form_threshold,
-    dr_threshold_two_moments,
     tune_threshold_sdp,
 )
 from .ipm import ConicProblem, ConicSolution, Status
 from .moment_core import (
-    HankelPair,
     MomentSequence,
-    Support,
     chi_squared_moments,
     estimate_moments,
     hankel_pair,
@@ -63,13 +58,11 @@ from .moment_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackMode",
     "AttackPolicy",
     "ConicProblem",
     "ConicSolution",
     "Ellipsoid",
     "ExperimentConfig",
-    "HankelPair",
     "LtiSystem",
     "Method",
     "MomentSequence",
@@ -78,10 +71,8 @@ __all__ = [
     "PolyBound",
     "ReachBound",
     "ResidualTrace",
-    "SdpProblem",
     "SdpSolution",
     "Status",
-    "Support",
     "ThresholdResult",
     "TuningError",
     "VolumeReport",
@@ -91,7 +82,6 @@ __all__ = [
     "chi_squared_moments",
     "chi_squared_threshold",
     "closed_form_threshold",
-    "dr_threshold_two_moments",
     "empirical_false_alarm_rate",
     "estimate_moments",
     "gaussian_config",

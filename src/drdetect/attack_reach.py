@@ -12,7 +12,6 @@ shrinks the bound monotonically.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .cps_sim import LtiSystem
 __all__ = [
     "Ellipsoid",
     "ReachBound",
-    "AttackMode",
     "AttackPolicy",
     "zero_alarm_attack",
     "noise_threshold",
@@ -71,10 +69,6 @@ class Ellipsoid:
         return (self.q @ direction) / math.sqrt(val)
 
 
-class AttackMode(enum.Enum):
-    ZERO_ALARM = "zero_alarm"
-
-
 def zero_alarm_attack(
     sys: LtiSystem,
     alpha: float,
@@ -104,7 +98,6 @@ class AttackPolicy:
 
     alpha: float
     direction: np.ndarray
-    mode: AttackMode = AttackMode.ZERO_ALARM
     rotate: bool = False
     rotation_period: int = 64
 

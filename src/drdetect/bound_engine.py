@@ -28,7 +28,6 @@ from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
     "PolyBound",
-    "SdpProblem",
     "SdpSolution",
     "markov_bound",
     "chebyshev_bound",
@@ -121,42 +120,6 @@ class PolyBound:
         return self.min_over(a) >= 1.0 - tol and self.min_over(0.0, a) >= -tol
 
 
-@dataclass(frozen=True)
-class SdpProblem:
-    """Equality-form encoding of the dual moment-bound program.
-
-    Rows couple the free coefficients y to antidiagonal sums of the two
-    (k+1) x (k+1) PSD blocks X and Z: odd antidiagonals of each block
-    vanish; even antidiagonals equal binomial combinations of the y_r
-    times powers of alpha (the X block certifies p - 1 >= 0 above the
-    threshold via the Taylor shift q = alpha(1 + u^2); the Z block
-    certifies p >= 0 on [0, alpha] via q = alpha t^2/(1 + t^2), stated
-    in an equivalent diagonally rescaled form).  Constraint matrices are
-    laid out for :mod:`drdetect.ipm`: `a_y` acts on y, `a_x` and `a_z`
-    act on svec(X) and svec(Z), with right-hand side `b`.
-    """
-
-    moments: MomentSequence
-    alpha: float
-    a_y: np.ndarray
-    a_x: np.ndarray
-    a_z: np.ndarray
-    b: np.ndarray
-    labels: tuple[tuple[str, str, int], ...]
-
-    def __post_init__(self) -> None:
-        for arr in (self.a_y, self.a_x, self.a_z, self.b):
-            np.asarray(arr).flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        return self.moments.order
-
-    @property
-    def block_size(self) -> int:
-        return self.order + 1
-
-
 def _antidiagonal_row(size: int, total: int) -> np.ndarray:
     """svec coefficients of the functional X -> sum_{i+j=total} X_ij."""
     e = np.zeros((size, size))
@@ -167,80 +130,45 @@ def _antidiagonal_row(size: int, total: int) -> np.ndarray:
     return svec(e)
 
 
-def build_sdp(moments: MomentSequence, alpha: float) -> SdpProblem:
-    """Assemble the dual moment-bound program for sup P(q >= alpha).
+def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
+    """Assemble the dual moment-bound program for sup P(q >= 1).
 
-    Objective: minimize sum_r y_r M^r.  The constraint rows are, for
-    blocks X and Z of size (k+1):
+    The bound at a threshold alpha is this program for the moments of
+    q/alpha, ``moments.scaled(1/alpha)``; in these units every constraint
+    coefficient is an integer that depends on k alone.  Objective:
+    minimize sum_r y_r M^r over free y and two (k+1) x (k+1) PSD blocks
+    X and Z, subject to
 
       X odd,  l = 1..k:   sum_{i+j=2l-1} X_ij = 0
-      X even, l = 0:      X_00 = (y_0 - 1) + sum_{r>=1} y_r alpha^r
-      X even, l = 1..k:   sum_{i+j=2l} X_ij = sum_{r=l..k} C(r,l) alpha^(r-l) y_r
+      X even, l = 0..k:   sum_{i+j=2l} X_ij = sum_{r=l..k} C(r,l) y_r - [l = 0]
       Z odd,  l = 1..k:   sum_{i+j=2l-1} Z_ij = 0
-      Z even, l = 0..k:   sum_{i+j=2l} Z_ij = sum_{r=0..l} C(k-r,l-r) alpha^(r-l) y_r
+      Z even, l = 0..k:   sum_{i+j=2l} Z_ij = sum_{r=0..l} C(k-r,l-r) y_r
+
+    The X block certifies p - 1 >= 0 above the threshold via the Taylor
+    shift q = 1 + u^2; the Z block certifies p >= 0 on [0, 1] via
+    q = t^2/(1 + t^2), stated in an equivalent diagonally rescaled form.
+    The result is laid out for :mod:`drdetect.ipm`: `c_free` holds the
+    moments, `a_free` acts on y, and the two blocks on svec(X), svec(Z).
     """
-    if alpha <= 0:
-        raise ValueError("threshold must be positive")
-    if not is_feasible(moments):
-        raise ValueError("infeasible moment sequence")
     k = moments.order
     size = k + 1
-    d = svec_dim(size)
-    rows_y: list[np.ndarray] = []
-    rows_x: list[np.ndarray] = []
-    rows_z: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[tuple[str, str, int]] = []
-    zero_x = np.zeros(d)
-    zero_y = np.zeros(size)
-
-    for l in range(1, k + 1):
-        rows_y.append(zero_y)
-        rows_x.append(_antidiagonal_row(size, 2 * l - 1))
-        rows_z.append(zero_x)
-        rhs.append(0.0)
-        labels.append(("X", "odd", l))
-
-    y_row = np.array([-(alpha**r) for r in range(size)])
-    rows_y.append(y_row)
-    rows_x.append(_antidiagonal_row(size, 0))
-    rows_z.append(zero_x)
-    rhs.append(-1.0)
-    labels.append(("X", "even", 0))
-    for l in range(1, k + 1):
-        y_row = np.zeros(size)
-        for r in range(l, k + 1):
-            y_row[r] = -comb(r, l) * alpha ** (r - l)
-        rows_y.append(y_row)
-        rows_x.append(_antidiagonal_row(size, 2 * l))
-        rows_z.append(zero_x)
-        rhs.append(0.0)
-        labels.append(("X", "even", l))
-
-    for l in range(1, k + 1):
-        rows_y.append(zero_y)
-        rows_x.append(zero_x)
-        rows_z.append(_antidiagonal_row(size, 2 * l - 1))
-        rhs.append(0.0)
-        labels.append(("Z", "odd", l))
-    for l in range(0, k + 1):
-        y_row = np.zeros(size)
-        for r in range(0, l + 1):
-            y_row[r] = -comb(k - r, l - r) * float(alpha) ** (r - l)
-        rows_y.append(y_row)
-        rows_x.append(zero_x)
-        rows_z.append(_antidiagonal_row(size, 2 * l))
-        rhs.append(0.0)
-        labels.append(("Z", "even", l))
-
-    return SdpProblem(
-        moments=moments,
-        alpha=float(alpha),
-        a_y=np.vstack(rows_y),
-        a_x=np.vstack(rows_x),
-        a_z=np.vstack(rows_z),
-        b=np.array(rhs),
-        labels=tuple(labels),
+    odd = np.vstack([_antidiagonal_row(size, 2 * l - 1) for l in range(1, size)])
+    even = np.vstack([_antidiagonal_row(size, 2 * l) for l in range(size)])
+    x_even = [[-comb(r, l) for r in range(size)] for l in range(size)]
+    z_even = [
+        [-comb(k - r, l - r) if r <= l else 0 for r in range(size)]
+        for l in range(size)
+    ]
+    no_y = np.zeros((k, size))
+    no_block = np.zeros((k + size, svec_dim(size)))
+    b = np.zeros(2 * (k + size))
+    b[k] = -1.0  # the X even row at l = 0 carries the 1 of p - 1
+    return ipm.ConicProblem(
+        c_free=np.array(moments.moments),
+        c_blocks=(np.zeros((size, size)), np.zeros((size, size))),
+        a_free=np.vstack([no_y, x_even, no_y, z_even]),
+        a_blocks=(np.vstack([odd, even, no_block]), np.vstack([no_block, odd, even])),
+        b=b,
     )
 
 
@@ -254,46 +182,30 @@ class SdpSolution:
     iterations: int
     status: Status
 
-    def to_csv_row(self) -> str:
-        """Serialize as ``k, alpha, objective, gap, iterations, status, y0..yk``."""
-        k = len(self.y.coeffs) - 1
-        fields = [
-            str(k),
-            format(self.y.threshold, ".17g"),
-            format(self.objective, ".17g"),
-            format(self.duality_gap, ".17g"),
-            str(self.iterations),
-            self.status.value,
-        ] + [format(c, ".17g") for c in self.y.coeffs]
-        return ",".join(fields)
 
-
-def solve_sdp(prob: SdpProblem, tol: float = 1e-9) -> SdpSolution:
-    """Solve the moment-bound program; returns the worst-case probability
-    clamped to [0, 1] together with the polynomial certificate.
+def solve_sdp(
+    moments: MomentSequence, alpha: float, tol: float = 1e-9
+) -> SdpSolution:
+    """Worst-case P(q >= alpha) over all laws on R+ with the given
+    moments, clamped to [0, 1], together with its polynomial certificate.
 
     The program is solved in units of the threshold (q -> q/alpha maps
-    the bound onto the same program at threshold 1), which keeps all
-    constraint coefficients order one.  Any residual infeasibility of
-    the returned certificate is absorbed into the constant coefficient,
-    so the reported objective is always a certified upper bound, also
-    when the solver stalls and the status is `NUMERICAL_TROUBLE`.  The
-    certificate is checked exactly on the whole half-line above the
-    threshold.
+    the bound onto the same program at threshold 1, see
+    :func:`build_sdp`), which keeps all constraint coefficients order
+    one.  Any residual infeasibility of the returned certificate is
+    absorbed into the constant coefficient, so the reported objective is
+    always a certified upper bound, also when the solver stalls and the
+    status is `NUMERICAL_TROUBLE`.  The certificate is checked exactly on
+    the whole half-line above the threshold.
     """
-    alpha = prob.alpha
-    k = prob.order
-    scaled_moments = prob.moments.scaled(1.0 / alpha)
-    scaled = build_sdp(scaled_moments, 1.0)
-    c_vec = np.array(scaled_moments.moments)
-    size = k + 1
-    conic = ipm.ConicProblem(
-        c_free=c_vec,
-        c_blocks=(np.zeros((size, size)), np.zeros((size, size))),
-        a_free=scaled.a_y,
-        a_blocks=(scaled.a_x, scaled.a_z),
-        b=scaled.b,
-    )
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise ValueError("threshold must be positive")
+    if not is_feasible(moments):
+        raise ValueError("infeasible moment sequence")
+    conic = build_sdp(moments.scaled(1.0 / alpha))
+    c_vec = conic.c_free
+    size = c_vec.shape[0]
     init_free = np.zeros(size)
     init_free[0] = 1.0
     init_scale = 1.0 + float(np.sum(np.abs(c_vec)))

@@ -283,10 +283,14 @@ def _write_far(out: Path, far_rows, samples: int) -> Path:
     return path
 
 
-def _write_reach(out: Path, bounds, report) -> list[Path]:
+def _write_reach(
+    out: Path, thresholds: list[ThresholdResult], bounds, report
+) -> list[Path]:
+    """One boundary file per threshold row, named by its (method, k),
+    which is unique within a run, plus areas.csv."""
     paths = []
-    for rb in bounds:
-        path = out / f"reach_{rb.alpha:.4f}.csv"
+    for row, rb in zip(thresholds, bounds):
+        path = out / f"reach_{row.method.value}_k{row.k}.csv"
         rb.write_boundary_csv(path)
         paths.append(path)
     area_path = out / "areas.csv"
@@ -311,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     helps = {
         "tune": "tune thresholds and write thresholds.csv",
         "far": "measure empirical false-alarm rates (far.csv)",
-        "reach": "compute reachable-set bounds (reach_<alpha>.csv, areas.csv)",
+        "reach": "compute reachable-set bounds (reach_<method>_k<k>.csv, areas.csv)",
         "all": "run the full pipeline",
     }
     for name, text in helps.items():
@@ -337,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         written.append(_write_far(out, far_rows, config.sim_samples))
     if args.command in ("reach", "all"):
         bounds, report = run_reach(config, thresholds, quiet=quiet)
-        written.extend(_write_reach(out, bounds, report))
+        written.extend(_write_reach(out, thresholds, bounds, report))
         if not (report.area_ordered and report.support_ordered):
             print(
                 "reachable-set ordering violated: "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import scipy.special
 
-from .bound_engine import build_sdp, solve_sdp
+from .bound_engine import solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdResult",
     "TuningError",
     "chi_squared_threshold",
-    "dr_threshold_two_moments",
     "closed_form_threshold",
     "tune_threshold_sdp",
 ]
@@ -30,7 +29,6 @@ __all__ = [
 
 class Method(enum.Enum):
     CHI_SQUARED = "chi_squared"
-    DR_CHEBYSHEV_MULTIVARIATE = "dr_chebyshev_multivariate"
     CLOSED_FORM_K1 = "closed_form_k1"
     CLOSED_FORM_K2 = "closed_form_k2"
     SDP_BISECTION = "sdp_bisection"
@@ -107,16 +105,6 @@ def chi_squared_threshold(p: int, rate: float) -> float:
     return float(2.0 * scipy.special.gammaincinv(0.5 * p, 1.0 - rate))
 
 
-def dr_threshold_two_moments(p: int, rate: float) -> float:
-    """Distributionally robust threshold p/rate for a p-dimensional
-    residual with known mean and covariance (multivariate Chebyshev)."""
-    if p < 1:
-        raise ValueError("dimension must be at least 1")
-    if not 0 < rate < 1:
-        raise ValueError("rate must be in (0, 1)")
-    return p / rate
-
-
 def closed_form_threshold(
     moments: MomentSequence, rate: float, k: int
 ) -> ThresholdResult:
@@ -158,15 +146,6 @@ def closed_form_threshold(
     )
 
 
-def _bound_at(moments: MomentSequence, alpha: float, tol: float) -> float:
-    """Certified upper bound on the worst-case P(q >= alpha).
-
-    The objective of :func:`solve_sdp` is certified whatever the solver
-    status, so a stalled solve (`NUMERICAL_TROUBLE`) still yields a valid,
-    if possibly loose, bound and tuning goes on with it."""
-    return solve_sdp(build_sdp(moments, alpha), tol=tol).objective
-
-
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
 
 
@@ -184,10 +163,11 @@ def tune_threshold_sdp(
     epsilon: a midpoint whose worst-case probability exceeds the target
     raises the lower end, otherwise the upper end comes down.  The
     returned threshold is the certified upper end of the final bracket.
-    Each step acts on the certified bound of its solve whatever the
-    solver status: a stalled solve may report a loose bound, which only
-    raises the lower end, so the result stays certified but may sit
-    above the tight threshold.
+    Each step acts on the objective of :func:`solve_sdp`, which is a
+    certified bound whatever the solver status: a stalled solve
+    (`NUMERICAL_TROUBLE`) may report a loose bound, which only raises the
+    lower end, so the result stays certified but may sit above the tight
+    threshold.
 
     Default brackets: the lower end is the mean (no threshold below the
     mean meets a target rate <= 1/2); the upper end is the (k-1)-moment
@@ -241,7 +221,7 @@ def tune_threshold_sdp(
     if not a_u >= a_l:
         raise ValueError("upper bracket must not be below the lower bracket")
 
-    p_low = _bound_at(moments, a_l, solver_tol)
+    p_low = solve_sdp(moments, a_l, solver_tol).objective
     if p_low <= rate:
         result = ThresholdResult(
             alpha=a_l,
@@ -256,7 +236,7 @@ def tune_threshold_sdp(
             _AUTO_CACHE[cache_key] = result
         return result
 
-    achieved = _bound_at(moments, a_u, solver_tol)
+    achieved = solve_sdp(moments, a_u, solver_tol).objective
     if achieved > rate + 1e-7:
         if bound_at_upper is None:
             raise ValueError(
@@ -266,7 +246,7 @@ def tune_threshold_sdp(
         achieved = bound_at_upper
     while a_u - a_l > epsilon:
         mid = 0.5 * (a_l + a_u)
-        p_mid = _bound_at(moments, mid, solver_tol)
+        p_mid = solve_sdp(moments, mid, solver_tol).objective
         if p_mid > rate:
             a_l = mid
         else:

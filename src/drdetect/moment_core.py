@@ -9,7 +9,6 @@ serves as ground truth when the residuals are Gaussian.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,20 +16,12 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "Support",
     "MomentSequence",
-    "HankelPair",
     "hankel_pair",
     "is_feasible",
     "estimate_moments",
     "chi_squared_moments",
 ]
-
-
-class Support(enum.Enum):
-    """Support set on which a moment sequence must be realizable."""
-
-    NONNEGATIVE_REALS = "nonnegative_reals"
 
 
 @dataclass(frozen=True)
@@ -43,7 +34,6 @@ class MomentSequence:
     """
 
     moments: tuple[float, ...]
-    support: Support = Support.NONNEGATIVE_REALS
 
     def __post_init__(self) -> None:
         moments = tuple(float(m) for m in self.moments)
@@ -54,8 +44,6 @@ class MomentSequence:
             raise ValueError(f"M^0 must be exactly 1, got {moments[0]!r}")
         if not all(math.isfinite(m) for m in moments):
             raise ValueError("all moments must be finite")
-        if not isinstance(self.support, Support):
-            raise ValueError(f"unknown support {self.support!r}")
 
     @property
     def order(self) -> int:
@@ -75,14 +63,14 @@ class MomentSequence:
         """Drop moments above `order`; feasibility is preserved."""
         if not 1 <= order <= self.order:
             raise ValueError(f"order must be in [1, {self.order}], got {order}")
-        return MomentSequence(self.moments[: order + 1], self.support)
+        return MomentSequence(self.moments[: order + 1])
 
     def scaled(self, c: float) -> "MomentSequence":
         """Moments of c*X for c > 0: M^r picks up a factor c^r."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
         return MomentSequence(
-            tuple(m * c**r for r, m in enumerate(self.moments)), self.support
+            tuple(m * c**r for r, m in enumerate(self.moments))
         )
 
     def perturbed(self, theta: float = 1e-8) -> "MomentSequence":
@@ -99,7 +87,7 @@ class MomentSequence:
             (1.0 - theta) * m + theta * math.factorial(r) * mean**r
             for r, m in enumerate(self.moments)
         )
-        return MomentSequence(mixed, self.support)
+        return MomentSequence(mixed)
 
     def to_csv_row(self) -> str:
         """Serialize as ``k, M0, M1, ..., Mk``."""
@@ -120,35 +108,6 @@ class MomentSequence:
         return cls(values)
 
 
-@dataclass(frozen=True)
-class HankelPair:
-    """The two Hankel matrices whose joint positive semidefiniteness
-    characterizes feasibility of a truncated moment sequence on the
-    nonnegative axis.
-
-    `r_even` is the even-indexed matrix with entry (i, j) = M_{i+j};
-    `r_odd` is the odd-indexed matrix with entry (i, j) = M_{i+j+1}.
-    """
-
-    r_even: np.ndarray
-    r_odd: np.ndarray
-    tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        r_even = np.array(self.r_even, dtype=float)
-        r_odd = np.array(self.r_odd, dtype=float)
-        for mat in (r_even, r_odd):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError("Hankel blocks must be square matrices")
-            if not np.array_equal(mat, mat.T):
-                raise ValueError("Hankel blocks must be exactly symmetric")
-            mat.flags.writeable = False
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        object.__setattr__(self, "r_even", r_even)
-        object.__setattr__(self, "r_odd", r_odd)
-
-
 def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:
     """Hankel matrix R_index: entry (i, j) = M_{i+j} for even index,
     M_{i+j+1} for odd, with i, j = 0..floor(index/2)."""
@@ -160,14 +119,20 @@ def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:
     return scipy.linalg.hankel(m[1 : half + 2], m[half + 1 : 2 * half + 2])
 
 
-def hankel_pair(seq: MomentSequence, tolerance: float = 0.0) -> HankelPair:
-    """Build the pair (R_k, R_{k-1}) for a sequence of order k."""
+def hankel_pair(seq: MomentSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The Hankel matrices (R_k, R_{k-1}) of a sequence of order k, as
+    the pair (r_even, r_odd) whose joint positive semidefiniteness
+    characterizes feasibility on the nonnegative axis.
+
+    `r_even` is the even-indexed matrix with entry (i, j) = M_{i+j};
+    `r_odd` is the odd-indexed matrix with entry (i, j) = M_{i+j+1}.
+    """
     k = seq.order
     r_k = _hankel_matrix(seq.moments, k)
     r_km1 = _hankel_matrix(seq.moments, k - 1)
     if k % 2 == 0:
-        return HankelPair(r_k, r_km1, tolerance)
-    return HankelPair(r_km1, r_k, tolerance)
+        return r_k, r_km1
+    return r_km1, r_k
 
 
 def is_feasible(seq: MomentSequence, tol: float = 1e-9) -> bool:
@@ -180,8 +145,7 @@ def is_feasible(seq: MomentSequence, tol: float = 1e-9) -> bool:
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    pair = hankel_pair(seq, tolerance=tol)
-    for mat in (pair.r_even, pair.r_odd):
+    for mat in hankel_pair(seq):
         scale = max(1.0, float(np.abs(mat).max()))
         if np.linalg.eigvalsh(mat)[0] < -tol * scale:
             return False

@@ -18,7 +18,6 @@ from drdetect import (
     NoiseFamily,
     NoiseModel,
     benchmark_system,
-    build_sdp,
     chebyshev_bound,
     chi_squared_moments,
     closed_form_threshold,
@@ -37,6 +36,7 @@ from drdetect import (
     tune_threshold_sdp,
     volume_comparison,
 )
+from drdetect import detector_tuning
 
 RATE = 0.05
 EPSILON = 1e-4
@@ -123,13 +123,13 @@ def test_criterion_03_sdp_matches_closed_forms(rng):
     for _ in range(50):
         seq1 = random_moments(rng, 1)
         alpha1 = float(rng.uniform(0.3, 3.0)) * seq1.mean
-        sdp1 = solve_sdp(build_sdp(seq1, alpha1)).objective
+        sdp1 = solve_sdp(seq1, alpha1).objective
         worst = max(worst, abs(sdp1 - markov_bound(seq1, alpha1)))
 
         seq2 = random_moments(rng, 2)
         # the two-moment closed form is the exact value above M2/M1
         alpha2 = float(rng.uniform(1.0, 2.5)) * seq2.moments[2] / seq2.mean
-        sdp2 = solve_sdp(build_sdp(seq2, alpha2)).objective
+        sdp2 = solve_sdp(seq2, alpha2).objective
         worst = max(worst, abs(sdp2 - chebyshev_bound(seq2, alpha2)))
     check_criterion(
         3,
@@ -146,7 +146,7 @@ def test_criterion_04_primal_dual_sandwich(rng):
     worst_gap = 0.0
     for i in range(n):
         seq, alpha = random_oracle_instance(rng, 1 + i % 4)
-        sdp = solve_sdp(build_sdp(seq, alpha)).objective
+        sdp = solve_sdp(seq, alpha).objective
         lower = oracle_worst_case(seq, alpha, grid=2000)
         if lower > sdp + 1e-3:
             violations += 1
@@ -256,7 +256,7 @@ def test_criterion_09_reachable_set_nesting():
     )
 
 
-def test_criterion_10_property_suites(rng, tmp_path):
+def test_criterion_10_property_suites(rng, tmp_path, monkeypatch):
     failures = []
 
     seq = random_moments(rng, 4)
@@ -269,7 +269,7 @@ def test_criterion_10_property_suites(rng, tmp_path):
     if not np.allclose(scaled.moments, expected, rtol=1e-12):
         failures.append("scaling covariance")
 
-    sol = solve_sdp(build_sdp(chi_squared_moments(2, 4), 9.1315))
+    sol = solve_sdp(chi_squared_moments(2, 4), 9.1315)
     if not sol.y.is_valid():
         failures.append("certificate nonnegativity")
 
@@ -283,12 +283,17 @@ def test_criterion_10_property_suites(rng, tmp_path):
     if min(cross) < -1e-9 * max(abs(c) for c in cross):
         failures.append("boundary convexity")
 
+    # each run tunes from scratch and each file comes from its own bound,
+    # so a nondeterministic step shows as a difference
     experiment = ExperimentConfig.from_dict(gaussian_config())
-    rows_a = [row.to_csv_row() for row in run_tune(experiment)]
-    rows_b = [row.to_csv_row() for row in run_tune(experiment)]
+    runs = []
+    for _ in range(2):
+        monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+        runs.append([row.to_csv_row() for row in run_tune(experiment)])
+    rows_a, rows_b = runs
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     rb.write_boundary_csv(path_a)
-    rb.write_boundary_csv(path_b)
+    reach_bound(benchmark_system(), 40.0, 9.1315, 50, 128).write_boundary_csv(path_b)
     if rows_a != rows_b or path_a.read_bytes() != path_b.read_bytes():
         failures.append("determinism")
 

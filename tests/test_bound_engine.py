@@ -13,7 +13,8 @@ from drdetect import (
     oracle_worst_case,
     solve_sdp,
 )
-from drdetect.ipm import Status, smat
+from drdetect import bound_engine
+from drdetect.ipm import Status, svec
 
 from conftest import atomic_moments, random_oracle_instance
 
@@ -69,7 +70,7 @@ def test_poly_bound_evaluation_and_validity():
 def test_stalled_solve_stops_early_with_a_certified_bound():
     # chi-squared(1) at its mean with five moments: the IPM stalls, and
     # ran to its iteration limit before stalls were cut short
-    sol = solve_sdp(build_sdp(chi_squared_moments(1, 5), 1.0))
+    sol = solve_sdp(chi_squared_moments(1, 5), 1.0)
     assert sol.status == Status.NUMERICAL_TROUBLE
     assert sol.iterations <= 40
     assert sol.y.is_valid()
@@ -82,54 +83,84 @@ def test_poly_bound_min_over_finds_interior_dip():
     assert p.min_over(0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_build_sdp_row_structure_k1():
-    m = MomentSequence((1.0, 2.0))
-    prob = build_sdp(m, 4.0)
-    # 4k + 2 rows at k = 1
-    assert prob.b.shape == (6,)
-    assert prob.block_size == 2
-    # the known Markov certificate y = (0, 1/alpha) with
-    # X = diag(0, 1/alpha), Z = diag(0, 1/alpha) satisfies every row
-    y = np.array([0.0, 0.25])
-    x = np.diag([0.0, 0.25])
-    z = np.diag([0.0, 0.25])
-    from drdetect.ipm import svec
+def _residual(prob, y, x, z):
+    """Row residuals of the program at free variables y and blocks X, Z."""
+    return (
+        prob.a_free @ y
+        + prob.a_blocks[0] @ svec(x)
+        + prob.a_blocks[1] @ svec(z)
+        - prob.b
+    )
 
-    residual = prob.a_y @ y + prob.a_x @ svec(x) + prob.a_z @ svec(z) - prob.b
-    np.testing.assert_allclose(residual, 0.0, atol=1e-14)
+
+def test_build_sdp_row_structure_k1():
+    # the Markov bound at alpha = 4 is the program at threshold 1 for the
+    # moments of q/4
+    prob = build_sdp(MomentSequence((1.0, 2.0)).scaled(0.25))
+    np.testing.assert_array_equal(prob.c_free, [1.0, 0.5])
+    # 4k + 2 rows and blocks of size k + 1 at k = 1
+    assert prob.b.shape == (6,)
+    assert [c.shape for c in prob.c_blocks] == [(2, 2), (2, 2)]
+    # the known Markov certificate p(q) = q, y = (0, 1), with
+    # X = diag(0, 1), Z = diag(0, 1) satisfies every row
+    y = np.array([0.0, 1.0])
+    x = np.diag([0.0, 1.0])
+    z = np.diag([0.0, 1.0])
+    np.testing.assert_allclose(_residual(prob, y, x, z), 0.0, atol=1e-14)
 
 
 def test_build_sdp_constant_one_certificate_k2():
     # y = (1,0,0) encodes p(q) = 1: feasible with objective 1 via
     # rank-one blocks placing all weight at the constant coordinate
     m = CHI2.truncated(2)
-    prob = build_sdp(m, 1.0)
-    from drdetect.ipm import svec
-
+    prob = build_sdp(m)
     y = np.array([1.0, 0.0, 0.0])
     x = np.zeros((3, 3))
     # Gram matrix of (1 + t^2)^2 in the basis (1, t, t^2): rank one
     v = np.array([1.0, 0.0, 1.0])
     z = np.outer(v, v)
-    residual = prob.a_y @ y + prob.a_x @ svec(x) + prob.a_z @ svec(z) - prob.b
-    np.testing.assert_allclose(residual, 0.0, atol=1e-14)
-    assert float(np.dot(y, m.moments)) == 1.0
+    np.testing.assert_allclose(_residual(prob, y, x, z), 0.0, atol=1e-14)
+    assert float(np.dot(y, prob.c_free)) == 1.0
 
 
 def test_build_sdp_block_sizes_k4():
-    prob = build_sdp(CHI2, 9.0)
-    assert prob.block_size == 5
+    prob = build_sdp(CHI2.scaled(1.0 / 9.0))
+    assert [c.shape for c in prob.c_blocks] == [(5, 5), (5, 5)]
     assert prob.b.shape == (18,)  # 4k + 2 rows
+    # in threshold units the rows are integers that depend on k alone
+    np.testing.assert_array_equal(prob.a_free, np.round(prob.a_free))
+    other = build_sdp(chi_squared_moments(5, 4))
+    np.testing.assert_array_equal(prob.a_free, other.a_free)
+    for mine, theirs in zip(prob.a_blocks, other.a_blocks):
+        np.testing.assert_array_equal(mine, theirs)
+    np.testing.assert_array_equal(prob.b, other.b)
     with pytest.raises(ValueError):
-        build_sdp(CHI2, -1.0)
+        solve_sdp(CHI2, -1.0)
     with pytest.raises(ValueError):
-        build_sdp(MomentSequence((1.0, 1.0, 0.5)), 1.0)
+        solve_sdp(CHI2, 0.0)
+    with pytest.raises(ValueError):
+        solve_sdp(MomentSequence((1.0, 1.0, 0.5)), 1.0)
+
+
+def test_solve_builds_and_checks_once(monkeypatch):
+    calls = {"build_sdp": 0, "is_feasible": 0}
+    for name in calls:
+        original = getattr(bound_engine, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bound_engine, name, counted)
+    sol = solve_sdp(CHI2, 9.1315)
+    assert calls == {"build_sdp": 1, "is_feasible": 1}
+    assert sol.y.threshold == 9.1315
 
 
 def test_solve_matches_markov_exactly():
     m = MomentSequence((1.0, 2.0))
     for alpha in (0.5, 1.0, 3.0, 40.0, 250.0):
-        sol = solve_sdp(build_sdp(m, alpha))
+        sol = solve_sdp(m, alpha)
         assert sol.status == Status.OPTIMAL
         assert sol.objective == pytest.approx(markov_bound(m, alpha), abs=1e-6)
         assert sol.y.is_valid()
@@ -139,14 +170,14 @@ def test_solve_matches_chebyshev_in_tight_regime():
     m = CHI2.truncated(2)
     lo = m.moments[2] / m.moments[1]  # tight-regime boundary
     for alpha in (lo, 1.5 * lo, 5.0 * lo, 10.717797887081348):
-        sol = solve_sdp(build_sdp(m, alpha))
+        sol = solve_sdp(m, alpha)
         assert sol.status == Status.OPTIMAL
         assert sol.objective == pytest.approx(chebyshev_bound(m, alpha), abs=1e-6)
         assert sol.y.is_valid()
 
 
 def test_solve_k4_reference_point():
-    sol = solve_sdp(build_sdp(CHI2, 9.1315))
+    sol = solve_sdp(CHI2, 9.1315)
     assert sol.objective == pytest.approx(0.05, abs=0.002)
     assert sol.status == Status.OPTIMAL
     assert sol.duality_gap <= 1e-7
@@ -154,7 +185,7 @@ def test_solve_k4_reference_point():
 
 def test_bound_monotone_in_alpha():
     alphas = np.linspace(2.5, 30.0, 12)
-    vals = [solve_sdp(build_sdp(CHI2, a)).objective for a in alphas]
+    vals = [solve_sdp(CHI2, a).objective for a in alphas]
     diffs = np.diff(vals)
     assert np.all(diffs <= 1e-7)
 
@@ -163,20 +194,11 @@ def test_bound_monotone_in_order():
     # richer moment information can only tighten the bound
     alpha = 9.0
     vals = [
-        solve_sdp(build_sdp(CHI2.truncated(k), alpha)).objective
+        solve_sdp(CHI2.truncated(k), alpha).objective
         for k in (1, 2, 3, 4)
     ]
     for lo_k, hi_k in zip(vals[1:], vals[:-1]):
         assert lo_k <= hi_k + 1e-7
-
-
-def test_solution_csv_row():
-    sol = solve_sdp(build_sdp(CHI2.truncated(2), 9.0))
-    parts = sol.to_csv_row().split(",")
-    assert parts[0] == "2"
-    assert float(parts[1]) == 9.0
-    assert parts[5] == "optimal"
-    assert len(parts) == 6 + 3  # header fields plus y0..y2
 
 
 def test_oracle_markov_two_point():
@@ -208,7 +230,7 @@ def test_oracle_never_exceeds_sdp(rng):
     for _ in range(10):
         k = int(rng.integers(1, 5))
         mom, alpha = random_oracle_instance(rng, k)
-        sdp = solve_sdp(build_sdp(mom, alpha)).objective
+        sdp = solve_sdp(mom, alpha).objective
         lower = oracle_worst_case(mom, alpha, grid=2000)
         assert lower <= sdp + 1e-3
 
@@ -223,6 +245,6 @@ def test_certificates_always_valid(atoms, weights, ratio):
     n = min(len(atoms), len(weights))
     mom = atomic_moments(atoms[:n], weights[:n], 3)
     alpha = ratio * mom.mean
-    sol = solve_sdp(build_sdp(mom, alpha))
+    sol = solve_sdp(mom, alpha)
     assert sol.y.is_valid()
     assert 0.0 <= sol.objective <= 1.0

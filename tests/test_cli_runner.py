@@ -205,6 +205,28 @@ def test_main_all_writes_every_artifact(tmp_path):
     assert areas == sorted(areas, reverse=True)
 
 
+def test_main_reach_writes_one_file_per_threshold_row(tmp_path):
+    # chi-squared(2) tunes k = 3 and k = 4 to the same threshold, so files
+    # named by threshold would collide
+    raw = json.loads(_write_small_config(tmp_path).read_text())
+    raw["detector"]["orders"] = [3, 4]
+    config_path = tmp_path / "orders34.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = main(["reach", "--config", str(config_path), "--out", str(out), "--quiet"])
+    assert code == 0
+    rows = (out / "thresholds.csv").read_text().splitlines()[1:]
+    alphas = [row.split(",")[3] for row in rows]
+    assert alphas[1] == alphas[2]
+    names = sorted(p.name for p in out.glob("reach_*.csv"))
+    assert names == [
+        "reach_chi_squared_k2.csv",
+        "reach_sdp_bisection_k3.csv",
+        "reach_sdp_bisection_k4.csv",
+    ]
+    assert (out / names[1]).read_bytes() == (out / names[2]).read_bytes()
+
+
 def test_main_is_deterministic(tmp_path):
     config_path = _write_small_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -7,11 +7,9 @@ from drdetect import (
     Method,
     MomentSequence,
     ThresholdResult,
-    build_sdp,
     chi_squared_moments,
     chi_squared_threshold,
     closed_form_threshold,
-    dr_threshold_two_moments,
     solve_sdp,
     tune_threshold_sdp,
 )
@@ -32,18 +30,6 @@ def test_chi_squared_threshold_values():
         chi_squared_threshold(2, 0.0)
     with pytest.raises(ValueError):
         chi_squared_threshold(0, 0.05)
-
-
-def test_dr_threshold_two_moments_values():
-    assert dr_threshold_two_moments(2, 0.05) == 40.0
-    assert dr_threshold_two_moments(2, 0.5) == 4.0
-    assert dr_threshold_two_moments(3, 0.1) == pytest.approx(30.0)
-
-
-def test_dr_dominates_chi_squared():
-    for p in (1, 2, 3, 5, 10):
-        for rate in (0.01, 0.05, 0.2, 0.5):
-            assert dr_threshold_two_moments(p, rate) >= chi_squared_threshold(p, rate)
 
 
 def test_closed_form_k1():
@@ -93,8 +79,8 @@ def test_tune_guarantee_direction():
     # at the returned threshold the worst case meets the target; a hair
     # below the bracket it must exceed the target
     res = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4)
-    at = solve_sdp(build_sdp(CHI2, res.alpha)).objective
-    below = solve_sdp(build_sdp(CHI2, res.alpha - 2e-4)).objective
+    at = solve_sdp(CHI2, res.alpha).objective
+    below = solve_sdp(CHI2, res.alpha - 2e-4).objective
     assert at <= 0.05 + 1e-6
     assert below > 0.05 - 1e-6
 
@@ -152,7 +138,7 @@ TWO_ATOM = MomentSequence(
 def test_tune_through_stall_above_the_rate():
     # the solve at the lower end alpha = M1 stalls, with a certified bound
     # far above the rate; tuning raises the lower end and goes on
-    sol = solve_sdp(build_sdp(SEQ15, SEQ15.mean))
+    sol = solve_sdp(SEQ15, SEQ15.mean)
     assert sol.y.is_valid()
     assert sol.objective > 0.5
     k3 = tune_threshold_sdp(SEQ15.truncated(3), 0.05, epsilon=1e-4)
@@ -166,7 +152,7 @@ def test_tune_through_stall_below_the_rate():
     # stalls with a certified bound just under the rate, which lowers the
     # upper end
     m = chi_squared_moments(2, 5)
-    sol = solve_sdp(build_sdp(m, 5.36199951171875))
+    sol = solve_sdp(m, 5.36199951171875)
     assert sol.y.is_valid()
     assert sol.objective <= 0.2
     k4 = tune_threshold_sdp(m.truncated(4), 0.2, epsilon=1e-4)

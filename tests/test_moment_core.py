@@ -36,21 +36,22 @@ def test_validation_rejects_bad_sequences():
 
 def test_hankel_pair_small_orders():
     m = MomentSequence((1.0, 2.0, 8.0))
-    hp = hankel_pair(m)
-    np.testing.assert_array_equal(hp.r_even, [[1.0, 2.0], [2.0, 8.0]])
-    np.testing.assert_array_equal(hp.r_odd, [[2.0]])
+    r_even, r_odd = hankel_pair(m)
+    np.testing.assert_array_equal(r_even, [[1.0, 2.0], [2.0, 8.0]])
+    np.testing.assert_array_equal(r_odd, [[2.0]])
 
     m3 = MomentSequence((1.0, 2.0, 8.0, 48.0))
-    hp3 = hankel_pair(m3)
+    r_even3, r_odd3 = hankel_pair(m3)
     # k = 3: largest matrix collects odd-shifted entries
-    np.testing.assert_array_equal(hp3.r_odd, [[2.0, 8.0], [8.0, 48.0]])
-    np.testing.assert_array_equal(hp3.r_even, [[1.0, 2.0], [2.0, 8.0]])
+    np.testing.assert_array_equal(r_odd3, [[2.0, 8.0], [8.0, 48.0]])
+    np.testing.assert_array_equal(r_even3, [[1.0, 2.0], [2.0, 8.0]])
 
 
 def test_hankel_even_block_is_exactly_symmetric():
     m = chi_squared_moments(3, 6)
-    hp = hankel_pair(m)
-    assert np.array_equal(hp.r_even, hp.r_even.T)
+    r_even, r_odd = hankel_pair(m)
+    assert np.array_equal(r_even, r_even.T)
+    assert np.array_equal(r_odd, r_odd.T)
 
 
 def test_estimate_moments_constant_samples():
@@ -117,7 +118,7 @@ def test_perturbed_moves_into_the_interior():
     p = m.perturbed(1e-6)
     assert is_feasible(p)
     assert p.moments != m.moments
-    ev = np.linalg.eigvalsh(hankel_pair(p).r_even).min()
+    ev = np.linalg.eigvalsh(hankel_pair(p)[0]).min()
     assert ev > 0
 
 
