@@ -10,6 +10,7 @@ from drdetect import (
     chi_squared_moments,
     chi_squared_threshold,
     closed_form_threshold,
+    noise_threshold,
     solve_sdp,
     tune_threshold_sdp,
 )
@@ -30,6 +31,13 @@ def test_chi_squared_threshold_values():
         chi_squared_threshold(2, 0.0)
     with pytest.raises(ValueError):
         chi_squared_threshold(0, 0.05)
+
+
+def test_dr_dominates_chi_squared():
+    # the two-moment level never undercuts the chi-squared quantile
+    for p in (1, 2, 3, 5, 10):
+        for rate in (0.01, 0.05, 0.2, 0.5):
+            assert noise_threshold(p, rate) >= chi_squared_threshold(p, rate)
 
 
 def test_closed_form_k1():
