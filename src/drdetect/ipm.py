@@ -14,6 +14,7 @@ factorization of the (m + f) x (m + f) augmented KKT system.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # iterations without halving the best score after which a run has stalled
 _STALL_ITERS = 20
+# triangular solve for float64, bound once instead of looked up per call
+(_TRTRS,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 class Status(enum.Enum):
@@ -46,17 +49,25 @@ def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, scale) of the svec layout of an n x n matrix: the upper
+    triangle column by column, scale 1 on the diagonal and sqrt(2) off it."""
+    rows, cols = np.array(
+        [(i, j) for j in range(n) for i in range(j + 1)], dtype=np.intp
+    ).reshape(-1, 2).T
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    for arr in (rows, cols, scale):
+        arr.flags.writeable = False
+    return rows, cols, scale
+
+
 def svec(mat: np.ndarray) -> np.ndarray:
     """Stack the upper triangle column by column, off-diagonal entries
-    scaled by sqrt(2), so that svec(M) . svec(N) = <M, N>."""
-    n = mat.shape[0]
-    out = np.empty(svec_dim(n))
-    idx = 0
-    for j in range(n):
-        for i in range(j + 1):
-            out[idx] = mat[i, j] if i == j else _SQRT2 * mat[i, j]
-            idx += 1
-    return out
+    scaled by sqrt(2), so that svec(M) . svec(N) = <M, N>.  A stack of
+    matrices (..., n, n) maps to a stack of vectors (..., d)."""
+    rows, cols, scale = _svec_index(mat.shape[-1])
+    return mat[..., rows, cols] * scale
 
 
 def smat(vec: np.ndarray) -> np.ndarray:
@@ -65,28 +76,29 @@ def smat(vec: np.ndarray) -> np.ndarray:
     n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
     if svec_dim(n) != d:
         raise ValueError(f"length {d} is not a triangular number")
+    rows, cols, scale = _svec_index(n)
     out = np.empty((n, n))
-    idx = 0
-    for j in range(n):
-        for i in range(j + 1):
-            val = vec[idx] if i == j else vec[idx] / _SQRT2
-            out[i, j] = val
-            out[j, i] = val
-            idx += 1
+    vals = vec / scale
+    out[rows, cols] = vals
+    out[cols, rows] = vals
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _smat_basis(n: int) -> np.ndarray:
+    """The (d, n, n) stack of smat(e_i) over the svec basis vectors e_i."""
+    basis = np.stack([smat(e) for e in np.eye(svec_dim(n))])
+    basis.flags.writeable = False
+    return basis
+
+
 def _sym_kron(w: np.ndarray) -> np.ndarray:
-    """Matrix of the congruence map M -> W M W in svec coordinates."""
-    n = w.shape[0]
-    d = svec_dim(n)
-    cols = np.empty((d, d))
-    basis = np.zeros(d)
-    for i in range(d):
-        basis[i] = 1.0
-        cols[:, i] = svec(w @ smat(basis) @ w)
-        basis[i] = 0.0
-    return cols
+    """Matrix of the congruence map M -> W M W in svec coordinates; column
+    i is svec(W smat(e_i) W)."""
+    # the stacked matmul repeats the per-column products exactly; the copy
+    # keeps the C layout, so products with the result take the same BLAS
+    # calls as before and round the same way
+    return np.ascontiguousarray(svec(w @ _smat_basis(w.shape[0]) @ w).T)
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
@@ -126,7 +138,10 @@ class ConicProblem:
         for c_mat, a_mat in zip(c_blocks, a_blocks):
             if a_mat.shape != (m, svec_dim(c_mat.shape[0])):
                 raise ValueError("PSD-block constraint matrix has wrong shape")
-        for arr in (c_free, a_free, b) + c_blocks + a_blocks:
+        data = (c_free, a_free, b) + c_blocks + a_blocks
+        if not all(np.all(np.isfinite(arr)) for arr in data):
+            raise ValueError("problem data must be finite")
+        for arr in data:
             arr.flags.writeable = False
         object.__setattr__(self, "c_free", c_free)
         object.__setattr__(self, "c_blocks", c_blocks)
@@ -160,8 +175,10 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
         chol = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         return 0.0
-    inner = scipy.linalg.solve_triangular(chol, dx, lower=True)
-    inner = scipy.linalg.solve_triangular(chol, inner.T, lower=True)
+    # L^{-1} dX L^{-T}; LAPACK reads the C-ordered factor L as the
+    # Fortran-ordered upper factor L^T, so solve with its transpose
+    inner, _ = _TRTRS(chol.T, dx, lower=0, trans=1)
+    inner, _ = _TRTRS(chol.T, inner.T, lower=0, trans=1)
     lo = float(np.linalg.eigvalsh(_sym(inner))[0])
     if lo >= -1e-14:
         return np.inf
@@ -193,6 +210,8 @@ def solve(
     best-scored iterate."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(init_scale):
+        raise ValueError("initial scale must be finite")
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
     sizes = prob.block_sizes
@@ -211,6 +230,8 @@ def solve(
     )
     if u.shape != (f,):
         raise ValueError("initial free variables have wrong shape")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial free variables must be finite")
     xs = [init_scale * np.eye(n) for n in sizes]
     ss = [np.eye(n) for n in sizes]
     lam = np.zeros(m)
@@ -312,7 +333,7 @@ def solve(
                 # a singular KKT system surfaces as non-finite Newton steps,
                 # handled below; the factorization warning is redundant
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(kkt)
+                lu = scipy.linalg.lu_factor(kkt, check_finite=False)
         except (ValueError, scipy.linalg.LinAlgError):
             status = Status.NUMERICAL_TROUBLE
             break
@@ -330,11 +351,15 @@ def solve(
                     rdf_v,
                 ]
             )
-            sol = scipy.linalg.lu_solve(lu, rhs)
+            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
             if not np.all(np.isfinite(sol)):
                 raise np.linalg.LinAlgError("singular KKT system")
             # one step of iterative refinement on the KKT solve
-            sol += scipy.linalg.lu_solve(lu, rhs - kkt @ sol)
+            sol += scipy.linalg.lu_solve(
+                lu, rhs - kkt @ sol, check_finite=False
+            )
+            if not np.all(np.isfinite(sol)):
+                raise np.linalg.LinAlgError("singular KKT system")
             dlam, du = sol[:m], sol[m:]
             dss, dxs = [], []
             for a_mat, e_mat, r, c in zip(prob.a_blocks, e_mats, rdc_v, rc_v):

@@ -73,22 +73,6 @@ class MomentSequence:
             tuple(m * c**r for r, m in enumerate(self.moments))
         )
 
-    def perturbed(self, theta: float = 1e-8) -> "MomentSequence":
-        """Mix with an exponential law of the same mean.
-
-        The exponential has strictly positive-definite Hankel matrices, so
-        the mixture sits strictly inside the feasible cone.  Used to nudge
-        boundary sequences (e.g. point masses) into the interior.
-        """
-        if not 0 < theta < 1:
-            raise ValueError("mixture weight must be in (0, 1)")
-        mean = self.moments[1]
-        mixed = tuple(
-            (1.0 - theta) * m + theta * math.factorial(r) * mean**r
-            for r, m in enumerate(self.moments)
-        )
-        return MomentSequence(mixed)
-
     def to_csv_row(self) -> str:
         """Serialize as ``k, M0, M1, ..., Mk``."""
         fields = [str(self.order)] + [format(m, ".17g") for m in self.moments]

@@ -1,4 +1,4 @@
-"""Smoke test: the demos that call the SDP API run to the end."""
+"""Smoke test: every demo runs to the end."""
 import os
 import subprocess
 import sys
@@ -10,7 +10,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["01_moment_bounds.py", "02_threshold_tuning.py"]
+    "script",
+    [
+        "01_moment_bounds.py",
+        "02_threshold_tuning.py",
+        "03_false_alarm_simulation.py",
+        "04_attack_reachability.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ)

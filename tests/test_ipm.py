@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,9 @@ from hypothesis.extra import numpy as hnp
 from drdetect.ipm import (
     ConicProblem,
     Status,
+    _max_step,
+    _sym,
+    _sym_kron,
     smat,
     solve,
     svec,
@@ -18,6 +24,94 @@ from drdetect.ipm import (
 def _random_sym(rng, n, scale=1.0):
     m = rng.standard_normal((n, n))
     return scale * (m + m.T) / 2.0
+
+
+def _random_pd(rng, n):
+    g = rng.standard_normal((n, n))
+    return g @ g.T + 0.1 * np.eye(n)
+
+
+# Entry-by-entry reference versions of the solver's kernels.  The kernels
+# must reproduce them bit for bit, so that a faster kernel never moves an
+# iterate, an iteration count or a threshold.
+
+
+def _svec_loop(mat):
+    n = mat.shape[0]
+    out = np.empty(svec_dim(n))
+    idx = 0
+    for j in range(n):
+        for i in range(j + 1):
+            out[idx] = mat[i, j] if i == j else math.sqrt(2.0) * mat[i, j]
+            idx += 1
+    return out
+
+
+def _smat_loop(vec):
+    n = int(round((math.sqrt(8 * vec.shape[0] + 1) - 1) / 2))
+    out = np.empty((n, n))
+    idx = 0
+    for j in range(n):
+        for i in range(j + 1):
+            val = vec[idx] if i == j else vec[idx] / math.sqrt(2.0)
+            out[i, j] = val
+            out[j, i] = val
+            idx += 1
+    return out
+
+
+def _sym_kron_loop(w):
+    d = svec_dim(w.shape[0])
+    cols = np.empty((d, d))
+    basis = np.zeros(d)
+    for i in range(d):
+        basis[i] = 1.0
+        cols[:, i] = _svec_loop(w @ _smat_loop(basis) @ w)
+        basis[i] = 0.0
+    return cols
+
+
+def _max_step_solve_triangular(x, dx):
+    chol = np.linalg.cholesky(x)
+    inner = scipy.linalg.solve_triangular(chol, dx, lower=True)
+    inner = scipy.linalg.solve_triangular(chol, inner.T, lower=True)
+    lo = float(np.linalg.eigvalsh(_sym(inner))[0])
+    if lo >= -1e-14:
+        return np.inf
+    return -1.0 / lo
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_svec_and_smat_match_the_loops_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        mat = _random_sym(rng, n, scale=10.0)
+        np.testing.assert_array_equal(svec(mat), _svec_loop(mat))
+        vec = 10.0 * rng.standard_normal(svec_dim(n))
+        np.testing.assert_array_equal(smat(vec), _smat_loop(vec))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sym_kron_matches_the_column_loop_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        for w in (_random_sym(rng, n), _random_pd(rng, n)):
+            kron = _sym_kron(w)
+            np.testing.assert_array_equal(kron, _sym_kron_loop(w))
+            assert kron.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_max_step_matches_solve_triangular_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    steps = []
+    for _ in range(40):
+        x, dx = _random_pd(rng, n), _random_sym(rng, n)
+        steps.append(_max_step(x, dx))
+        assert steps[-1] == _max_step_solve_triangular(x, dx)
+    assert any(np.isfinite(steps))
+    # not positive definite: no step
+    assert _max_step(-np.eye(n), np.eye(n)) == 0.0
 
 
 def test_svec_round_trip_identity():
@@ -189,6 +283,18 @@ def test_solution_residuals_are_reported():
     assert sol.iterations >= 1
 
 
+def _trace_problem(**changes):
+    data = dict(
+        c_free=np.ones(1),
+        c_blocks=(np.eye(2),),
+        a_free=np.ones((1, 1)),
+        a_blocks=(svec(np.array([[0.0, 1.0], [1.0, 0.0]]))[None, :],),
+        b=np.array([2.0]),
+    )
+    data.update(changes)
+    return ConicProblem(**data)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         ConicProblem(
@@ -215,3 +321,21 @@ def test_problem_validation():
         b=np.zeros(1),
     )
     np.testing.assert_allclose(prob.c_blocks[0], [[0.0, 0.75], [0.75, 0.0]])
+    # non-finite data is rejected when the problem is built, and a
+    # non-finite start when the solve begins
+    for field in ("b", "c_free", "c_blocks", "a_free", "a_blocks"):
+        for bad in (np.nan, np.inf, -np.inf):
+            value = getattr(_trace_problem(), field)
+            if isinstance(value, tuple):
+                value = (value[0].copy(),)
+                value[0][0, 0] = bad
+            else:
+                value = value.copy()
+                value.flat[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                _trace_problem(**{field: value})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve(_trace_problem(), init_free=np.array([bad]))
+        with pytest.raises(ValueError, match="finite"):
+            solve(_trace_problem(), init_scale=bad)

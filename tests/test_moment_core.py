@@ -111,17 +111,6 @@ def test_truncated_and_scaled():
         m.scaled(-1.0)
 
 
-def test_perturbed_moves_into_the_interior():
-    # a point mass sits on the feasibility boundary; the perturbation
-    # mixes in an exponential tail and must stay feasible
-    m = MomentSequence((1.0, 1.0, 1.0, 1.0, 1.0))
-    p = m.perturbed(1e-6)
-    assert is_feasible(p)
-    assert p.moments != m.moments
-    ev = np.linalg.eigvalsh(hankel_pair(p)[0]).min()
-    assert ev > 0
-
-
 def test_csv_round_trip():
     m = chi_squared_moments(2, 4)
     row = m.to_csv_row()
