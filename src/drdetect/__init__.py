@@ -18,7 +18,7 @@ from .attack_reach import (
     volume_comparison,
     zero_alarm_attack,
 )
-from .benchmark import benchmark_system, gaussian_config, laplacian_config
+from .benchmark import benchmark_system
 from .bound_engine import (
     PolyBound,
     SdpSolution,
@@ -41,7 +41,6 @@ from .cps_sim import (
 from .detector_tuning import (
     Method,
     ThresholdResult,
-    TuningError,
     chi_squared_threshold,
     closed_form_threshold,
     tune_threshold_sdp,
@@ -74,7 +73,6 @@ __all__ = [
     "SdpSolution",
     "Status",
     "ThresholdResult",
-    "TuningError",
     "VolumeReport",
     "benchmark_system",
     "build_sdp",
@@ -84,10 +82,8 @@ __all__ = [
     "closed_form_threshold",
     "empirical_false_alarm_rate",
     "estimate_moments",
-    "gaussian_config",
     "hankel_pair",
     "is_feasible",
-    "laplacian_config",
     "markov_bound",
     "noise_threshold",
     "oracle_worst_case",

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _FLAT_TOL = 1e-14
+# steps per full turn of a rotating attack direction
+_ROTATION_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,13 @@ class AttackPolicy:
 
     A fixed unit direction scaled by sqrt(alpha) maximizes sustained
     displacement; the rotating mode sweeps the direction through the
-    leading coordinate plane to exercise the whole no-alarm boundary.
+    leading coordinate plane, one turn per 64 steps, to exercise the
+    whole no-alarm boundary.
     """
 
     alpha: float
     direction: np.ndarray
     rotate: bool = False
-    rotation_period: int = 64
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -111,13 +113,11 @@ class AttackPolicy:
         direction = direction / norm
         direction.flags.writeable = False
         object.__setattr__(self, "direction", direction)
-        if self.rotation_period < 1:
-            raise ValueError("rotation period must be positive")
 
     def delta_bar(self, t: int) -> np.ndarray:
         d = self.direction.copy()
         if self.rotate and d.shape[0] >= 2:
-            angle = 2.0 * math.pi * t / self.rotation_period
+            angle = 2.0 * math.pi * t / _ROTATION_PERIOD
             c, s = math.cos(angle), math.sin(angle)
             d0, d1 = d[0], d[1]
             d[0] = c * d0 - s * d1
@@ -150,7 +150,6 @@ class ReachBound:
     horizon: int
     w_bar: float
     alpha: float
-    ellipsoids: tuple[Ellipsoid, ...]
     directions: np.ndarray
     boundary: np.ndarray
     support_values: np.ndarray
@@ -266,7 +265,6 @@ def reach_bound(
         horizon=t,
         w_bar=float(w_bar),
         alpha=float(alpha),
-        ellipsoids=tuple(shapes),
         directions=dirs,
         boundary=boundary,
         support_values=support,

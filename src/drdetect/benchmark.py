@@ -1,15 +1,16 @@
-"""Checked-in two-state benchmark system and experiment configs.
+"""Checked-in two-state benchmark system.
 
 A stable but open-loop-oscillatory plant with two sensors, used
-throughout the docs, demos, and acceptance runs.  The residual
-dimension is 2, so the attack-free detection measure is chi-squared
-with 2 degrees of freedom under Gaussian noise.
+throughout the docs, demos, and acceptance runs; the experiment configs
+in `configs/` carry the same matrices.  The residual dimension is 2, so
+the attack-free detection measure is chi-squared with 2 degrees of
+freedom under Gaussian noise.
 """
 from __future__ import annotations
 
 from .cps_sim import LtiSystem
 
-__all__ = ["benchmark_system", "gaussian_config", "laplacian_config"]
+__all__ = ["benchmark_system"]
 
 _A = [[0.84, 0.23], [-0.47, 0.12]]
 _B = [[0.07, -0.32], [0.23, 0.58]]
@@ -25,37 +26,3 @@ def benchmark_system() -> LtiSystem:
     return LtiSystem.from_matrices(
         A=_A, B=_B, C=_C, K=_K, sigma_w=_SIGMA_W, sigma_v=_SIGMA_V
     )
-
-
-def _base_config(family: str, moment_source: str, seed: int) -> dict:
-    return {
-        "system": {
-            "A": _A,
-            "B": _B,
-            "C": _C,
-            "K": _K,
-            "sigma_w": _SIGMA_W,
-            "sigma_v": _SIGMA_V,
-        },
-        "detector": {
-            "target_rate": 0.05,
-            "orders": [1, 2, 4],
-            "epsilon": 1e-4,
-            "moment_source": moment_source,
-            "empirical_samples": 1_000_000,
-        },
-        "noise": {"family": family, "seed": seed},
-        "sim": {"samples": 1_000_000, "burn_in": 1000},
-        "reach": {"horizon": 50, "n_dirs": 256, "noise_rate": 0.05},
-        "output_dir": "out",
-    }
-
-
-def gaussian_config(seed: int = 0) -> dict:
-    """Gaussian benchmark: analytic chi-squared moments, rate 0.05."""
-    return _base_config("gaussian", "analytic-chi-squared", seed)
-
-
-def laplacian_config(seed: int = 7) -> dict:
-    """Heavy-tailed benchmark: moments estimated from simulation."""
-    return _base_config("multivariate_laplacian", "empirical", seed)

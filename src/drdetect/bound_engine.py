@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.optimize
 
 from . import ipm
 from .ipm import Status, svec, svec_dim
@@ -88,9 +87,7 @@ class PolyBound:
     def __call__(self, q) -> np.ndarray:
         return np.polynomial.polynomial.polyval(q, self.coeffs)
 
-    def min_over(
-        self, lo: float, hi: float = math.inf, n_grid: int = 10_000
-    ) -> float:
+    def min_over(self, lo: float, hi: float = math.inf) -> float:
         """Minimum of p on [lo, hi] via a dense grid refined with the real
         critical points of p (root isolation on the derivative).
 
@@ -101,7 +98,7 @@ class PolyBound:
         coeffs = np.polynomial.polynomial.polytrim(self.coeffs)
         if math.isinf(hi) and len(coeffs) > 1 and coeffs[-1] < 0.0:
             return -math.inf
-        grid = np.linspace(lo, hi if math.isfinite(hi) else 100.0 * lo, n_grid)
+        grid = np.linspace(lo, hi if math.isfinite(hi) else 100.0 * lo, 10_000)
         candidates = [self(grid).min()]
         deriv = np.polynomial.polynomial.polyder(coeffs)
         if len(deriv) > 1:
@@ -113,11 +110,11 @@ class PolyBound:
                 candidates.append(self(inside).min())
         return float(min(candidates))
 
-    def is_valid(self, tol: float = 1e-6) -> bool:
+    def is_valid(self) -> bool:
         """Certificate check: p >= 1 on [threshold, inf) and p >= 0 on
-        [0, threshold], within -tol."""
+        [0, threshold], within -1e-6."""
         a = self.threshold
-        return self.min_over(a) >= 1.0 - tol and self.min_over(0.0, a) >= -tol
+        return self.min_over(a) >= 1.0 - 1e-6 and self.min_over(0.0, a) >= -1e-6
 
 
 def _antidiagonal_row(size: int, total: int) -> np.ndarray:
@@ -183,9 +180,7 @@ class SdpSolution:
     status: Status
 
 
-def solve_sdp(
-    moments: MomentSequence, alpha: float, tol: float = 1e-9
-) -> SdpSolution:
+def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     """Worst-case P(q >= alpha) over all laws on R+ with the given
     moments, clamped to [0, 1], together with its polynomial certificate.
 
@@ -210,7 +205,7 @@ def solve_sdp(
     init_free[0] = 1.0
     init_scale = 1.0 + float(np.sum(np.abs(c_vec)))
     result = ipm.solve(
-        conic, tol=tol, init_scale=init_scale, init_free=init_free
+        conic, tol=1e-9, init_scale=init_scale, init_free=init_free
     )
 
     y_scaled = result.x_free
@@ -257,6 +252,8 @@ def oracle_worst_case(
     optimal solution uses at most k+1 atoms.  Converges to the tight
     bound from below as the grid is refined.
     """
+    import scipy.optimize  # costs about 0.5 s of import, for this call only
+
     if alpha <= 0:
         raise ValueError("threshold must be positive")
     k = moments.order

@@ -14,8 +14,6 @@ import sys as _sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .attack_reach import noise_threshold, reach_bound, volume_comparison
 from .cps_sim import (
     LtiSystem,
@@ -27,7 +25,6 @@ from .cps_sim import (
 from .detector_tuning import (
     Method,
     ThresholdResult,
-    TuningError,
     chi_squared_threshold,
     closed_form_threshold,
     tune_threshold_sdp,
@@ -197,20 +194,18 @@ def run_tune(
                 rows.append(
                     tune_threshold_sdp(seq, rate, epsilon=config.epsilon)
                 )
-        except (ValueError, ArithmeticError, TuningError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"tuning failed at order {k}: {exc}", file=_sys.stderr)
     return rows
 
 
 def run_far(
     config: ExperimentConfig,
-    thresholds: list[ThresholdResult] | None = None,
+    thresholds: list[ThresholdResult],
     quiet: bool = True,
 ) -> list[tuple[ThresholdResult, float, float]]:
     """Empirical false-alarm rate with binomial standard error for each
     tuned threshold, measured on one fresh attack-free run."""
-    if thresholds is None:
-        thresholds = run_tune(config, quiet=quiet)
     noise_w, noise_v = config.noise_models(2)
     _log(quiet, f"simulating {config.sim_samples} attack-free steps")
     trace = simulate(
@@ -226,13 +221,11 @@ def run_far(
 
 def run_reach(
     config: ExperimentConfig,
-    thresholds: list[ThresholdResult] | None = None,
+    thresholds: list[ThresholdResult],
     quiet: bool = True,
 ):
     """Reach bounds for every tuned threshold at the configured horizon,
     plus the ordering report over their areas and support functions."""
-    if thresholds is None:
-        thresholds = run_tune(config, quiet=quiet)
     w_bar = noise_threshold(config.system.n, config.noise_rate)
     bounds = []
     for row in thresholds:

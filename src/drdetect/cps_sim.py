@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-import scipy.signal
 
 __all__ = [
     "LtiSystem",
@@ -72,14 +71,13 @@ def solve_dare(
     C: np.ndarray,
     sigma_w: np.ndarray,
     sigma_v: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-point iteration on the predicted-error-covariance Riccati map
 
         P <- A (P - P C' (C P C' + sigma_v)^{-1} C P) A' + sigma_w,
 
-    started from sigma_w and iterated to relative tolerance `tol`.
+    started from sigma_w and iterated to relative tolerance 1e-12, for
+    at most 100000 steps.
     Returns (P, L) with the innovation gain of the estimator update,
     L = A P C' (C P C' + sigma_v)^{-1}.
 
@@ -91,14 +89,14 @@ def solve_dare(
     sigma_w = _as_matrix(sigma_w, "sigma_w")
     sigma_v = _as_matrix(sigma_v, "sigma_v")
     p_cov = sigma_w.copy()
-    for _ in range(max_iter):
+    for _ in range(100_000):
         s = C @ p_cov @ C.T + sigma_v
         gain = np.linalg.solve(s, C @ p_cov).T  # P C' S^{-1}
         p_next = A @ (p_cov - gain @ C @ p_cov) @ A.T + sigma_w
         p_next = 0.5 * (p_next + p_next.T)
         delta = np.linalg.norm(p_next - p_cov, "fro")
         p_cov = p_next
-        if delta <= tol * max(1.0, np.linalg.norm(p_cov, "fro")):
+        if delta <= 1e-12 * max(1.0, np.linalg.norm(p_cov, "fro")):
             break
     else:
         raise ArithmeticError(
@@ -250,14 +248,11 @@ class NoiseModel:
     def dim(self) -> int:
         return self.covariance.shape[0]
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(self.seed))
-
-    def sample(self, size: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw `size` iid vectors as rows."""
+    def sample(self, size: int) -> np.ndarray:
+        """Draw `size` iid vectors as rows, from a fresh stream at the seed."""
         if size < 1:
             raise ValueError("sample size must be positive")
-        rng = self.generator() if rng is None else rng
+        rng = np.random.Generator(np.random.Philox(self.seed))
         factor = _psd_factor(self.covariance)
         draws = rng.standard_normal((size, self.dim)) @ factor.T
         if self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
@@ -299,18 +294,6 @@ class ResidualTrace:
     def length(self) -> int:
         return self.q_values.shape[0]
 
-    def write_csv(self, path) -> None:
-        """Export as rows ``t, r_1..r_p, q``."""
-        p = self.residuals.shape[1]
-        header = ",".join(["t"] + [f"r_{i + 1}" for i in range(p)] + ["q"])
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for t in range(self.length):
-                row = [str(t)]
-                row += [format(x, ".17g") for x in self.residuals[t]]
-                row.append(format(self.q_values[t], ".17g"))
-                fh.write(",".join(row) + "\n")
-
 
 class AttackLike(Protocol):
     """Anything that can inject a sensor offset during simulation."""
@@ -326,6 +309,8 @@ def _error_path_modal(
     """Estimation-error path e[t+1] = F e[t] + inputs[t] from e[0] = 0 by
     per-eigenmode scalar filtering; None when F is too far from
     diagonalizable for the modal route to be trustworthy."""
+    import scipy.signal  # costs about 1 s of import, for lfilter only
+
     vals, vecs = np.linalg.eig(F)
     if np.linalg.cond(vecs) > 1e8:
         return None
@@ -347,17 +332,16 @@ def simulate(
     attack: AttackLike | None = None,
     burn_in: int = 1000,
     keep_states: bool = False,
-    x0: np.ndarray | None = None,
-    xhat0: np.ndarray | None = None,
 ) -> ResidualTrace:
-    """Run the closed loop for `burn_in + T` steps and record the last T.
+    """Run the closed loop from zero states for `burn_in + T` steps and
+    record the last T.
 
     Without an attack the control input cancels out of the residual, so
     the estimation error e[t+1] = (A - L C) e[t] + w[t] - L v[t] is
     propagated directly (per-eigenmode scalar filters).  With an attack,
-    or when initial states are given or plant states are requested, the
-    full joint (x, xhat) recursion is stepped; the attack sees the
-    current estimation error and measurement noise each step.
+    or when plant states are requested, the full joint (x, xhat)
+    recursion is stepped; the attack sees the current estimation error
+    and measurement noise each step.
     """
     if T < 1:
         raise ValueError("simulation length must be positive")
@@ -369,13 +353,7 @@ def simulate(
     w = noise_w.sample(total)
     v = noise_v.sample(total)
 
-    fast = (
-        attack is None
-        and x0 is None
-        and xhat0 is None
-        and not keep_states
-    )
-    if fast:
+    if attack is None and not keep_states:
         F = sys.A - sys.L @ sys.C
         e = _error_path_modal(F, w - v @ sys.L.T)
         if e is not None:
@@ -384,10 +362,8 @@ def simulate(
             return ResidualTrace(r[burn_in:], q[burn_in:])
         # fall through to the step loop when F resists diagonalization
 
-    x = np.zeros(sys.n) if x0 is None else np.array(x0, dtype=float)
-    xhat = np.zeros(sys.n) if xhat0 is None else np.array(xhat0, dtype=float)
-    if x.shape != (sys.n,) or xhat.shape != (sys.n,):
-        raise ValueError("initial states have wrong dimensions")
+    x = np.zeros(sys.n)
+    xhat = np.zeros(sys.n)
     residuals = np.empty((total, sys.p))
     states = np.empty((total, sys.n))
     for t in range(total):

@@ -20,7 +20,6 @@ from .moment_core import MomentSequence, is_feasible
 __all__ = [
     "Method",
     "ThresholdResult",
-    "TuningError",
     "chi_squared_threshold",
     "closed_form_threshold",
     "tune_threshold_sdp",
@@ -66,26 +65,14 @@ class ThresholdResult:
         ]
         return ",".join(fields)
 
-    @classmethod
-    def from_csv_row(cls, row: str) -> "ThresholdResult":
-        parts = [p.strip() for p in row.split(",")]
-        if len(parts) != 6:
-            raise ValueError(f"malformed threshold row: {row!r}")
-        return cls(
-            alpha=float(parts[3]),
-            method=Method(parts[0]),
-            k=int(parts[1]),
-            target_rate=float(parts[2]),
-            achieved_worst_case=float(parts[4]),
-            epsilon=float(parts[5]),
-        )
-
 
 class TuningError(RuntimeError):
     """Bisection failure, carrying the surviving bracket.
 
-    :func:`tune_threshold_sdp` does not raise it: a stalled solve still
-    gives a certified bound, and tuning goes on with it."""
+    Nothing raises it: a stalled solve still gives a certified bound,
+    and tuning goes on with it.  Only the benchmark harness
+    (`perfbench/workloads.py`) names it; it goes together with the
+    tuning memo once tuning walks the orders in one chain."""
 
     def __init__(self, message: str, alpha_lower: float, alpha_upper: float):
         super().__init__(
@@ -150,36 +137,29 @@ _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
 
 
 def tune_threshold_sdp(
-    moments: MomentSequence,
-    rate: float,
-    epsilon: float = 1e-4,
-    alpha_lower: float | None = None,
-    alpha_upper: float | None = None,
-    solver_tol: float = 1e-9,
+    moments: MomentSequence, rate: float, epsilon: float = 1e-4
 ) -> ThresholdResult:
     """Bisection on the tight k-moment SDP bound.
 
-    Halves [alpha_lower, alpha_upper] until the bracket is narrower than
-    epsilon: a midpoint whose worst-case probability exceeds the target
-    raises the lower end, otherwise the upper end comes down.  The
-    returned threshold is the certified upper end of the final bracket.
-    Each step acts on the objective of :func:`solve_sdp`, which is a
-    certified bound whatever the solver status: a stalled solve
-    (`NUMERICAL_TROUBLE`) may report a loose bound, which only raises the
-    lower end, so the result stays certified but may sit above the tight
-    threshold.
+    Halves a bracket until it is narrower than epsilon: a midpoint whose
+    worst-case probability exceeds the target raises the lower end,
+    otherwise the upper end comes down.  The returned threshold is the
+    certified upper end of the final bracket.  Each step acts on the
+    objective of :func:`solve_sdp`, which is a certified bound whatever
+    the solver status: a stalled solve (`NUMERICAL_TROUBLE`) may report a
+    loose bound, which only raises the lower end, so the result stays
+    certified but may sit above the tight threshold.
 
-    Default brackets: the lower end is the mean (no threshold below the
-    mean meets a target rate <= 1/2); the upper end is the (k-1)-moment
-    threshold, computed recursively down to the closed forms, which
-    brackets from above because the bound shrinks as moments are added.
-    Should the k-moment bound there come out above the target, the
-    (k-1)-moment guarantee stands in for it, since every certificate for
-    k-1 moments is one for k moments too; an explicit `alpha_upper`
-    whose bound misses the target raises ValueError instead.
-    Results for the default brackets are memoized per moment sequence.
-    If the bound at the lower end already meets the target, that end is
-    returned with `bracket_degenerate` set.
+    The lower end starts at the mean (no threshold below the mean meets a
+    target rate <= 1/2).  The upper end starts at the lower-order
+    threshold: the Markov one, or the (k-1)-moment one where it is lower,
+    computed recursively down to the closed forms; it brackets from above
+    because the bound shrinks as moments are added.  Should the k-moment
+    bound there come out above the target, the lower-order guarantee
+    stands in for it, since every certificate for fewer moments is one
+    for k moments too.  Results are memoized per moment sequence.  If the
+    bound at the lower end already meets the target, that end is returned
+    with `bracket_degenerate` set.
     """
     k = moments.order
     if k < 2:
@@ -194,34 +174,23 @@ def tune_threshold_sdp(
     if not m1 > 0:
         raise ValueError("the mean must be positive to place a threshold")
 
-    auto = alpha_lower is None and alpha_upper is None
-    cache_key = (moments, rate, epsilon, solver_tol)
-    if auto and cache_key in _AUTO_CACHE:
+    cache_key = (moments, rate, epsilon)
+    if cache_key in _AUTO_CACHE:
         return _AUTO_CACHE[cache_key]
 
-    a_l = m1 if alpha_lower is None else float(alpha_lower)
-    # certified bound at a default upper end, from a lower order
-    bound_at_upper = None
-    if alpha_upper is None:
-        # the Markov threshold is always a valid upper end; the two-moment
-        # closed form can sit above it for very dispersed sequences
-        a_u, bound_at_upper = m1 / rate, rate
-        if k > 2:
-            if k == 3:
-                lower_order = closed_form_threshold(moments.truncated(2), rate, 2)
-            else:
-                lower_order = tune_threshold_sdp(
-                    moments.truncated(k - 1), rate, epsilon, solver_tol=solver_tol
-                )
-            if lower_order.alpha <= a_u:
-                a_u = lower_order.alpha
-                bound_at_upper = lower_order.achieved_worst_case
-    else:
-        a_u = float(alpha_upper)
-    if not a_u >= a_l:
-        raise ValueError("upper bracket must not be below the lower bracket")
+    # the Markov threshold is always a valid upper end; the two-moment
+    # closed form can sit above it for very dispersed sequences
+    upper = closed_form_threshold(moments.truncated(1), rate, 1)
+    if k > 2:
+        if k == 3:
+            lower_order = closed_form_threshold(moments.truncated(2), rate, 2)
+        else:
+            lower_order = tune_threshold_sdp(moments.truncated(k - 1), rate, epsilon)
+        if lower_order.alpha <= upper.alpha:
+            upper = lower_order
+    a_l, a_u = m1, upper.alpha
 
-    p_low = solve_sdp(moments, a_l, solver_tol).objective
+    p_low = solve_sdp(moments, a_l).objective
     if p_low <= rate:
         result = ThresholdResult(
             alpha=a_l,
@@ -232,21 +201,16 @@ def tune_threshold_sdp(
             epsilon=epsilon,
             bracket_degenerate=True,
         )
-        if auto:
-            _AUTO_CACHE[cache_key] = result
+        _AUTO_CACHE[cache_key] = result
         return result
 
-    achieved = solve_sdp(moments, a_u, solver_tol).objective
+    achieved = solve_sdp(moments, a_u).objective
     if achieved > rate + 1e-7:
-        if bound_at_upper is None:
-            raise ValueError(
-                f"bound at the upper bracket is {achieved:.6g} > rate {rate:.6g}"
-            )
-        # every certificate for order k-1 is one for order k as well
-        achieved = bound_at_upper
+        # every certificate for a lower order is one for order k as well
+        achieved = upper.achieved_worst_case
     while a_u - a_l > epsilon:
         mid = 0.5 * (a_l + a_u)
-        p_mid = solve_sdp(moments, mid, solver_tol).objective
+        p_mid = solve_sdp(moments, mid).objective
         if p_mid > rate:
             a_l = mid
         else:
@@ -260,6 +224,5 @@ def tune_threshold_sdp(
         achieved_worst_case=achieved,
         epsilon=epsilon,
     )
-    if auto:
-        _AUTO_CACHE[cache_key] = result
+    _AUTO_CACHE[cache_key] = result
     return result

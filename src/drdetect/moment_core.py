@@ -73,24 +73,6 @@ class MomentSequence:
             tuple(m * c**r for r, m in enumerate(self.moments))
         )
 
-    def to_csv_row(self) -> str:
-        """Serialize as ``k, M0, M1, ..., Mk``."""
-        fields = [str(self.order)] + [format(m, ".17g") for m in self.moments]
-        return ",".join(fields)
-
-    @classmethod
-    def from_csv_row(cls, row: str) -> "MomentSequence":
-        parts = [p.strip() for p in row.split(",")]
-        if len(parts) < 3:
-            raise ValueError(f"malformed moment row: {row!r}")
-        k = int(parts[0])
-        values = tuple(float(p) for p in parts[1:])
-        if len(values) != k + 1:
-            raise ValueError(
-                f"row claims order {k} but carries {len(values)} moments"
-            )
-        return cls(values)
-
 
 def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:
     """Hankel matrix R_index: entry (i, j) = M_{i+j} for even index,
@@ -119,19 +101,17 @@ def hankel_pair(seq: MomentSequence) -> tuple[np.ndarray, np.ndarray]:
     return r_km1, r_k
 
 
-def is_feasible(seq: MomentSequence, tol: float = 1e-9) -> bool:
+def is_feasible(seq: MomentSequence) -> bool:
     """True when the sequence is realizable by a distribution on R+.
 
-    Both Hankel matrices must have smallest eigenvalue >= -tol * scale,
+    Both Hankel matrices must have smallest eigenvalue >= -1e-9 * scale,
     where scale is the largest absolute entry of the matrix (at least 1).
     Eigendecomposition rather than Cholesky, so boundary sequences with
     rank-deficient Hankel matrices (e.g. point masses) pass.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     for mat in hankel_pair(seq):
         scale = max(1.0, float(np.abs(mat).max()))
-        if np.linalg.eigvalsh(mat)[0] < -tol * scale:
+        if np.linalg.eigvalsh(mat)[0] < -1e-9 * scale:
             return False
     return True
 

@@ -6,6 +6,7 @@ pass/fail scoreboard.  Million-step simulations are session-scoped and
 shared between criteria.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from drdetect import (
     chebyshev_bound,
     chi_squared_moments,
     closed_form_threshold,
-    gaussian_config,
     is_feasible,
-    laplacian_config,
     markov_bound,
     noise_threshold,
     oracle_worst_case,
@@ -40,11 +39,13 @@ from drdetect import detector_tuning
 
 RATE = 0.05
 EPSILON = 1e-4
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+GAUSSIAN_CONFIG = CONFIG_DIR / "benchmark2d_gaussian.json"
 
 
 @pytest.fixture(scope="session")
 def gaussian_experiment():
-    return ExperimentConfig.from_dict(gaussian_config())
+    return ExperimentConfig.from_json(GAUSSIAN_CONFIG)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +65,7 @@ def gaussian_far_rows(gaussian_experiment, gaussian_thresholds):
 
 @pytest.fixture(scope="session")
 def laplacian_results():
-    config = ExperimentConfig.from_dict(laplacian_config())
+    config = ExperimentConfig.from_json(CONFIG_DIR / "benchmark2d_laplacian.json")
     rows = run_tune(config)
     return rows, run_far(config, rows)
 
@@ -285,7 +286,7 @@ def test_criterion_10_property_suites(rng, tmp_path, monkeypatch):
 
     # each run tunes from scratch and each file comes from its own bound,
     # so a nondeterministic step shows as a difference
-    experiment = ExperimentConfig.from_dict(gaussian_config())
+    experiment = ExperimentConfig.from_json(GAUSSIAN_CONFIG)
     runs = []
     for _ in range(2):
         monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})

@@ -87,9 +87,7 @@ def test_attack_policy_budget():
     for t in (0, 3, 100):
         d = policy.delta_bar(t)
         assert d @ d == pytest.approx(alpha, rel=1e-12)
-    rotating = AttackPolicy(
-        alpha=alpha, direction=np.array([1.0, 0.0]), rotate=True, rotation_period=4
-    )
+    rotating = AttackPolicy(alpha=alpha, direction=np.array([1.0, 0.0]), rotate=True)
     d0, d1 = rotating.delta_bar(0), rotating.delta_bar(1)
     assert d0 @ d0 == pytest.approx(alpha, rel=1e-12)
     assert not np.allclose(d0, d1)

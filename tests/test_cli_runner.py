@@ -136,7 +136,7 @@ def test_run_tune_rows():
 
 def test_run_far_rates_and_stderr():
     config = _small(_gaussian_config())
-    far_rows = run_far(config)
+    far_rows = run_far(config, run_tune(config))
     assert len(far_rows) == 4
     for row, rate, stderr in far_rows:
         assert 0.0 <= rate <= 1.0
@@ -151,7 +151,7 @@ def test_run_far_rates_and_stderr():
 
 def test_run_reach_report():
     config = _small(_gaussian_config())
-    bounds, report = run_reach(config)
+    bounds, report = run_reach(config, run_tune(config))
     assert len(bounds) == 4
     assert report.area_ordered and report.support_ordered
     assert report.alphas[0] == max(report.alphas)

@@ -195,21 +195,6 @@ def test_empirical_false_alarm_rate_counts_strictly():
     assert empirical_false_alarm_rate(trace, mid) == manual
 
 
-def test_trace_csv_export(tmp_path):
-    sys_ = benchmark_system()
-    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 1)
-    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 2)
-    trace = simulate(sys_, w, v, 50)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r_1,r_2,q"
-    assert len(lines) == 51
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[3]) == pytest.approx(trace.q_values[0], rel=1e-15)
-
-
 def test_simulate_divergence_guard():
     # bypass construction checks to force an unstable step loop
     sys_ = _simple_system()

@@ -6,7 +6,7 @@ import pytest
 from drdetect import (
     Method,
     MomentSequence,
-    ThresholdResult,
+    Status,
     chi_squared_moments,
     chi_squared_threshold,
     closed_form_threshold,
@@ -183,15 +183,16 @@ def test_default_upper_bracket_certified_by_lower_order():
 
 
 def test_bracket_degenerate_flag():
-    # an explicit lower bracket that already satisfies the target
-    res = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4, alpha_lower=50.0, alpha_upper=80.0)
+    # 0.9 w.p. 0.98 and 3.0 w.p. 0.02: the worst case at the mean is the
+    # mass of the upper atom, already below the rate, so the lower end of
+    # the default bracket is returned
+    atoms, weights = np.array([0.9, 3.0]), np.array([0.98, 0.02])
+    m = MomentSequence(tuple(float(np.sum(weights * atoms**r)) for r in range(5)))
+    res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
     assert res.bracket_degenerate
-    assert res.alpha == 50.0
-
-
-def test_invalid_upper_bracket_rejected():
-    with pytest.raises(ValueError):
-        tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4, alpha_upper=3.0)
+    assert res.alpha == m.mean == pytest.approx(0.942)
+    assert res.achieved_worst_case == pytest.approx(0.02, abs=1e-6)
+    assert solve_sdp(m, m.mean).status is Status.OPTIMAL
 
 
 def test_rate_domain():
@@ -204,12 +205,15 @@ def test_rate_domain():
 
 
 def test_threshold_result_csv_round_trip():
+    # every float field is written with 17 digits, so it parses back exactly
     res = tune_threshold_sdp(CHI2.truncated(2), 0.05, epsilon=1e-4)
-    back = ThresholdResult.from_csv_row(res.to_csv_row())
-    assert back.method == res.method
-    assert back.k == res.k
-    assert back.alpha == res.alpha
-    assert back.achieved_worst_case == res.achieved_worst_case
+    method, k, rate, alpha, achieved, epsilon = res.to_csv_row().split(",")
+    assert method == res.method.value
+    assert int(k) == res.k
+    assert float(rate) == res.target_rate
+    assert float(alpha) == res.alpha
+    assert float(achieved) == res.achieved_worst_case
+    assert float(epsilon) == res.epsilon
 
 
 def test_memoized_recursion_is_stable():

@@ -111,14 +111,6 @@ def test_truncated_and_scaled():
         m.scaled(-1.0)
 
 
-def test_csv_round_trip():
-    m = chi_squared_moments(2, 4)
-    row = m.to_csv_row()
-    assert row.split(",")[0] == "4"
-    back = MomentSequence.from_csv_row(row)
-    assert back.moments == m.moments
-
-
 atoms_strategy = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
     min_size=2,
