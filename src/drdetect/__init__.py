@@ -10,7 +10,6 @@ attacks.
 
 from .attack_reach import (
     AttackPolicy,
-    Ellipsoid,
     ReachBound,
     VolumeReport,
     noise_threshold,
@@ -60,7 +59,6 @@ __all__ = [
     "AttackPolicy",
     "ConicProblem",
     "ConicSolution",
-    "Ellipsoid",
     "ExperimentConfig",
     "LtiSystem",
     "Method",

@@ -20,7 +20,6 @@ import numpy as np
 from .cps_sim import LtiSystem
 
 __all__ = [
-    "Ellipsoid",
     "ReachBound",
     "AttackPolicy",
     "zero_alarm_attack",
@@ -33,42 +32,6 @@ __all__ = [
 _FLAT_TOL = 1e-14
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
-
-
-@dataclass(frozen=True)
-class Ellipsoid:
-    """The set {Q^{1/2} u : |u| <= 1} for a symmetric PSD shape matrix Q,
-    equivalently support function h(l) = sqrt(l' Q l)."""
-
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("shape matrix must be square")
-        scale = max(1.0, float(np.abs(q).max()))
-        if not np.allclose(q, q.T, rtol=0.0, atol=1e-10 * scale):
-            raise ValueError("shape matrix must be symmetric")
-        q = 0.5 * (q + q.T)
-        if np.linalg.eigvalsh(q)[0] < -1e-10 * scale:
-            raise ValueError("shape matrix must be positive semidefinite")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[0]
-
-    def support(self, direction: np.ndarray) -> float:
-        return math.sqrt(max(0.0, float(direction @ self.q @ direction)))
-
-    def support_point(self, direction: np.ndarray) -> np.ndarray:
-        """Maximizer of l'x over the ellipsoid; zero when the ellipsoid is
-        flat in that direction."""
-        val = float(direction @ self.q @ direction)
-        if val < _FLAT_TOL:
-            return np.zeros(self.dim)
-        return (self.q @ direction) / math.sqrt(val)
 
 
 def zero_alarm_attack(
@@ -210,56 +173,58 @@ def reach_bound(
     The summands, for i = 0..t-2, are E(w_bar A^i sigma_w A^i') for the
     process disturbance and E(alpha H_i L sigma_r L' H_i') for the
     attack channel, with H_i = (A + B K)^i - A^i (the i = 0 attack term
-    vanishes).  Boundary points are sums of per-ellipsoid support
-    maximizers, which is exact for Minkowski sums of ellipsoids.  The
-    enclosed polygon area is computed for planar systems, and the
-    neglected tail of the series (i >= t-1) is reported as a uniform
-    bound on the support-function truncation error.
+    vanishes), where E(Q) = {Q^{1/2} u : |u| <= 1} has support function
+    sqrt(l' Q l).  One loop over i builds the summands' shape matrices
+    and then sums the tail of the series (i >= t-1), from the same matrix
+    powers, into a uniform bound on the support-function truncation
+    error; the bound is inf when the tail has not converged after 10000
+    terms.  Support functions add under Minkowski sums, so one pass per
+    summand, in series order, adds its support value and its maximizer
+    (zero where the summand is flat) for all directions at once; the
+    boundary points are exact.  The enclosed polygon area is computed for
+    planar systems.
     """
     if t < 2:
         raise ValueError("horizon must be at least 2")
     if n_dirs < 16:
         raise ValueError("at least 16 directions are required")
-    if w_bar < 0 or alpha < 0:
-        raise ValueError("w_bar and alpha must be nonnegative")
+    if not (0 <= w_bar < math.inf and 0 <= alpha < math.inf):
+        raise ValueError("w_bar and alpha must be finite and nonnegative")
     A = sys.A
     a_cl = sys.A + sys.B @ sys.K
     lsl = sys.L @ sys.sigma_r @ sys.L.T
-    shapes: list[Ellipsoid] = []
+    shapes: list[np.ndarray] = []
+    truncation = 0.0
     a_pow = np.eye(sys.n)
     acl_pow = np.eye(sys.n)
-    for _ in range(t - 1):
+    for i in range(t - 1 + 10_000):
         h = acl_pow - a_pow
-        shapes.append(Ellipsoid(w_bar * a_pow @ sys.sigma_w @ a_pow.T))
-        shapes.append(Ellipsoid(alpha * h @ lsl @ h.T))
+        if i < t - 1:
+            for q in (w_bar * a_pow @ sys.sigma_w @ a_pow.T, alpha * h @ lsl @ h.T):
+                shapes.append(0.5 * (q + q.T))
+        else:
+            term = math.sqrt(
+                max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys.sigma_w @ a_pow.T)[-1])
+            ) + math.sqrt(max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1]))
+            truncation += term
+            if term < 1e-16 * max(1.0, truncation):
+                break
         a_pow = A @ a_pow
         acl_pow = a_cl @ acl_pow
-    # tail of the series, a uniform bound on the support-function error
-    truncation = 0.0
-    for _ in range(10_000):
-        h = acl_pow - a_pow
-        term = math.sqrt(
-            max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys.sigma_w @ a_pow.T)[-1])
-        ) + math.sqrt(
-            max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1])
-        )
-        truncation += term
-        if term < 1e-16 * max(1.0, truncation):
-            break
-        a_pow = A @ a_pow
-        acl_pow = a_cl @ acl_pow
+    else:
+        # a partial sum of a tail that has not converged bounds nothing
+        truncation = math.inf
 
     dirs = _directions(sys.n, n_dirs)
     boundary = np.zeros((n_dirs, sys.n))
     support = np.zeros(n_dirs)
-    for j, ell in enumerate(dirs):
-        point = np.zeros(sys.n)
-        total = 0.0
-        for shape in shapes:
-            point += shape.support_point(ell)
-            total += shape.support(ell)
-        boundary[j] = point
-        support[j] = total
+    for q in shapes:
+        # these matmul forms give the bits of d @ q @ d and q @ d per row
+        val = np.matmul((dirs @ q)[:, None, :], dirs[:, :, None])[:, 0, 0]
+        support += np.sqrt(np.maximum(0.0, val))
+        point = np.matmul(q, dirs[:, :, None])[:, :, 0]
+        point /= np.sqrt(np.maximum(val, _FLAT_TOL))[:, None]
+        boundary += np.where((val < _FLAT_TOL)[:, None], 0.0, point)
     area = _shoelace(boundary) if sys.n == 2 else None
     return ReachBound(
         horizon=t,

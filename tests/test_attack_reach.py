@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from drdetect import (
     AttackPolicy,
-    Ellipsoid,
     LtiSystem,
     NoiseFamily,
     NoiseModel,
@@ -18,47 +19,141 @@ from drdetect import (
 )
 
 
-def _identity_system():
+def _identity_system(sigma_w=((1.0, 0.0), (0.0, 1.0))):
     return LtiSystem.from_matrices(
         A=[[0.5, 0.0], [0.0, 0.5]],
         B=[[1.0, 0.0], [0.0, 1.0]],
         C=[[1.0, 0.0], [0.0, 1.0]],
         K=[[-0.25, 0.0], [0.0, -0.25]],
-        sigma_w=[[1.0, 0.0], [0.0, 1.0]],
+        sigma_w=sigma_w,
         sigma_v=[[1.0, 0.0], [0.0, 1.0]],
     )
 
 
-def test_ellipsoid_support_function():
-    e = Ellipsoid(np.diag([4.0, 1.0]))
-    assert e.support(np.array([1.0, 0.0])) == pytest.approx(2.0)
-    assert e.support(np.array([0.0, 1.0])) == pytest.approx(1.0)
-    ell = np.array([0.6, 0.8])
-    assert e.support(ell) == e.support(-ell)
-    point = e.support_point(ell)
-    assert ell @ point == pytest.approx(e.support(ell), rel=1e-12)
+def _flat_system():
+    # sigma_w = diag(1, 0) and a diagonal A: every summand is flat along x2
+    return _identity_system(sigma_w=[[1.0, 0.0], [0.0, 0.0]])
 
 
-def test_ellipsoid_flat_directions():
-    e = Ellipsoid(np.diag([1.0, 0.0]))
-    assert e.support(np.array([0.0, 1.0])) == 0.0
-    np.testing.assert_allclose(e.support_point(np.array([0.0, 1.0])), 0.0)
+def _reference_reach(sys_, w_bar, alpha, t, directions):
+    """reach_bound one direction and one summand at a time: the shape
+    matrices, the tail and the per-direction sums in series order."""
+    a_cl = sys_.A + sys_.B @ sys_.K
+    lsl = sys_.L @ sys_.sigma_r @ sys_.L.T
+    shapes = []
+    a_pow = np.eye(sys_.n)
+    acl_pow = np.eye(sys_.n)
+    for _ in range(t - 1):
+        h = acl_pow - a_pow
+        for q in (w_bar * a_pow @ sys_.sigma_w @ a_pow.T, alpha * h @ lsl @ h.T):
+            shapes.append(0.5 * (q + q.T))
+        a_pow = sys_.A @ a_pow
+        acl_pow = a_cl @ acl_pow
+    truncation = 0.0
+    for _ in range(10_000):
+        h = acl_pow - a_pow
+        term = math.sqrt(
+            max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys_.sigma_w @ a_pow.T)[-1])
+        ) + math.sqrt(max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1]))
+        truncation += term
+        if term < 1e-16 * max(1.0, truncation):
+            break
+        a_pow = sys_.A @ a_pow
+        acl_pow = a_cl @ acl_pow
+    else:
+        truncation = math.inf
+    boundary = np.zeros((len(directions), sys_.n))
+    support = np.zeros(len(directions))
+    for j, d in enumerate(directions):
+        point = np.zeros(sys_.n)
+        total = 0.0
+        for q in shapes:
+            val = float(d @ q @ d)
+            total += math.sqrt(max(0.0, val))
+            if val >= 1e-14:
+                point += (q @ d) / math.sqrt(val)
+        boundary[j] = point
+        support[j] = total
+    return boundary, support, truncation
 
 
-def test_ellipsoid_validation():
-    with pytest.raises(ValueError):
-        Ellipsoid(np.array([[1.0, 0.5]]))
-    with pytest.raises(ValueError):
-        Ellipsoid(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+@pytest.mark.parametrize(
+    "system, w_bar, alpha, t, n_dirs",
+    [
+        ("benchmark", 40.0, 9.1315, 50, 256),
+        ("benchmark", 40.0, 40.0, 50, 64),
+        ("benchmark", 40.0, 0.0, 10, 16),
+        ("benchmark", 0.0, 5.9915, 2, 64),
+        ("benchmark", 80.0, 40.0, 150, 128),
+        ("identity", 1.0, 0.0, 3, 256),
+        ("identity", 40.0, 9.1818, 50, 16),
+        ("identity", 0.0, 0.0, 5, 32),
+        ("flat", 1.0, 0.0, 10, 64),
+    ],
+)
+def test_reach_bound_matches_per_direction_reference(system, w_bar, alpha, t, n_dirs):
+    sys_ = {
+        "benchmark": benchmark_system,
+        "identity": _identity_system,
+        "flat": _flat_system,
+    }[system]()
+    rb = reach_bound(sys_, w_bar, alpha, t, n_dirs)
+    boundary, support, truncation = _reference_reach(sys_, w_bar, alpha, t, rb.directions)
+    np.testing.assert_array_equal(rb.boundary, boundary)
+    np.testing.assert_array_equal(rb.support_values, support)
+    assert rb.truncation_error == truncation
+
+
+def test_reach_bound_flat_directions():
+    rb = reach_bound(_flat_system(), w_bar=1.0, alpha=0.0, t=10, n_dirs=16)
+    # the summands span x1 only: no boundary point leaves the x1 axis, and
+    # the support along x2 (direction 4 of 16) vanishes
+    np.testing.assert_array_equal(rb.boundary[:, 1], 0.0)
+    assert rb.support_values[4] <= 1e-15
+    np.testing.assert_allclose(
+        np.sum(rb.boundary * rb.directions, axis=1), rb.support_values, atol=1e-15
+    )
+
+
+def test_reach_bound_rejects_invalid_input():
+    sys_ = _identity_system()
+    for w_bar, alpha, t, n_dirs in (
+        (1.0, 1.0, 1, 16),
+        (1.0, 1.0, 2, 8),
+        (-1.0, 1.0, 2, 16),
+        (1.0, -1.0, 2, 16),
+        (math.inf, 1.0, 2, 16),
+        (1.0, math.inf, 2, 16),
+        (math.nan, 1.0, 2, 16),
+        (1.0, math.nan, 2, 16),
+    ):
+        with pytest.raises(ValueError):
+            reach_bound(sys_, w_bar, alpha, t, n_dirs)
+
+
+def test_reach_bound_tail_without_a_finite_bound_is_inf():
+    # A has an eigenvalue 0.9999: after 10000 tail terms the partial sum
+    # (5863.6) is still far below the tail itself (over 9275 at 200000
+    # terms), so there is no finite truncation bound to report
+    sys_ = LtiSystem.from_matrices(
+        A=[[0.9999, 0.0], [0.0, 0.5]],
+        B=[[1.0, 0.0], [0.0, 1.0]],
+        C=[[1.0, 0.0], [0.0, 1.0]],
+        K=[[-0.5, 0.0], [0.0, 0.0]],
+        sigma_w=[[0.01, 0.0], [0.0, 0.01]],
+        sigma_v=[[1.0, 0.0], [0.0, 1.0]],
+    )
+    rb = reach_bound(sys_, w_bar=40.0, alpha=9.0, t=50)
+    assert rb.truncation_error == math.inf
+    assert np.all(np.isfinite(rb.support_values))
 
 
 def test_support_additivity_of_minkowski_sum():
-    # concentric balls of radius 1 and 2: the sum has radius 3
-    a = Ellipsoid(np.eye(2))
-    b = Ellipsoid(4.0 * np.eye(2))
-    for theta in np.linspace(0.0, 2 * np.pi, 17):
-        ell = np.array([np.cos(theta), np.sin(theta)])
-        assert a.support(ell) + b.support(ell) == pytest.approx(3.0)
+    # identity system, alpha = 0, t = 3: the summands are E(I) and
+    # E(I / 4), so the sum is the disc of radius 1 + 1/2
+    rb = reach_bound(_identity_system(), w_bar=1.0, alpha=0.0, t=3, n_dirs=64)
+    np.testing.assert_allclose(rb.support_values, 1.5, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(rb.boundary, axis=1), 1.5, rtol=1e-12)
 
 
 def test_zero_alarm_attack_construction():
@@ -110,6 +205,29 @@ def test_simulated_attack_never_alarms():
     assert np.all(trace.q_values <= alpha + 1e-9)
     # the construction saturates the detector exactly
     assert trace.q_values.max() == pytest.approx(alpha, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", list(NoiseFamily))
+@pytest.mark.parametrize("rotate", [False, True])
+def test_simulated_zero_alarm_states_lie_inside_the_reach_bound(family, rotate):
+    sys_ = benchmark_system()
+    steps = 400
+    w = NoiseModel(family, sys_.sigma_w, 71)
+    v = NoiseModel(family, sys_.sigma_v, 72)
+    # the smallest w_bar whose disturbance ellipsoid holds every draw the
+    # simulation makes (it samples the same stream)
+    draws = w.sample(steps)
+    w_bar = float(np.max(np.sum(draws * np.linalg.solve(sys_.sigma_w, draws.T).T, axis=1)))
+    # at the k = 1 threshold along x2 the attack moves the state so far
+    # that a bound without the attack summands misses states in every case
+    alpha = 40.0
+    policy = AttackPolicy(alpha=alpha, direction=np.array([0.0, 1.0]), rotate=rotate)
+    trace = simulate(sys_, w, v, steps, attack=policy, burn_in=0, keep_states=True)
+    assert np.all(trace.q_values <= alpha + 1e-9)
+    for t in (10, 50):
+        rb = reach_bound(sys_, w_bar, alpha, t)
+        projections = trace.states @ rb.directions.T
+        assert np.all(projections <= rb.support_values + rb.truncation_error)
 
 
 def test_noise_threshold():
@@ -221,13 +339,24 @@ def test_boundary_csv(tmp_path):
 
 
 @given(
-    scale=st.floats(0.1, 50.0),
-    theta=st.floats(0.0, 2 * np.pi),
+    w_bar=st.floats(0.0, 80.0),
+    alpha=st.floats(0.0, 40.0),
 )
-@settings(max_examples=60, deadline=None)
-def test_support_function_symmetry_property(scale, theta):
-    q = scale * np.array([[2.0, 0.3], [0.3, 1.0]])
-    e = Ellipsoid(q)
-    ell = np.array([np.cos(theta), np.sin(theta)])
-    assert e.support(ell) >= 0.0
-    assert e.support(-ell) == pytest.approx(e.support(ell), rel=1e-12)
+@settings(max_examples=30, deadline=None)
+def test_support_function_symmetry_property(w_bar, alpha):
+    rb = reach_bound(benchmark_system(), w_bar, alpha, 10, 64)
+    assert np.all(rb.support_values >= 0.0)
+    # direction j + 32 is opposite to direction j: the summands are
+    # centred, so their support is symmetric
+    np.testing.assert_allclose(
+        rb.support_values[32:], rb.support_values[:32], rtol=1e-12, atol=1e-12
+    )
+    # each boundary point attains its direction's support value, except
+    # that a summand with l'Ql < 1e-14 adds its support (below 1e-7) and
+    # no point: 18 summands at t = 10
+    np.testing.assert_allclose(
+        np.sum(rb.boundary * rb.directions, axis=1),
+        rb.support_values,
+        rtol=1e-12,
+        atol=18e-7,
+    )
