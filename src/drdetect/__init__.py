@@ -15,7 +15,6 @@ from .attack_reach import (
     noise_threshold,
     reach_bound,
     volume_comparison,
-    zero_alarm_attack,
 )
 from .benchmark import benchmark_system
 from .bound_engine import (
@@ -94,5 +93,4 @@ __all__ = [
     "solve_sdp",
     "tune_threshold_sdp",
     "volume_comparison",
-    "zero_alarm_attack",
 ]

@@ -1,10 +1,16 @@
 """Zero-alarm sensor attacks and ellipsoidal reachable-set bounds.
 
-An attacker that knows the estimation error and measurement noise can
-inject delta[t] = -C e[t] - v[t] + sigma_r^{1/2} delta_bar[t], which
-pins the residual to sigma_r^{1/2} delta_bar[t]; the detection measure
-becomes q[t] = |delta_bar[t]|^2, so any choice with |delta_bar|^2 <=
-alpha never raises an alarm.  The states reachable under such attacks
+An attacker that knows the estimation error e[t] = x[t] - xhat[t] and
+the measurement noise v[t] can inject the sensor offset
+
+    delta[t] = -C e[t] - v[t] + sigma_r^{1/2} delta_bar[t],
+
+which pins the residual r[t] = C e[t] + v[t] + delta[t] to
+sigma_r^{1/2} delta_bar[t]; the detection measure becomes
+q[t] = |delta_bar[t]|^2, so any choice with |delta_bar|^2 <= alpha never
+raises an alarm.  The pinned residuals do not depend on the state, so
+`AttackPolicy.residuals` gives the whole sequence at once and `simulate`
+feeds it to the estimator.  The states reachable under such attacks
 and bounded disturbances are outer-bounded by a Minkowski sum of
 ellipsoids whose boundary is exact direction-by-direction (support
 functions add under Minkowski sums), so a tighter detector threshold
@@ -22,7 +28,6 @@ from .cps_sim import LtiSystem
 __all__ = [
     "ReachBound",
     "AttackPolicy",
-    "zero_alarm_attack",
     "noise_threshold",
     "reach_bound",
     "volume_comparison",
@@ -32,24 +37,6 @@ __all__ = [
 _FLAT_TOL = 1e-14
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
-
-
-def zero_alarm_attack(
-    sys: LtiSystem,
-    alpha: float,
-    e_t: np.ndarray,
-    v_t: np.ndarray,
-    delta_bar: np.ndarray,
-) -> np.ndarray:
-    """Sensor offset -C e - v + sigma_r^{1/2} delta_bar.
-
-    The induced residual is sigma_r^{1/2} delta_bar, so the detection
-    measure equals |delta_bar|^2 and stays at or below alpha.
-    """
-    delta_bar = np.asarray(delta_bar, dtype=float)
-    if float(delta_bar @ delta_bar) > alpha * (1.0 + 1e-12):
-        raise ValueError("|delta_bar|^2 exceeds the threshold")
-    return -sys.C @ e_t - v_t + sys.sigma_r_sqrt @ delta_bar
 
 
 @dataclass(frozen=True)
@@ -77,20 +64,17 @@ class AttackPolicy:
         direction.flags.writeable = False
         object.__setattr__(self, "direction", direction)
 
-    def delta_bar(self, t: int) -> np.ndarray:
-        d = self.direction.copy()
-        if self.rotate and d.shape[0] >= 2:
-            angle = 2.0 * math.pi * t / _ROTATION_PERIOD
-            c, s = math.cos(angle), math.sin(angle)
-            d0, d1 = d[0], d[1]
-            d[0] = c * d0 - s * d1
-            d[1] = s * d0 + c * d1
-        return math.sqrt(self.alpha) * d
-
-    def delta(
-        self, t: int, e: np.ndarray, v: np.ndarray, sys: LtiSystem
-    ) -> np.ndarray:
-        return zero_alarm_attack(sys, self.alpha, e, v, self.delta_bar(t))
+    def residuals(self, sys: LtiSystem, steps: int) -> np.ndarray:
+        """The pinned residuals sigma_r^{1/2} delta_bar[t] for t < steps,
+        one row per step, with |delta_bar[t]|^2 = alpha."""
+        d = np.tile(self.direction, (steps, 1))
+        if self.rotate and d.shape[1] >= 2:
+            angle = 2.0 * np.pi * np.arange(steps) / _ROTATION_PERIOD
+            c, s = np.cos(angle), np.sin(angle)
+            d0, d1 = self.direction[0], self.direction[1]
+            d[:, 0] = c * d0 - s * d1
+            d[:, 1] = s * d0 + c * d1
+        return (math.sqrt(self.alpha) * d) @ sys.sigma_r_sqrt.T
 
 
 def noise_threshold(n: int, rate: float) -> float:

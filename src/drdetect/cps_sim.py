@@ -13,20 +13,28 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.linalg
+
+if TYPE_CHECKING:
+    from .attack_reach import AttackPolicy
 
 __all__ = [
     "LtiSystem",
     "NoiseFamily",
     "NoiseModel",
     "ResidualTrace",
-    "AttackLike",
     "solve_dare",
     "simulate",
     "empirical_false_alarm_rate",
 ]
+
+
+# steps per banded solve in _linear_path; its band holds 2 d^2 _CHUNK floats
+_CHUNK = 1024
+(_TBTRS,) = scipy.linalg.get_lapack_funcs(("tbtrs",), dtype=np.float64)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -295,14 +303,6 @@ class ResidualTrace:
         return self.q_values.shape[0]
 
 
-class AttackLike(Protocol):
-    """Anything that can inject a sensor offset during simulation."""
-
-    def delta(
-        self, t: int, e: np.ndarray, v: np.ndarray, sys: LtiSystem
-    ) -> np.ndarray: ...
-
-
 def _error_path_modal(
     F: np.ndarray, inputs: np.ndarray
 ) -> np.ndarray | None:
@@ -324,24 +324,49 @@ def _error_path_modal(
     return e
 
 
+def _linear_path(M: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Path z[t+1] = M z[t] + u[t] from z[0] = 0, one row per step t: a unit
+    lower-triangular system with 2 d - 1 subdiagonals (d = len(z)), solved
+    by LAPACK tbtrs _CHUNK steps at a time from the last state before."""
+    d = M.shape[0]
+    # band column j of a step: the unit diagonal and, d - j rows down, -M[:, j]
+    block = np.zeros((2 * d, d))
+    block[0] = 1.0
+    for j in range(d):
+        block[d - j : 2 * d - j, j] = -M[:, j]
+    band = np.asfortranarray(np.tile(block, _CHUNK))
+    z = np.zeros_like(u)
+    z[1:] = u[:-1]
+    for start in range(0, u.shape[0] - 1, _CHUNK):
+        chunk = z[start + 1 : start + 1 + _CHUNK]
+        chunk[0] += M @ z[start]
+        rhs = chunk.reshape(-1, 1)
+        sol, _ = _TBTRS(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U")
+        chunk[:] = sol.reshape(chunk.shape)
+    return z
+
+
 def simulate(
     sys: LtiSystem,
     noise_w: NoiseModel,
     noise_v: NoiseModel,
     T: int,
-    attack: AttackLike | None = None,
+    attack: AttackPolicy | None = None,
     burn_in: int = 1000,
     keep_states: bool = False,
 ) -> ResidualTrace:
     """Run the closed loop from zero states for `burn_in + T` steps and
     record the last T.
 
-    Without an attack the control input cancels out of the residual, so
-    the estimation error e[t+1] = (A - L C) e[t] + w[t] - L v[t] is
-    propagated directly (per-eigenmode scalar filters).  With an attack,
-    or when plant states are requested, the full joint (x, xhat)
-    recursion is stepped; the attack sees the current estimation error
-    and measurement noise each step.
+    Two routes.  Attack-free without states, the control input cancels
+    out of the residual, and the estimation error
+    e[t+1] = (A - L C) e[t] + w[t] - L v[t] is filtered per eigenmode.
+    Otherwise, and when A - L C resists diagonalization, the path is
+    linear with known inputs and `_linear_path` solves it in banded
+    chunks: z = (x, e) attack-free, with r = C e + v, and z = (x, xhat)
+    under an attack, whose pinned residuals r drive xhat through L r.
+    Raises ArithmeticError at the first plant state whose norm exceeds
+    1e12 or is not finite.
     """
     if T < 1:
         raise ValueError("simulation length must be positive")
@@ -352,39 +377,32 @@ def simulate(
     total = burn_in + T
     w = noise_w.sample(total)
     v = noise_v.sample(total)
-
-    if attack is None and not keep_states:
-        F = sys.A - sys.L @ sys.C
-        e = _error_path_modal(F, w - v @ sys.L.T)
-        if e is not None:
-            r = e @ sys.C.T + v
-            q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
-            return ResidualTrace(r[burn_in:], q[burn_in:])
-        # fall through to the step loop when F resists diagonalization
-
-    x = np.zeros(sys.n)
-    xhat = np.zeros(sys.n)
-    residuals = np.empty((total, sys.p))
-    states = np.empty((total, sys.n))
-    for t in range(total):
-        e = x - xhat
-        delta = (
-            attack.delta(t, e, v[t], sys) if attack is not None else 0.0
-        )
-        r = sys.C @ e + v[t] + delta
-        residuals[t] = r
-        states[t] = x
-        u = sys.K @ xhat
-        x = sys.A @ x + sys.B @ u + w[t]
-        xhat = sys.A @ xhat + sys.B @ u + sys.L @ r
-        if np.linalg.norm(x) > 1e12:
-            raise ArithmeticError(f"state diverged at step {t}")
-    q = np.einsum("ij,jk,ik->i", residuals, sys.sigma_r_inv, residuals)
-    return ResidualTrace(
-        residuals[burn_in:],
-        q[burn_in:],
-        states[burn_in:] if keep_states else None,
-    )
+    F = sys.A - sys.L @ sys.C
+    bk = sys.B @ sys.K
+    zero = np.zeros_like(bk)
+    if attack is None:
+        inputs = w - v @ sys.L.T
+        if not keep_states:
+            e = _error_path_modal(F, inputs)
+            if e is not None:
+                r = e @ sys.C.T + v
+                q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
+                return ResidualTrace(r[burn_in:], q[burn_in:])
+        M = np.block([[sys.A + bk, -bk], [zero, F]])
+        z = _linear_path(M, np.hstack([w, inputs]))
+    else:
+        r = attack.residuals(sys, total)
+        M = np.block([[sys.A, bk], [zero, sys.A + bk]])
+        z = _linear_path(M, np.hstack([w, r @ sys.L.T]))
+    x, e = np.split(z, 2, axis=1)
+    with np.errstate(over="ignore"):  # a diverged path may overflow to inf
+        diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
+    if diverged.any():
+        raise ArithmeticError(f"state diverged at step {diverged.argmax()}")
+    if attack is None:
+        r = e @ sys.C.T + v
+    q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
+    return ResidualTrace(r[burn_in:], q[burn_in:], x[burn_in:] if keep_states else None)
 
 
 def empirical_false_alarm_rate(trace: ResidualTrace, alpha: float) -> float:

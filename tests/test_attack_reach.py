@@ -15,7 +15,6 @@ from drdetect import (
     reach_bound,
     simulate,
     volume_comparison,
-    zero_alarm_attack,
 )
 
 
@@ -158,34 +157,43 @@ def test_support_additivity_of_minkowski_sum():
 
 def test_zero_alarm_attack_construction():
     sys_ = benchmark_system()
-    rng = np.random.default_rng(0)
-    e = rng.standard_normal(2)
-    v = rng.standard_normal(2)
     alpha = 9.0
-    d_bar = np.sqrt(alpha) * np.array([1.0, 0.0])
-    delta = zero_alarm_attack(sys_, alpha, e, v, d_bar)
-    # the induced residual collapses to sigma_r^{1/2} d_bar
-    r = sys_.C @ e + v + delta
-    q = r @ sys_.sigma_r_inv @ r
-    assert q == pytest.approx(alpha, rel=1e-10)
-    # the residual-nulling attack gives q = 0
-    delta0 = zero_alarm_attack(sys_, alpha, e, v, np.zeros(2))
-    r0 = sys_.C @ e + v + delta0
-    assert np.abs(r0).max() <= 1e-12
-    with pytest.raises(ValueError):
-        zero_alarm_attack(sys_, alpha, e, v, np.array([10.0, 0.0]))
+    for rotate in (False, True):
+        policy = AttackPolicy(alpha=alpha, direction=[1.0, 2.0], rotate=rotate)
+        r = policy.residuals(sys_, 200)
+        assert r.shape == (200, sys_.p)
+        # each residual is sigma_r^{1/2} delta_bar with |delta_bar|^2 = alpha
+        d_bar = np.linalg.solve(sys_.sigma_r_sqrt, r.T).T
+        np.testing.assert_allclose(np.sum(d_bar**2, axis=1), alpha, rtol=1e-12)
+        q = np.einsum("ij,jk,ik->i", r, sys_.sigma_r_inv, r)
+        np.testing.assert_allclose(q, alpha, rtol=1e-10)
+    # the residual-nulling attack pins the residual at zero
+    zero = AttackPolicy(alpha=0.0, direction=[1.0, 0.0], rotate=True)
+    assert not np.any(zero.residuals(sys_, 50))
 
 
 def test_attack_policy_budget():
+    sys_ = benchmark_system()
     alpha = 5.0
-    policy = AttackPolicy(alpha=alpha, direction=np.array([0.0, 1.0]))
-    for t in (0, 3, 100):
-        d = policy.delta_bar(t)
-        assert d @ d == pytest.approx(alpha, rel=1e-12)
-    rotating = AttackPolicy(alpha=alpha, direction=np.array([1.0, 0.0]), rotate=True)
-    d0, d1 = rotating.delta_bar(0), rotating.delta_bar(1)
-    assert d0 @ d0 == pytest.approx(alpha, rel=1e-12)
-    assert not np.allclose(d0, d1)
+    fixed = AttackPolicy(alpha=alpha, direction=np.array([0.0, 1.0])).residuals(
+        sys_, 101
+    )
+    np.testing.assert_array_equal(fixed, np.tile(fixed[0], (101, 1)))
+    d = np.linalg.solve(sys_.sigma_r_sqrt, fixed[0])
+    np.testing.assert_allclose(d, [0.0, math.sqrt(alpha)], atol=1e-12)
+    rotating = AttackPolicy(
+        alpha=alpha, direction=np.array([1.0, 0.0]), rotate=True
+    ).residuals(sys_, 65)
+    d = np.linalg.solve(sys_.sigma_r_sqrt, rotating.T).T
+    np.testing.assert_allclose(np.sum(d**2, axis=1), alpha, rtol=1e-12)
+    assert not np.allclose(d[0], d[1])
+    # one turn per 64 steps, counterclockwise
+    angle = 2.0 * math.pi / 64
+    np.testing.assert_allclose(
+        d[1], math.sqrt(alpha) * np.array([math.cos(angle), math.sin(angle)]),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(d[64], d[0], atol=1e-12)
 
 
 def test_attack_policy_validation():

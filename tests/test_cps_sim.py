@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from drdetect import (
+    AttackPolicy,
     LtiSystem,
     NoiseFamily,
     NoiseModel,
@@ -24,6 +25,56 @@ def _simple_system(**overrides):
     )
     kw.update(overrides)
     return LtiSystem.from_matrices(**kw)
+
+
+def _three_state_system():
+    # 3 states, 2 outputs, 2 inputs; A is stable, so a sustained
+    # zero-alarm attack keeps the state bounded
+    return LtiSystem.from_matrices(
+        A=[[0.8, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 0.6]],
+        B=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+        C=[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+        K=[[-0.3, 0.0, 0.0], [0.0, -0.1, -0.4]],
+        sigma_w=0.05 * np.eye(3),
+        sigma_v=[[1.0, 0.2], [0.2, 0.5]],
+    )
+
+
+def _reference_loop(sys_, noise_w, noise_v, T, policy=None, burn_in=1000):
+    """The per-step joint (x, xhat) recursion, with the zero-alarm sensor
+    offset -C e - v + sigma_r^{1/2} delta_bar injected into the measurement.
+    Returns (states, residuals, q) for the last T steps."""
+    total = burn_in + T
+    w = noise_w.sample(total)
+    v = noise_v.sample(total)
+    x = np.zeros(sys_.n)
+    xhat = np.zeros(sys_.n)
+    residuals = np.empty((total, sys_.p))
+    states = np.empty((total, sys_.n))
+    for t in range(total):
+        e = x - xhat
+        delta = 0.0
+        if policy is not None:
+            d = policy.direction.copy()
+            if policy.rotate:
+                angle = 2.0 * np.pi * t / 64
+                c, s = np.cos(angle), np.sin(angle)
+                d[0], d[1] = c * d[0] - s * d[1], s * d[0] + c * d[1]
+            d_bar = np.sqrt(policy.alpha) * d
+            delta = -sys_.C @ e - v[t] + sys_.sigma_r_sqrt @ d_bar
+        r = sys_.C @ e + v[t] + delta
+        residuals[t] = r
+        states[t] = x
+        u = sys_.K @ xhat
+        x = sys_.A @ x + sys_.B @ u + w[t]
+        xhat = sys_.A @ xhat + sys_.B @ u + sys_.L @ r
+    q = np.einsum("ij,jk,ik->i", residuals, sys_.sigma_r_inv, residuals)
+    return states[burn_in:], residuals[burn_in:], q[burn_in:]
+
+
+def _assert_close_to(got, want):
+    """Entries agree to 1e-14 relative to the largest entry of `want`."""
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dare_riccati_fixed_point():
@@ -169,18 +220,54 @@ def test_q_recomputable_from_residuals():
 
 
 def test_fast_path_equals_step_path():
-    # a do-nothing attack forces the explicit state loop; results must
-    # agree with the modal fast path to solver precision
-    class NullAttack:
-        def delta(self, t, e, v, sys):
-            return np.zeros(sys.p)
-
+    # the modal route and the banded state route must agree to solver
+    # precision on the same draws
     sys_ = benchmark_system()
     w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 21)
     v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 22)
     fast = simulate(sys_, w, v, 2000)
-    slow = simulate(sys_, w, v, 2000, attack=NullAttack())
+    slow = simulate(sys_, w, v, 2000, keep_states=True)
+    assert fast.states is None and slow.states is not None
     np.testing.assert_allclose(fast.residuals, slow.residuals, atol=1e-8)
+
+
+_POLICIES = {
+    "attack-free": None,
+    "fixed": dict(alpha=9.1315, direction=[1.0, 0.0]),
+    "rotating": dict(alpha=40.0, direction=[0.3, -1.0], rotate=True),
+}
+
+
+@pytest.mark.parametrize("family", list(NoiseFamily))
+@pytest.mark.parametrize("policy", list(_POLICIES))
+@pytest.mark.parametrize("system", ["benchmark", "three-state"])
+def test_simulate_matches_reference_loop(system, policy, family):
+    # 3000 steps cross two chunk boundaries of the banded solve
+    sys_ = benchmark_system() if system == "benchmark" else _three_state_system()
+    w = NoiseModel(family, sys_.sigma_w, 81)
+    v = NoiseModel(family, sys_.sigma_v, 82)
+    kwargs = _POLICIES[policy]
+    attack = None if kwargs is None else AttackPolicy(**kwargs)
+    trace = simulate(sys_, w, v, 2500, attack=attack, burn_in=500, keep_states=True)
+    states, residuals, q = _reference_loop(sys_, w, v, 2500, attack, burn_in=500)
+    _assert_close_to(trace.states, states)
+    _assert_close_to(trace.residuals, residuals)
+    _assert_close_to(trace.q_values, q)
+
+
+def test_simulate_falls_back_when_modes_are_defective():
+    # A - L C = [[0.5, 1], [0, 0.5]] is a Jordan block: no eigenbasis, so
+    # the attack-free run without states takes the banded route
+    sys_ = _simple_system()
+    jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
+    object.__setattr__(sys_, "L", (sys_.A - jordan) @ np.linalg.inv(sys_.C))
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 91)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 92)
+    trace = simulate(sys_, w, v, 1500, burn_in=100)
+    assert trace.states is None
+    _, residuals, q = _reference_loop(sys_, w, v, 1500, burn_in=100)
+    _assert_close_to(trace.residuals, residuals)
+    _assert_close_to(trace.q_values, q)
 
 
 def test_empirical_false_alarm_rate_counts_strictly():
@@ -196,15 +283,16 @@ def test_empirical_false_alarm_rate_counts_strictly():
 
 
 def test_simulate_divergence_guard():
-    # bypass construction checks to force an unstable step loop
+    # bypass construction checks to force an unstable plant
     sys_ = _simple_system()
     object.__setattr__(sys_, "A", np.array([[3.0, 0.0], [0.0, 3.0]]))
-
-    class NullAttack:
-        def delta(self, t, e, v, sys):
-            return np.zeros(sys.p)
-
     w = NoiseModel(NoiseFamily.GAUSSIAN, 0.1 * np.eye(2), 0)
     v = NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), 1)
-    with pytest.raises(ArithmeticError):
-        simulate(sys_, w, v, 200, attack=NullAttack(), burn_in=0)
+    attack = AttackPolicy(alpha=1.0, direction=[1.0, 0.0])
+    for kwargs in (dict(keep_states=True), dict(attack=attack)):
+        with pytest.raises(ArithmeticError, match=r"diverged at step \d+$"):
+            simulate(sys_, w, v, 200, burn_in=0, **kwargs)
+    # a non-finite state counts as diverged, from the first step it appears
+    object.__setattr__(sys_, "A", np.full((2, 2), np.nan))
+    with pytest.raises(ArithmeticError, match="diverged at step 1$"):
+        simulate(sys_, w, v, 200, burn_in=0, attack=attack)

@@ -39,6 +39,27 @@ def test_import_is_light():
     assert done.stdout.strip() == "[]"
 
 
+def test_state_simulations_stay_light():
+    # attacked and attack-free runs that keep states take the banded
+    # route, which needs neither scipy.signal nor scipy.optimize
+    done = _run(
+        [
+            "-c",
+            "import sys, numpy as np, drdetect as d\n"
+            "s = d.benchmark_system()\n"
+            "w = d.NoiseModel(d.NoiseFamily.GAUSSIAN, s.sigma_w, 1)\n"
+            "v = d.NoiseModel(d.NoiseFamily.GAUSSIAN, s.sigma_v, 2)\n"
+            "a = d.AttackPolicy(9.0, np.array([1.0, 0.0]), rotate=True)\n"
+            "d.simulate(s, w, v, 2000, attack=a, keep_states=True)\n"
+            "d.simulate(s, w, v, 2000, keep_states=True)\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules))",
+        ]
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def _run(args):
     env = dict(os.environ)
     paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
