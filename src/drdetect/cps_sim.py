@@ -35,6 +35,8 @@ __all__ = [
 # steps per banded solve in _linear_path; its band holds 2 d^2 _CHUNK floats
 _CHUNK = 1024
 (_TBTRS,) = scipy.linalg.get_lapack_funcs(("tbtrs",), dtype=np.float64)
+(_DGTSV,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
+(_ZGTSV,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.complex128)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -303,14 +305,31 @@ class ResidualTrace:
         return self.q_values.shape[0]
 
 
+def _mode_path(lam, x: np.ndarray) -> np.ndarray:
+    """y[t] = x[t] + lam y[t-1] from y[-1] = 0: the unit lower-bidiagonal
+    system with subdiagonal -lam, solved by LAPACK gtsv in the dtype of x
+    (complex whenever lam is).
+
+    gtsv does not pivot while the unit diagonal dominates, |lam| <= 1 for
+    real lam, and then computes fl(x[t] + fl(lam y[t-1])) step by step,
+    bit for bit the two-rounding scalar loop.  Complex lam pivots once
+    |Re lam| + |Im lam| > 1; the path then agrees with the scalar loop to
+    about 3e-15 relative, not bit for bit.
+    """
+    gtsv = _ZGTSV if np.iscomplexobj(x) else _DGTSV
+    off = max(x.size - 1, 1)  # the wrapper wants an off-diagonal even at size 1
+    _, _, _, y, _ = gtsv(np.full(off, -lam), np.ones(x.size), np.zeros(off), x[:, None])
+    return y[:, 0]
+
+
 def _error_path_modal(
     F: np.ndarray, inputs: np.ndarray
 ) -> np.ndarray | None:
     """Estimation-error path e[t+1] = F e[t] + inputs[t] from e[0] = 0 by
-    per-eigenmode scalar filtering; None when F is too far from
-    diagonalizable for the modal route to be trustworthy."""
-    import scipy.signal  # costs about 1 s of import, for lfilter only
-
+    one `_mode_path` per eigenmode; None when F is too far from
+    diagonalizable for the modal route to be trustworthy.  The modes of a
+    Schur-stable F with real eigenvalues follow the scalar loop bit for
+    bit."""
     vals, vecs = np.linalg.eig(F)
     if np.linalg.cond(vecs) > 1e8:
         return None
@@ -318,7 +337,7 @@ def _error_path_modal(
     modal_in = np.linalg.solve(vecs, inputs.T)  # (n, total)
     modal_out = np.empty_like(modal_in)
     for i, lam in enumerate(vals):
-        modal_out[i] = scipy.signal.lfilter([1.0], [1.0, -lam], modal_in[i])
+        modal_out[i] = _mode_path(lam, modal_in[i])
     e = np.zeros((total, F.shape[0]))
     e[1:] = (vecs @ modal_out[:, :-1]).T.real
     return e
@@ -360,7 +379,8 @@ def simulate(
 
     Two routes.  Attack-free without states, the control input cancels
     out of the residual, and the estimation error
-    e[t+1] = (A - L C) e[t] + w[t] - L v[t] is filtered per eigenmode.
+    e[t+1] = (A - L C) e[t] + w[t] - L v[t] is one bidiagonal solve per
+    eigenmode (`_error_path_modal`).
     Otherwise, and when A - L C resists diagonalization, the path is
     linear with known inputs and `_linear_path` solves it in banded
     chunks: z = (x, e) attack-free, with r = C e + v, and z = (x, xhat)

@@ -116,11 +116,44 @@ def is_feasible(seq: MomentSequence) -> bool:
     return True
 
 
+# values per bincount pass in _exact_sum; keeps every bin sum below 2^53
+_SUM_CHUNK = 1 << 26
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of nonnegative floats, the same bits as
+    Shewchuk's fsum; a NaN or inf entry makes the sum NaN or inf.
+
+    Each value is m 2^(e-53) with a 53-bit integer m (np.frexp).  m splits
+    into a 27-bit high and a 26-bit low part, and np.bincount sums each
+    part per exponent e, exactly in float64 for up to _SUM_CHUNK values.
+    The per-exponent sums add up exactly as a Python int, and Python's
+    correctly rounded int division turns that into the float.  Raises
+    OverflowError when the rounded sum exceeds the float range.
+    """
+    if not np.isfinite(values).all():
+        return float(values.sum())
+    mant, exp = np.frexp(values)
+    mant = (mant * 2.0**53).astype(np.int64)
+    low = int(exp.min())
+    shift = exp - low
+    total = 0
+    for start in range(0, values.size, _SUM_CHUNK):
+        part = slice(start, start + _SUM_CHUNK)
+        high = np.bincount(shift[part], weights=mant[part] >> 26)
+        rest = np.bincount(shift[part], weights=mant[part] & ((1 << 26) - 1))
+        for i in np.flatnonzero(high + rest):
+            total += ((int(high[i]) << 26) + int(rest[i])) << int(i)
+    scale = low - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 def estimate_moments(samples, k: int) -> MomentSequence:
     """Empirical raw moments M^r = mean(x^r) for r = 0..k.
 
-    Sums are accumulated with compensated summation: fourth moments of
-    heavy-tailed samples lose digits under naive left-to-right addition.
+    Each sum of powers is correctly rounded (`_exact_sum`), then divided
+    by the sample count: fourth moments of heavy-tailed samples lose
+    digits under naive left-to-right addition.
     """
     if k < 1:
         raise ValueError("moment order must be at least 1")
@@ -135,7 +168,7 @@ def estimate_moments(samples, k: int) -> MomentSequence:
     power = np.ones_like(x)
     for _ in range(k):
         power = power * x
-        moments.append(math.fsum(power) / x.size)
+        moments.append(_exact_sum(power) / x.size)
     return MomentSequence(tuple(moments))
 
 

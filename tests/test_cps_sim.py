@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
 from drdetect import (
     AttackPolicy,
@@ -12,6 +13,7 @@ from drdetect import (
     simulate,
     solve_dare,
 )
+from drdetect.cps_sim import _error_path_modal, _mode_path
 
 
 def _simple_system(**overrides):
@@ -253,6 +255,57 @@ def test_simulate_matches_reference_loop(system, policy, family):
     _assert_close_to(trace.states, states)
     _assert_close_to(trace.residuals, residuals)
     _assert_close_to(trace.q_values, q)
+
+
+def _scalar_loop(lam, x):
+    """y[t] = x[t] + lam y[t-1] from y[-1] = 0, one Python step per t."""
+    y = []
+    prev = 0.0
+    for value in x.tolist():
+        prev = value + lam * prev
+        y.append(prev)
+    return np.array(y)
+
+
+def test_mode_path_matches_scalar_loop_bit_for_bit():
+    # the real modes of the benchmark system (0.534..., 0.337...), a fast
+    # sign flip, and a mode next to the unit circle
+    sys_ = benchmark_system()
+    modes = np.linalg.eigvals(sys_.A - sys_.L @ sys_.C)
+    assert not np.iscomplexobj(modes)
+    x = np.random.default_rng(41).standard_normal(100_000)
+    for lam in (*modes, -0.97, 0.999):
+        want = _scalar_loop(lam, x)
+        np.testing.assert_array_equal(_mode_path(lam, x), want, err_msg=f"lam={lam}")
+        np.testing.assert_array_equal(
+            scipy.signal.lfilter([1.0], [1.0, -lam], x), want, err_msg=f"lam={lam}"
+        )
+        # a scalar plant: the eigenbasis is 1, so the error path is the mode
+        e = _error_path_modal(np.array([[lam]]), x[:, None])
+        np.testing.assert_array_equal(e[1:, 0], want[:-1], err_msg=f"lam={lam}")
+
+
+@pytest.mark.parametrize("lam", [0.366 + 0.419j, 0.7 + 0.69j])
+def test_mode_path_complex_modes(lam):
+    # gtsv does not pivot while |Re lam| + |Im lam| <= 1, and then follows
+    # the scalar loop bit for bit; beyond that it agrees to 1e-14
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
+    got = _mode_path(lam, x)
+    want = _scalar_loop(lam, x)
+    if abs(lam.real) + abs(lam.imag) <= 1.0:
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(scipy.signal.lfilter([1.0], [1.0, -lam], x), want)
+    else:
+        _assert_close_to(got, want)
+
+
+def test_simulate_single_step():
+    sys_ = benchmark_system()
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 5)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 6)
+    trace = simulate(sys_, w, v, 1, burn_in=0)
+    np.testing.assert_array_equal(trace.residuals, v.sample(1))
 
 
 def test_simulate_falls_back_when_modes_are_defective():

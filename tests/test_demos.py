@@ -25,8 +25,8 @@ def test_demo_runs(script):
 
 
 def test_import_is_light():
-    # scipy.signal (for one lfilter) and scipy.optimize (for the LP
-    # oracle) load only when those functions run
+    # scipy.optimize (for the LP oracle) loads only when the oracle runs;
+    # nothing in the package needs scipy.signal
     done = _run(
         [
             "-c",
@@ -58,6 +58,27 @@ def test_state_simulations_stay_light():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_pipeline_stays_light(tmp_path):
+    # the laplacian config takes its moments from the simulated q, so
+    # `all` runs the modal simulation, moment estimation, tuning, far.csv
+    # and reach, and needs neither scipy.signal nor scipy.optimize
+    config = ROOT / "configs" / "benchmark2d_laplacian.json"
+    argv = ["all", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+    done = _run(
+        [
+            "-c",
+            "import sys\n"
+            "from drdetect import cli_runner\n"
+            f"assert cli_runner.main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules))",
+        ]
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "far.csv").is_file()
 
 
 def _run(args):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdetect import MomentSequence, chi_squared_moments, estimate_moments, is_feasible
-from drdetect.moment_core import hankel_pair
+from drdetect import moment_core
+from drdetect.moment_core import _exact_sum, hankel_pair
 
 from conftest import atomic_moments
 
@@ -164,10 +165,57 @@ def test_empirical_closure(samples):
 
 
 def test_estimation_matches_fsum():
-    # compensated summation: permutation invariance of the estimate
+    # correctly rounded sums: the estimate does not depend on sample order
     rng = np.random.default_rng(3)
     samples = rng.chisquare(2, size=10_001)
     a = estimate_moments(samples, 4)
     b = estimate_moments(samples[::-1], 4)
     assert a.moments == b.moments
     assert a.moments[2] == pytest.approx(math.fsum(samples**2) / samples.size, abs=0.0)
+
+
+@given(
+    values=st.lists(
+        st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_matches_fsum(values):
+    got = _exact_sum(np.array(values))
+    assert type(got) is float
+    assert got.hex() == math.fsum(values).hex()
+
+
+@given(
+    base=st.floats(min_value=2.0**-1022, max_value=1e300),
+    pieces=st.sampled_from([1, 2, 4]),
+    nudge=st.sampled_from([0.0, 5e-324]),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_rounds_ties_like_fsum(base, pieces, nudge):
+    # base plus half an ulp is a tie, rounded to even; a subnormal nudge
+    # breaks it upwards
+    values = [base] + [math.ulp(base) / 2 / pieces] * pieces + [nudge]
+    assert _exact_sum(np.array(values)).hex() == math.fsum(values).hex()
+
+
+def test_exact_sum_across_chunks(monkeypatch):
+    rng = np.random.default_rng(5)
+    values = rng.exponential(size=1001) ** 4 * 10.0 ** rng.integers(-30, 30, 1001)
+    want = math.fsum(values)
+    reference = estimate_moments(values, 4)
+    monkeypatch.setattr(moment_core, "_SUM_CHUNK", 64)
+    assert _exact_sum(values).hex() == want.hex()
+    assert estimate_moments(values, 4).moments == reference.moments
+
+
+def test_estimate_moments_errors_on_non_finite_sums():
+    with pytest.raises(ValueError):
+        estimate_moments([1.0, np.nan], 2)
+    with pytest.raises(ValueError):
+        estimate_moments([1.0, np.inf], 2)
+    # finite samples whose sum is too large for a float
+    with pytest.raises(OverflowError):
+        estimate_moments([1e308, 1e308], 1)
