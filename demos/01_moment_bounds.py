@@ -64,9 +64,10 @@ for k in (1, 2, 3, 4):
           f"certificate valid: {sol.y.is_valid()}")
 
 # ---------------------------------------------------------------------------
-# A primal oracle searches over discrete measures on a grid and
-# approaches the same value from below: the SDP is not just an upper
-# bound, it is (numerically) tight.
+# A linear program over discrete measures on a grid lands close to the
+# SDP value, a cross-check that the bound is (numerically) tight.  The
+# oracle is not a certified lower bound: on sequences at the edge of the
+# moment cone its loose moment check can overshoot the true tail.
 
 for k in (2, 4):
     seq = moments.truncated(k)

@@ -10,8 +10,9 @@ variables y_0..y_k are the coefficients of a polynomial certificate
 p(q) = sum_r y_r q^r with p >= 1 above the threshold and p >= 0 on the
 nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 (Markov; a one-sided Chebyshev form valid at thresholds above M2/M1).
-An independent linear-programming oracle over gridded discrete
-distributions provides a primal lower bound for cross-checking.
+A linear-programming oracle over gridded discrete distributions gives
+an independent cross-check.  It is not a certified lower bound: its
+loose moment check can overshoot the true tail on boundary sequences.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from math import comb
 import numpy as np
 
 from . import ipm
-from .ipm import Status, svec, svec_dim
+from .ipm import Status, svec_dim
 from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
@@ -117,16 +118,6 @@ class PolyBound:
         return self.min_over(a) >= 1.0 - 1e-6 and self.min_over(0.0, a) >= -1e-6
 
 
-def _antidiagonal_row(size: int, total: int) -> np.ndarray:
-    """svec coefficients of the functional X -> sum_{i+j=total} X_ij."""
-    e = np.zeros((size, size))
-    for i in range(size):
-        j = total - i
-        if 0 <= j < size:
-            e[i, j] = 1.0
-    return svec(e)
-
-
 def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     """Assemble the dual moment-bound program for sup P(q >= 1).
 
@@ -149,8 +140,10 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     """
     k = moments.order
     size = k + 1
-    odd = np.vstack([_antidiagonal_row(size, 2 * l - 1) for l in range(1, size)])
-    even = np.vstack([_antidiagonal_row(size, 2 * l) for l in range(size)])
+    # row t in svec coordinates of the functional X -> sum_{i+j=t} X_ij
+    rows, cols, scale = ipm._svec_index(size)
+    anti = np.where(rows + cols == np.arange(2 * k + 1)[:, None], scale, 0.0)
+    odd, even = anti[1::2], anti[::2]
     x_even = [[-comb(r, l) for r in range(size)] for l in range(size)]
     z_even = [
         [-comb(k - r, l - r) if r <= l else 0 for r in range(size)]
@@ -162,7 +155,6 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     b[k] = -1.0  # the X even row at l = 0 carries the 1 of p - 1
     return ipm.ConicProblem(
         c_free=np.array(moments.moments),
-        c_blocks=(np.zeros((size, size)), np.zeros((size, size))),
         a_free=np.vstack([no_y, x_even, no_y, z_even]),
         a_blocks=(np.vstack([odd, even, no_block]), np.vstack([no_block, odd, even])),
         b=b,
@@ -201,12 +193,7 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     conic = build_sdp(moments.scaled(1.0 / alpha))
     c_vec = conic.c_free
     size = c_vec.shape[0]
-    init_free = np.zeros(size)
-    init_free[0] = 1.0
-    init_scale = 1.0 + float(np.sum(np.abs(c_vec)))
-    result = ipm.solve(
-        conic, tol=1e-9, init_scale=init_scale, init_free=init_free
-    )
+    result = ipm.solve(conic)
 
     y_scaled = result.x_free
     status = result.status
@@ -242,15 +229,20 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
 def oracle_worst_case(
     moments: MomentSequence, alpha: float, grid: int = 2000
 ) -> float:
-    """Primal lower bound on sup P(q >= alpha) by linear programming.
+    """Cross-check of sup P(q >= alpha) by linear programming.
 
     Maximizes the mass at or above the threshold over discrete
-    distributions supported on a fixed grid, subject to exact moment
-    matching.  Atom locations are a uniform grid on [0, 10 alpha] plus a
-    geometric refinement near zero, with 0 and alpha always included
-    (extremal measures place mass exactly at the threshold).  A basic
-    optimal solution uses at most k+1 atoms.  Converges to the tight
-    bound from below as the grid is refined.
+    distributions supported on a fixed grid, subject to moment matching.
+    Atom locations are a uniform grid on [0, 10 alpha] plus a geometric
+    refinement near zero, with 0 and alpha always included (extremal
+    measures place mass exactly at the threshold).  A basic optimal
+    solution uses at most k+1 atoms.
+
+    This is not a certified lower bound.  The moment rows are scaled by
+    (10 alpha)^r and checked to an absolute 1e-7, which is loose at
+    higher r, so on boundary sequences the LP can move mass above the
+    threshold: for a two-atom law at k = 4 and alpha = 4.45608 it returns
+    0.468 where the true tail is 0.
     """
     import scipy.optimize  # costs about 0.5 s of import, for this call only
 

@@ -1,22 +1,22 @@
-"""Dense primal-dual interior-point solver for small conic programs.
+"""Dense primal-dual interior-point solver for the moment-bound program.
 
-Handles problems in the standard form
+Solves problems in the form
 
-    minimize    c_f . u  +  sum_j <C_j, X_j>
-    subject to  A_f u    +  sum_j A_j svec(X_j)  =  b
+    minimize    c_f . u
+    subject to  A_f u  +  sum_j A_j svec(X_j)  =  b
                 X_j positive semidefinite,  u free,
 
-with a handful of free variables and dense positive-semidefinite blocks
-of single-digit size.  The scheme is the usual infeasible-start Mehrotra
-predictor-corrector with Nesterov-Todd scaling; per iteration one
-factorization of the (m + f) x (m + f) augmented KKT system.
+the layout :func:`drdetect.bound_engine.build_sdp` produces: a handful of
+free variables carry the objective, and the dense positive-semidefinite
+blocks are of single-digit size.  The scheme is the usual infeasible-start
+Mehrotra predictor-corrector with Nesterov-Todd scaling; per iteration one
+LU factorization of the (m + f) x (m + f) augmented KKT system.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +33,17 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# residuals and gap, relative to the problem scale, at which a run is optimal
+_TOL = 1e-9
+_MAX_ITER = 100
 # iterations without halving the best score after which a run has stalled
 _STALL_ITERS = 20
-# triangular solve for float64, bound once instead of looked up per call
-(_TRTRS,) = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)
+# triangular solve and LU factorization and solve for float64, bound once
+# instead of looked up per call; getrf/getrs are the routines under scipy's
+# LU helpers, so the KKT solves round exactly as through those helpers
+_TRTRS, _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(
+    ("trtrs", "getrf", "getrs"), dtype=np.float64
+)
 
 
 class Status(enum.Enum):
@@ -47,6 +54,14 @@ class Status(enum.Enum):
 
 def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def _svec_order(d: int) -> int:
+    """The n with svec_dim(n) = d."""
+    n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
+    if svec_dim(n) != d:
+        raise ValueError(f"length {d} is not a triangular number")
+    return n
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,10 +87,7 @@ def svec(mat: np.ndarray) -> np.ndarray:
 
 def smat(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`."""
-    d = vec.shape[0]
-    n = int(round((math.sqrt(8 * d + 1) - 1) / 2))
-    if svec_dim(n) != d:
-        raise ValueError(f"length {d} is not a triangular number")
+    n = _svec_order(vec.shape[0])
     rows, cols, scale = _svec_index(n)
     out = np.empty((n, n))
     vals = vec / scale
@@ -116,10 +128,10 @@ def _psd_sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ConicProblem:
-    """Conic program data; see the module docstring for the layout."""
+    """Conic program data; see the module docstring for the layout.  The
+    width of each `a_blocks` matrix fixes its block's size."""
 
     c_free: np.ndarray
-    c_blocks: tuple[np.ndarray, ...]
     a_free: np.ndarray
     a_blocks: tuple[np.ndarray, ...]
     b: np.ndarray
@@ -128,43 +140,36 @@ class ConicProblem:
         c_free = np.atleast_1d(np.asarray(self.c_free, dtype=float))
         a_free = np.asarray(self.a_free, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        c_blocks = tuple(_sym(np.asarray(c, dtype=float)) for c in self.c_blocks)
         a_blocks = tuple(np.asarray(a, dtype=float) for a in self.a_blocks)
         m = b.shape[0]
+        if c_free.shape[0] == 0:
+            raise ValueError("the objective needs at least one free variable")
         if a_free.shape != (m, c_free.shape[0]):
             raise ValueError("free-variable constraint matrix has wrong shape")
-        if len(c_blocks) != len(a_blocks):
-            raise ValueError("one constraint matrix is needed per PSD block")
-        for c_mat, a_mat in zip(c_blocks, a_blocks):
-            if a_mat.shape != (m, svec_dim(c_mat.shape[0])):
+        for a_mat in a_blocks:
+            if a_mat.ndim != 2 or a_mat.shape[0] != m:
                 raise ValueError("PSD-block constraint matrix has wrong shape")
-        data = (c_free, a_free, b) + c_blocks + a_blocks
+            _svec_order(a_mat.shape[1])  # raises unless the width is svec_dim(n)
+        data = (c_free, a_free, b) + a_blocks
         if not all(np.all(np.isfinite(arr)) for arr in data):
             raise ValueError("problem data must be finite")
         for arr in data:
             arr.flags.writeable = False
         object.__setattr__(self, "c_free", c_free)
-        object.__setattr__(self, "c_blocks", c_blocks)
         object.__setattr__(self, "a_free", a_free)
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b", b)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(c.shape[0] for c in self.c_blocks)
+        return tuple(_svec_order(a.shape[1]) for a in self.a_blocks)
 
 
 @dataclass
 class ConicSolution:
     x_free: np.ndarray
-    x_blocks: list[np.ndarray]
-    s_blocks: list[np.ndarray]
     dual: np.ndarray
-    primal_objective: float
-    dual_objective: float
     gap: float
-    residual_primal: float
-    residual_dual: float
     iterations: int
     status: Status
 
@@ -192,67 +197,62 @@ def _lyap_solve(q: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return q @ (g / denom) @ q.T
 
 
-def solve(
-    prob: ConicProblem,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    init_scale: float = 1.0,
-    init_free: np.ndarray | None = None,
-) -> ConicSolution:
+def _kkt_solve(
+    lu: np.ndarray, piv: np.ndarray, kkt: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve kkt @ sol = rhs from the `_GETRF` factors of kkt, with one
+    step of iterative refinement."""
+    sol, _ = _GETRS(lu, piv, rhs)
+    if not np.all(np.isfinite(sol)):
+        raise np.linalg.LinAlgError("singular KKT system")
+    sol += _GETRS(lu, piv, rhs - kkt @ sol)[0]
+    if not np.all(np.isfinite(sol)):
+        raise np.linalg.LinAlgError("singular KKT system")
+    return sol
+
+
+def solve(prob: ConicProblem) -> ConicSolution:
     """Run the predictor-corrector iteration until the primal/dual
-    residuals and the complementarity gap all fall below `tol` (relative
+    residuals and the complementarity gap all fall below `_TOL` (relative
     to the problem scale).
 
-    The score of an iterate is the largest of those three measures.  A
-    run whose best score has not halved within `_STALL_ITERS` iterations
-    has stalled: it stops with `NUMERICAL_TROUBLE` instead of running on
-    to `max_iter`.  Any run that does not reach `OPTIMAL` returns its
-    best-scored iterate."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if not math.isfinite(init_scale):
-        raise ValueError("initial scale must be finite")
+    The start is u = e_0 and X_j = (1 + sum |c_f|) I, S_j = I, lambda = 0.
+    The score of an iterate is the largest of the three measures.  A run
+    whose best score has not halved within `_STALL_ITERS` iterations has
+    stalled: it stops with `NUMERICAL_TROUBLE` instead of running on to
+    `_MAX_ITER`, as does a run whose KKT matrix is exactly singular.  Any
+    run that does not reach `OPTIMAL` returns its best-scored iterate."""
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
     sizes = prob.block_sizes
     n_tot = sum(sizes)
-    c_cone = [svec(c) for c in prob.c_blocks]
-    c_norm = 1.0 + math.sqrt(
-        float(np.dot(prob.c_free, prob.c_free))
-        + sum(float(np.dot(cv, cv)) for cv in c_cone)
-    )
+    c_norm = 1.0 + math.sqrt(float(np.dot(prob.c_free, prob.c_free)))
     b_norm = 1.0 + float(np.linalg.norm(prob.b))
 
-    u = (
-        np.zeros(f)
-        if init_free is None
-        else np.array(init_free, dtype=float, copy=True)
-    )
-    if u.shape != (f,):
-        raise ValueError("initial free variables have wrong shape")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial free variables must be finite")
+    u = np.zeros(f)
+    u[0] = 1.0
+    init_scale = 1.0 + float(np.sum(np.abs(prob.c_free)))
     xs = [init_scale * np.eye(n) for n in sizes]
     ss = [np.eye(n) for n in sizes]
     lam = np.zeros(m)
 
-    def residuals(u, xs, ss, lam):
+    best = None
+    best_score = np.inf
+    halved_score = np.inf
+    halved_at = 0
+    status = Status.MAX_ITER
+    iterations = 0
+
+    for iteration in range(_MAX_ITER + 1):
         rp = prob.b - prob.a_free @ u
         for a_mat, x in zip(prob.a_blocks, xs):
             rp = rp - a_mat @ svec(x)
         rd_free = prob.c_free - prob.a_free.T @ lam
         rd_cone = [
-            cv - a_mat.T @ lam - svec(s)
-            for cv, a_mat, s in zip(c_cone, prob.a_blocks, ss)
+            -(a_mat.T @ lam) - svec(s) for a_mat, s in zip(prob.a_blocks, ss)
         ]
-        return rp, rd_free, rd_cone
-
-    def metrics(u, xs, ss, lam):
-        rp, rd_free, rd_cone = residuals(u, xs, ss, lam)
         gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss))
-        pobj = float(np.dot(prob.c_free, u)) + sum(
-            float(np.sum(c * x)) for c, x in zip(prob.c_blocks, xs)
-        )
+        pobj = float(np.dot(prob.c_free, u))
         dobj = float(np.dot(prob.b, lam))
         res_p = float(np.linalg.norm(rp)) / b_norm
         res_d = (
@@ -263,30 +263,12 @@ def solve(
             / c_norm
         )
         rel_gap = gap / max(1.0, abs(pobj), abs(dobj))
-        return rp, rd_free, rd_cone, gap, pobj, dobj, res_p, res_d, rel_gap
-
-    best = None
-    best_score = np.inf
-    halved_score = np.inf
-    halved_at = 0
-    status = Status.MAX_ITER
-    iterations = 0
-
-    for iteration in range(max_iter + 1):
-        rp, rd_free, rd_cone, gap, pobj, dobj, res_p, res_d, rel_gap = metrics(
-            u, xs, ss, lam
-        )
         iterations = iteration
         score = max(res_p, res_d, rel_gap)
         if score < best_score:
             best_score = score
-            best = (
-                u.copy(),
-                [x.copy() for x in xs],
-                [s.copy() for s in ss],
-                lam.copy(),
-            )
-        if res_p <= tol and res_d <= tol and rel_gap <= tol:
+            best = (u, lam, gap)
+        if res_p <= _TOL and res_d <= _TOL and rel_gap <= _TOL:
             status = Status.OPTIMAL
             break
         if best_score <= 0.5 * halved_score:
@@ -295,7 +277,7 @@ def solve(
         elif iteration - halved_at >= _STALL_ITERS:
             status = Status.NUMERICAL_TROUBLE
             break
-        if iteration == max_iter:
+        if iteration == _MAX_ITER:
             status = Status.MAX_ITER
             break
 
@@ -328,13 +310,9 @@ def solve(
         kkt[:m, :m] = schur
         kkt[:m, m:] = prob.a_free
         kkt[m:, :m] = prob.a_free.T
-        try:
-            with warnings.catch_warnings():
-                # a singular KKT system surfaces as non-finite Newton steps,
-                # handled below; the factorization warning is redundant
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(kkt, check_finite=False)
-        except (ValueError, scipy.linalg.LinAlgError):
+        lu, piv, info = _GETRF(kkt)
+        if info != 0:
+            # an exactly singular KKT matrix has a zero pivot
             status = Status.NUMERICAL_TROUBLE
             break
 
@@ -351,15 +329,7 @@ def solve(
                     rdf_v,
                 ]
             )
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError("singular KKT system")
-            # one step of iterative refinement on the KKT solve
-            sol += scipy.linalg.lu_solve(
-                lu, rhs - kkt @ sol, check_finite=False
-            )
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError("singular KKT system")
+            sol = _kkt_solve(lu, piv, kkt, rhs)
             dlam, du = sol[:m], sol[m:]
             dss, dxs = [], []
             for a_mat, e_mat, r, c in zip(prob.a_blocks, e_mats, rdc_v, rc_v):
@@ -427,18 +397,7 @@ def solve(
             break
 
     if status is not Status.OPTIMAL and best is not None:
-        u, xs, ss, lam = best
-    _, _, _, gap, pobj, dobj, res_p, res_d, _ = metrics(u, xs, ss, lam)
+        u, lam, gap = best
     return ConicSolution(
-        x_free=u,
-        x_blocks=list(xs),
-        s_blocks=list(ss),
-        dual=lam,
-        primal_objective=pobj,
-        dual_objective=dobj,
-        gap=gap,
-        residual_primal=res_p,
-        residual_dual=res_d,
-        iterations=iterations,
-        status=status,
+        x_free=u, dual=lam, gap=gap, iterations=iterations, status=status
     )

@@ -100,7 +100,7 @@ def test_build_sdp_row_structure_k1():
     np.testing.assert_array_equal(prob.c_free, [1.0, 0.5])
     # 4k + 2 rows and blocks of size k + 1 at k = 1
     assert prob.b.shape == (6,)
-    assert [c.shape for c in prob.c_blocks] == [(2, 2), (2, 2)]
+    assert prob.block_sizes == (2, 2)
     # the known Markov certificate p(q) = q, y = (0, 1), with
     # X = diag(0, 1), Z = diag(0, 1) satisfies every row
     y = np.array([0.0, 1.0])
@@ -125,7 +125,7 @@ def test_build_sdp_constant_one_certificate_k2():
 
 def test_build_sdp_block_sizes_k4():
     prob = build_sdp(CHI2.scaled(1.0 / 9.0))
-    assert [c.shape for c in prob.c_blocks] == [(5, 5), (5, 5)]
+    assert prob.block_sizes == (5, 5)
     assert prob.b.shape == (18,)  # 4k + 2 rows
     # in threshold units the rows are integers that depend on k alone
     np.testing.assert_array_equal(prob.a_free, np.round(prob.a_free))

@@ -14,6 +14,7 @@ from drdetect import (
     solve_sdp,
     tune_threshold_sdp,
 )
+from drdetect import detector_tuning
 
 from conftest import random_moments
 
@@ -216,7 +217,13 @@ def test_threshold_result_csv_round_trip():
     assert float(epsilon) == res.epsilon
 
 
-def test_memoized_recursion_is_stable():
-    a = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4)
-    b = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4)
-    assert a.alpha == b.alpha
+def test_memoized_recursion_is_stable(monkeypatch):
+    # each call tunes from an empty memo, so the second one cannot hand
+    # back the first one's object and a nondeterministic step shows
+    results = []
+    for _ in range(2):
+        monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+        results.append(tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4))
+    a, b = results
+    assert a is not b
+    assert a == b
