@@ -12,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import scipy.special
-
 from .bound_engine import solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
@@ -89,6 +87,8 @@ def chi_squared_threshold(p: int, rate: float) -> float:
         raise ValueError("degrees of freedom must be at least 1")
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0, 1)")
+    import scipy.special  # costs about 0.06 s of import, for this call only
+
     return float(2.0 * scipy.special.gammaincinv(0.5 * p, 1.0 - rate))
 
 

@@ -8,9 +8,13 @@ Solves problems in the form
 
 the layout :func:`drdetect.bound_engine.build_sdp` produces: a handful of
 free variables carry the objective, and the dense positive-semidefinite
-blocks are of single-digit size.  The scheme is the usual infeasible-start
-Mehrotra predictor-corrector with Nesterov-Todd scaling; per iteration one
-LU factorization of the (m + f) x (m + f) augmented KKT system.
+blocks are all of one single-digit size.  The scheme is the usual
+infeasible-start Mehrotra predictor-corrector with Nesterov-Todd scaling;
+per iteration one LU factorization of the (m + f) x (m + f) augmented KKT
+system.  The blocks ride on the leading axis of every array, so each
+block operation is one numpy call over the stack; stacked matmul, eigh,
+eigvalsh and cholesky round each slice exactly as a call on that slice
+alone does.
 """
 from __future__ import annotations
 
@@ -86,13 +90,13 @@ def svec(mat: np.ndarray) -> np.ndarray:
 
 
 def smat(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    n = _svec_order(vec.shape[0])
+    """Inverse of :func:`svec`, also over a stack (..., d)."""
+    n = _svec_order(vec.shape[-1])
     rows, cols, scale = _svec_index(n)
-    out = np.empty((n, n))
+    out = np.empty(vec.shape[:-1] + (n, n))
     vals = vec / scale
-    out[rows, cols] = vals
-    out[cols, rows] = vals
+    out[..., rows, cols] = vals
+    out[..., cols, rows] = vals
     return out
 
 
@@ -104,53 +108,67 @@ def _smat_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (..., n, n)."""
+    return np.swapaxes(mat, -1, -2)
+
+
 def _sym_kron(w: np.ndarray) -> np.ndarray:
-    """Matrix of the congruence map M -> W M W in svec coordinates; column
-    i is svec(W smat(e_i) W)."""
+    """Matrix of the congruence map M -> W M W in svec coordinates, for
+    each W of a stack (..., n, n); column i is svec(W smat(e_i) W)."""
     # the stacked matmul repeats the per-column products exactly; the copy
     # keeps the C layout, so products with the result take the same BLAS
     # calls as before and round the same way
-    return np.ascontiguousarray(svec(w @ _smat_basis(w.shape[0]) @ w).T)
+    w = w[..., None, :, :]
+    return np.ascontiguousarray(_t(svec(w @ _smat_basis(w.shape[-1]) @ w)))
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + _t(mat))
 
 
 def _psd_sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M^{1/2}, M^{-1/2}) of a symmetric positive-definite matrix."""
+    """(M^{1/2}, M^{-1/2}) of each symmetric positive-definite matrix of a
+    stack (..., n, n)."""
     vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0:
+    if np.any(vals[..., 0] <= 0):
         raise np.linalg.LinAlgError("matrix not positive definite")
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
+    root = np.sqrt(vals)[..., None, :]
+    return (vecs * root) @ _t(vecs), (vecs / root) @ _t(vecs)
 
 
 @dataclass(frozen=True)
 class ConicProblem:
     """Conic program data; see the module docstring for the layout.  The
-    width of each `a_blocks` matrix fixes its block's size."""
+    blocks must all have one size, which the common width of the
+    `a_blocks` matrices fixes; they are stored stacked, as one read-only
+    (blocks, m, svec_dim(n)) array."""
 
     c_free: np.ndarray
     a_free: np.ndarray
-    a_blocks: tuple[np.ndarray, ...]
+    a_blocks: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
         c_free = np.atleast_1d(np.asarray(self.c_free, dtype=float))
         a_free = np.asarray(self.a_free, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        a_blocks = tuple(np.asarray(a, dtype=float) for a in self.a_blocks)
+        blocks = [np.asarray(a, dtype=float) for a in self.a_blocks]
         m = b.shape[0]
         if c_free.shape[0] == 0:
             raise ValueError("the objective needs at least one free variable")
         if a_free.shape != (m, c_free.shape[0]):
             raise ValueError("free-variable constraint matrix has wrong shape")
-        for a_mat in a_blocks:
+        if not blocks:
+            raise ValueError("the program needs at least one PSD block")
+        for a_mat in blocks:
             if a_mat.ndim != 2 or a_mat.shape[0] != m:
                 raise ValueError("PSD-block constraint matrix has wrong shape")
             _svec_order(a_mat.shape[1])  # raises unless the width is svec_dim(n)
-        data = (c_free, a_free, b) + a_blocks
+        if len({a_mat.shape[1] for a_mat in blocks}) != 1:
+            raise ValueError("the PSD blocks must all have the same size")
+        a_blocks = np.stack(blocks)
+        data = (c_free, a_free, b, a_blocks)
         if not all(np.all(np.isfinite(arr)) for arr in data):
             raise ValueError("problem data must be finite")
         for arr in data:
@@ -162,7 +180,8 @@ class ConicProblem:
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(_svec_order(a.shape[1]) for a in self.a_blocks)
+        nb, _, d = self.a_blocks.shape
+        return (_svec_order(d),) * nb
 
 
 @dataclass
@@ -174,27 +193,46 @@ class ConicSolution:
     status: Status
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest a with X + a dX psd, for X positive definite."""
+def _max_step(xs: np.ndarray, dxs: np.ndarray) -> float:
+    """Largest a with X + a dX psd for every X, dX of the stacks
+    (blocks, n, n), each X positive definite; 0 when one is not."""
     try:
-        chol = np.linalg.cholesky(x)
+        chols = np.linalg.cholesky(xs)
     except np.linalg.LinAlgError:
         return 0.0
     # L^{-1} dX L^{-T}; LAPACK reads the C-ordered factor L as the
-    # Fortran-ordered upper factor L^T, so solve with its transpose
-    inner, _ = _TRTRS(chol.T, dx, lower=0, trans=1)
-    inner, _ = _TRTRS(chol.T, inner.T, lower=0, trans=1)
-    lo = float(np.linalg.eigvalsh(_sym(inner))[0])
+    # Fortran-ordered upper factor L^T, so solve with its transpose.
+    # LAPACK has no batched trtrs, so this is the one per-block loop.
+    inners = np.empty_like(dxs)
+    for chol, dx, inner in zip(chols, dxs, inners):
+        half, _ = _TRTRS(chol.T, dx, lower=0, trans=1)
+        inner[...] = _TRTRS(chol.T, half.T, lower=0, trans=1)[0]
+    # the step is monotone in the smallest eigenvalue, so the least over
+    # the blocks gives the least step
+    lo = float(np.min(np.linalg.eigvalsh(_sym(inners))[:, 0]))
     if lo >= -1e-14:
         return np.inf
     return -1.0 / lo
 
 
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The products mats[j] @ vecs[j] over a stack of blocks."""
+    # matmul makes one gemv per block, as the product of that block alone
+    # does; np.einsum sums in another order and rounds differently
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _inner_sum(xs: np.ndarray, ss: np.ndarray) -> float:
+    """sum_j <X_j, S_j>, one block sum after the other."""
+    return sum(np.sum(xs * ss, axis=(1, 2)).tolist())
+
+
 def _lyap_solve(q: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (lam Y + Y lam) / 2 = rhs for symmetric Y, lam = Q diag(d) Q'."""
-    g = q.T @ rhs @ q
-    denom = 0.5 * (d[:, None] + d[None, :])
-    return q @ (g / denom) @ q.T
+    """Solve (lam Y + Y lam) / 2 = rhs for symmetric Y, lam = Q diag(d) Q',
+    for each matrix of the stacks."""
+    g = _t(q) @ rhs @ q
+    denom = 0.5 * (d[..., :, None] + d[..., None, :])
+    return q @ (g / denom) @ _t(q)
 
 
 def _kkt_solve(
@@ -224,16 +262,17 @@ def solve(prob: ConicProblem) -> ConicSolution:
     run that does not reach `OPTIMAL` returns its best-scored iterate."""
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
+    a_mats = prob.a_blocks
     sizes = prob.block_sizes
-    n_tot = sum(sizes)
+    n, n_tot = sizes[0], sum(sizes)
     c_norm = 1.0 + math.sqrt(float(np.dot(prob.c_free, prob.c_free)))
     b_norm = 1.0 + float(np.linalg.norm(prob.b))
 
     u = np.zeros(f)
     u[0] = 1.0
     init_scale = 1.0 + float(np.sum(np.abs(prob.c_free)))
-    xs = [init_scale * np.eye(n) for n in sizes]
-    ss = [np.eye(n) for n in sizes]
+    ss = np.repeat(np.eye(n)[None], len(sizes), axis=0)
+    xs = init_scale * ss
     lam = np.zeros(m)
 
     best = None
@@ -245,13 +284,11 @@ def solve(prob: ConicProblem) -> ConicSolution:
 
     for iteration in range(_MAX_ITER + 1):
         rp = prob.b - prob.a_free @ u
-        for a_mat, x in zip(prob.a_blocks, xs):
-            rp = rp - a_mat @ svec(x)
+        for a_x in _mv(a_mats, svec(xs)):  # block by block, in order
+            rp = rp - a_x
         rd_free = prob.c_free - prob.a_free.T @ lam
-        rd_cone = [
-            -(a_mat.T @ lam) - svec(s) for a_mat, s in zip(prob.a_blocks, ss)
-        ]
-        gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss))
+        rd_cone = -(_t(a_mats) @ lam) - svec(ss)
+        gap = _inner_sum(xs, ss)
         pobj = float(np.dot(prob.c_free, u))
         dobj = float(np.dot(prob.b, lam))
         res_p = float(np.linalg.norm(rp)) / b_norm
@@ -285,29 +322,24 @@ def solve(prob: ConicProblem) -> ConicSolution:
 
         # Nesterov-Todd scaling per block: W S W = X.
         try:
-            scal = []
-            for x, s in zip(xs, ss):
-                s_half, s_ihalf = _psd_sqrt_pair(s)
-                t_half, _ = _psd_sqrt_pair(_sym(s_half @ x @ s_half))
-                w = _sym(s_ihalf @ t_half @ s_ihalf)
-                r_half, r_ihalf = _psd_sqrt_pair(w)
-                lam_mat = _sym(
-                    0.5 * (r_ihalf @ x @ r_ihalf + r_half @ s @ r_half)
-                )
-                d_l, q_l = np.linalg.eigh(lam_mat)
-                if d_l[0] <= 0:
-                    raise np.linalg.LinAlgError("scaled point not positive")
-                scal.append((w, r_half, r_ihalf, lam_mat, d_l, q_l))
+            s_half, s_ihalf = _psd_sqrt_pair(ss)
+            t_half, _ = _psd_sqrt_pair(_sym(s_half @ xs @ s_half))
+            w = _sym(s_ihalf @ t_half @ s_ihalf)
+            r_half, r_ihalf = _psd_sqrt_pair(w)
+            lam_mat = _sym(
+                0.5 * (r_ihalf @ xs @ r_ihalf + r_half @ ss @ r_half)
+            )
+            d_l, q_l = np.linalg.eigh(lam_mat)
+            if np.any(d_l[:, 0] <= 0):
+                raise np.linalg.LinAlgError("scaled point not positive")
         except np.linalg.LinAlgError:
             status = Status.NUMERICAL_TROUBLE
             break
 
-        e_mats = [_sym_kron(w) for (w, *_rest) in scal]
-        schur = np.zeros((m, m))
-        for a_mat, e_mat in zip(prob.a_blocks, e_mats):
-            schur += a_mat @ e_mat @ a_mat.T
+        e_mats = _sym_kron(w)
         kkt = np.zeros((m + f, m + f))
-        kkt[:m, :m] = schur
+        # the builtin sum adds the blocks' Schur terms in order, from 0
+        kkt[:m, :m] = sum(a_mats @ e_mats @ _t(a_mats))
         kkt[:m, m:] = prob.a_free
         kkt[m:, :m] = prob.a_free.T
         lu, piv, info = _GETRF(kkt)
@@ -318,59 +350,37 @@ def solve(prob: ConicProblem) -> ConicSolution:
 
         def newton(rp_v, rdf_v, rdc_v, rc_v):
             rhs = np.concatenate(
-                [
-                    rp_v
-                    + sum(
-                        a_mat @ (e_mat @ r - c)
-                        for a_mat, e_mat, r, c in zip(
-                            prob.a_blocks, e_mats, rdc_v, rc_v
-                        )
-                    ),
-                    rdf_v,
-                ]
+                [rp_v + sum(_mv(a_mats, _mv(e_mats, rdc_v) - rc_v)), rdf_v]
             )
             sol = _kkt_solve(lu, piv, kkt, rhs)
             dlam, du = sol[:m], sol[m:]
-            dss, dxs = [], []
-            for a_mat, e_mat, r, c in zip(prob.a_blocks, e_mats, rdc_v, rc_v):
-                ds = r - a_mat.T @ dlam
-                dx = c - e_mat @ ds
-                dss.append(smat(ds))
-                dxs.append(smat(dx))
-            return du, dxs, dss, dlam
+            ds = rdc_v - _t(a_mats) @ dlam
+            dx = rc_v - _mv(e_mats, ds)
+            return du, smat(dx), smat(ds), dlam
 
         # predictor: aim at the boundary (sigma = 0)
         try:
-            rc_aff = [-svec(x) for x in xs]
+            rc_aff = -svec(xs)
             du_a, dxs_a, dss_a, dlam_a = newton(rp, rd_free, rd_cone, rc_aff)
         except np.linalg.LinAlgError:
             status = Status.NUMERICAL_TROUBLE
             break
-        ap = min((_max_step(x, dx) for x, dx in zip(xs, dxs_a)), default=np.inf)
-        ad = min((_max_step(s, ds) for s, ds in zip(ss, dss_a)), default=np.inf)
-        ap = min(1.0, ap)
-        ad = min(1.0, ad)
-        gap_aff = sum(
-            float(np.sum((x + ap * dx) * (s + ad * ds)))
-            for x, dx, s, ds in zip(xs, dxs_a, ss, dss_a)
-        )
+        ap = min(1.0, _max_step(xs, dxs_a))
+        ad = min(1.0, _max_step(ss, dss_a))
+        gap_aff = _inner_sum(xs + ap * dxs_a, ss + ad * dss_a)
         mu_aff = max(gap_aff, 0.0) / n_tot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         # corrector in the scaled space, with the Mehrotra cross term
-        rc = []
-        for (w, r_half, r_ihalf, lam_mat, d_l, q_l), dx_a, ds_a in zip(
-            scal, dxs_a, dss_a
-        ):
-            dxi = r_ihalf @ dx_a @ r_ihalf
-            dsg = r_half @ ds_a @ r_half
-            rhs_mat = (
-                sigma * mu * np.eye(lam_mat.shape[0])
-                - lam_mat @ lam_mat
-                - 0.5 * (dxi @ dsg + dsg @ dxi)
-            )
-            sol_mat = _lyap_solve(q_l, d_l, _sym(rhs_mat))
-            rc.append(svec(_sym(r_half @ sol_mat @ r_half)))
+        dxi = r_ihalf @ dxs_a @ r_ihalf
+        dsg = r_half @ dss_a @ r_half
+        rhs_mat = (
+            sigma * mu * np.eye(n)
+            - lam_mat @ lam_mat
+            - 0.5 * (dxi @ dsg + dsg @ dxi)
+        )
+        sol_mat = _lyap_solve(q_l, d_l, _sym(rhs_mat))
+        rc = svec(_sym(r_half @ sol_mat @ r_half))
         try:
             du, dxs, dss, dlam = newton(rp, rd_free, rd_cone, rc)
         except np.linalg.LinAlgError:
@@ -378,21 +388,17 @@ def solve(prob: ConicProblem) -> ConicSolution:
             break
 
         eta = 0.98
-        ap = min((_max_step(x, dx) for x, dx in zip(xs, dxs)), default=np.inf)
-        ad = min((_max_step(s, ds) for s, ds in zip(ss, dss)), default=np.inf)
-        ap = min(1.0, eta * ap)
-        ad = min(1.0, eta * ad)
+        ap = min(1.0, eta * _max_step(xs, dxs))
+        ad = min(1.0, eta * _max_step(ss, dss))
         if ap < 1e-10 and ad < 1e-10:
             status = Status.NUMERICAL_TROUBLE
             break
 
         u = u + ap * du
         lam = lam + ad * dlam
-        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
-        ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
-        if not all(np.all(np.isfinite(arr)) for arr in xs + ss) or not (
-            np.all(np.isfinite(u)) and np.all(np.isfinite(lam))
-        ):
+        xs = _sym(xs + ap * dxs)
+        ss = _sym(ss + ad * dss)
+        if not all(np.all(np.isfinite(arr)) for arr in (xs, ss, u, lam)):
             status = Status.NUMERICAL_TROUBLE
             break
 

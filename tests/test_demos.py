@@ -25,13 +25,15 @@ def test_demo_runs(script):
 
 
 def test_import_is_light():
-    # scipy.optimize (for the LP oracle) loads only when the oracle runs;
-    # nothing in the package needs scipy.signal
+    # scipy.optimize (for the LP oracle) and scipy.special (for the
+    # chi-squared quantile) load only when their one caller runs; nothing
+    # in the package needs scipy.signal
     done = _run(
         [
             "-c",
             "import sys, drdetect; drdetect.benchmark_system(); "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
+            "print(sorted(m for m in "
+            "('scipy.signal', 'scipy.optimize', 'scipy.special') "
             "if m in sys.modules))",
         ]
     )

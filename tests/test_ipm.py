@@ -13,10 +13,14 @@ from drdetect.ipm import (
     _GETRF,
     ConicProblem,
     Status,
+    _inner_sum,
     _kkt_solve,
     _max_step,
+    _mv,
+    _psd_sqrt_pair,
     _sym,
     _sym_kron,
+    _t,
     smat,
     solve,
     svec,
@@ -104,25 +108,85 @@ def test_svec_and_smat_match_the_loops_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sym_kron_matches_the_column_loop_bit_for_bit(n):
+    # over a stack of blocks, each slice equals the column loop
     rng = np.random.default_rng(100 + n)
     for _ in range(20):
-        for w in (_random_sym(rng, n), _random_pd(rng, n)):
-            kron = _sym_kron(w)
-            np.testing.assert_array_equal(kron, _sym_kron_loop(w))
-            assert kron.flags.c_contiguous
+        ws = np.stack([_random_sym(rng, n), _random_pd(rng, n)])
+        kron = _sym_kron(ws)
+        assert kron.flags.c_contiguous
+        for j, w in enumerate(ws):
+            np.testing.assert_array_equal(kron[j], _sym_kron_loop(w))
+            np.testing.assert_array_equal(kron[j], _sym_kron(w))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_psd_sqrt_pair_stacked_matches_per_slice_bit_for_bit(n):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(20):
+        mats = np.stack([_random_pd(rng, n) for _ in range(2)])
+        roots, inv_roots = _psd_sqrt_pair(mats)
+        for j, mat in enumerate(mats):
+            root, inv_root = _psd_sqrt_pair(mat)
+            np.testing.assert_array_equal(roots[j], root)
+            np.testing.assert_array_equal(inv_roots[j], inv_root)
+    # one slice that is not positive definite fails the whole stack
+    with pytest.raises(np.linalg.LinAlgError):
+        _psd_sqrt_pair(np.stack([np.eye(n), -np.eye(n)]))
+
+
+def _max_step_per_slice(xs, dxs):
+    steps = []
+    for x, dx in zip(xs, dxs):
+        try:
+            steps.append(_max_step_solve_triangular(x, dx))
+        except np.linalg.LinAlgError:
+            steps.append(0.0)
+    return min(steps)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_max_step_matches_solve_triangular_bit_for_bit(n):
+    # the stacked step is the least per-slice reference step
     rng = np.random.default_rng(200 + n)
     steps = []
-    for _ in range(40):
-        x, dx = _random_pd(rng, n), _random_sym(rng, n)
-        steps.append(_max_step(x, dx))
-        assert steps[-1] == _max_step_solve_triangular(x, dx)
+    for nb in (1, 2, 3):
+        for _ in range(20):
+            xs = np.stack([_random_pd(rng, n) for _ in range(nb)])
+            dxs = np.stack([_random_sym(rng, n) for _ in range(nb)])
+            steps.append(_max_step(xs, dxs))
+            assert steps[-1] == _max_step_per_slice(xs, dxs)
     assert any(np.isfinite(steps))
-    # not positive definite: no step
-    assert _max_step(-np.eye(n), np.eye(n)) == 0.0
+    # one slice not positive definite: no step
+    xs = np.stack([_random_pd(rng, n), -np.eye(n)])
+    dxs = np.stack([_random_sym(rng, n), np.eye(n)])
+    assert _max_step(xs, dxs) == 0.0 == _max_step_per_slice(xs, dxs)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_block_products_match_per_block_bit_for_bit(k):
+    # the moment program's sizes: 4k + 2 rows, two blocks of size k + 1
+    rng = np.random.default_rng(500 + k)
+    m, n = 4 * k + 2, k + 1
+    d = svec_dim(n)
+    for _ in range(20):
+        a_mats = ConicProblem(
+            c_free=np.ones(1),
+            a_free=np.zeros((m, 1)),
+            a_blocks=tuple(rng.standard_normal((2, m, d))),
+            b=np.zeros(m),
+        ).a_blocks
+        vecs = rng.standard_normal((2, d))
+        lam = rng.standard_normal(m)
+        xs = np.stack([_random_sym(rng, n) for _ in range(2)])
+        ss = np.stack([_random_sym(rng, n) for _ in range(2)])
+        products = _mv(a_mats, vecs)
+        transposed = _t(a_mats) @ lam
+        for j in range(2):
+            np.testing.assert_array_equal(products[j], a_mats[j] @ vecs[j])
+            np.testing.assert_array_equal(transposed[j], a_mats[j].T @ lam)
+        assert _inner_sum(xs, ss) == sum(
+            float(np.sum(x * s)) for x, s in zip(xs, ss)
+        )
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -309,16 +373,20 @@ def test_problem_validation():
         _trace_problem(a_blocks=(np.zeros((2, 3)),))  # one row too many
     with pytest.raises(ValueError, match="free variable"):
         _trace_problem(c_free=np.zeros(0), a_free=np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="at least one PSD block"):
+        _trace_problem(a_blocks=())
+    with pytest.raises(ValueError, match="same size"):
+        # a 2x2 block next to a 3x3 block
+        _trace_problem(a_blocks=(np.zeros((1, 3)), np.zeros((1, 6))))
     assert _trace_problem().block_sizes == (2,)
+    stacked = _trace_problem(a_blocks=(np.zeros((1, 3)),) * 2)
+    assert stacked.block_sizes == (2, 2)
+    assert stacked.a_blocks.shape == (2, 1, 3)
+    assert not stacked.a_blocks.flags.writeable
     # non-finite data is rejected when the problem is built
     for field in ("b", "c_free", "a_free", "a_blocks"):
         for bad in (np.nan, np.inf, -np.inf):
-            value = getattr(_trace_problem(), field)
-            if isinstance(value, tuple):
-                value = (value[0].copy(),)
-                value[0][0, 0] = bad
-            else:
-                value = value.copy()
-                value.flat[0] = bad
+            value = getattr(_trace_problem(), field).copy()
+            value.flat[0] = bad
             with pytest.raises(ValueError, match="finite"):
                 _trace_problem(**{field: value})
