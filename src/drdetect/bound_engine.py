@@ -16,6 +16,7 @@ loose moment check can overshoot the true tail on boundary sequences.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -123,9 +124,10 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
 
     The bound at a threshold alpha is this program for the moments of
     q/alpha, ``moments.scaled(1/alpha)``; in these units every constraint
-    coefficient is an integer that depends on k alone.  Objective:
-    minimize sum_r y_r M^r over free y and two (k+1) x (k+1) PSD blocks
-    X and Z, subject to
+    coefficient is an integer that depends on k alone, and programs of
+    one order share their read-only rows.  Objective: minimize
+    sum_r y_r M^r over free y and two (k+1) x (k+1) PSD blocks X and Z,
+    subject to
 
       X odd,  l = 1..k:   sum_{i+j=2l-1} X_ij = 0
       X even, l = 0..k:   sum_{i+j=2l} X_ij = sum_{r=l..k} C(r,l) y_r - [l = 0]
@@ -138,7 +140,14 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     The result is laid out for :mod:`drdetect.ipm`: `c_free` holds the
     moments, `a_free` acts on y, and the two blocks on svec(X), svec(Z).
     """
-    k = moments.order
+    return _moment_rows(moments.order).with_objective(moments.moments)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_rows(k: int) -> ipm.ConicProblem:
+    """The program of :func:`build_sdp` at order k with a zero objective.
+    Its rows are integers that depend on k alone, so they are made and
+    checked once per order and shared by every threshold."""
     size = k + 1
     # row t in svec coordinates of the functional X -> sum_{i+j=t} X_ij
     rows, cols, scale = ipm._svec_index(size)
@@ -154,7 +163,7 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     b = np.zeros(2 * (k + size))
     b[k] = -1.0  # the X even row at l = 0 carries the 1 of p - 1
     return ipm.ConicProblem(
-        c_free=np.array(moments.moments),
+        c_free=np.zeros(size),
         a_free=np.vstack([no_y, x_even, no_y, z_even]),
         a_blocks=(np.vstack([odd, even, no_block]), np.vstack([no_block, odd, even])),
         b=b,

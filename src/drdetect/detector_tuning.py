@@ -154,12 +154,13 @@ def tune_threshold_sdp(
     target rate <= 1/2).  The upper end starts at the lower-order
     threshold: the Markov one, or the (k-1)-moment one where it is lower,
     computed recursively down to the closed forms; it brackets from above
-    because the bound shrinks as moments are added.  Should the k-moment
-    bound there come out above the target, the lower-order guarantee
-    stands in for it, since every certificate for fewer moments is one
-    for k moments too.  Results are memoized per moment sequence.  If the
-    bound at the lower end already meets the target, that end is returned
-    with `bracket_degenerate` set.
+    because the bound shrinks as moments are added.  The k-moment bound
+    there is solved only when no midpoint meets the target, since the
+    first midpoint that does replaces it.  Should it come out above the
+    target, the lower-order guarantee stands in for it, since every
+    certificate for fewer moments is one for k moments too.  Results are
+    memoized per moment sequence.  If the bound at the lower end already
+    meets the target, that end is returned with `bracket_degenerate` set.
     """
     k = moments.order
     if k < 2:
@@ -204,10 +205,7 @@ def tune_threshold_sdp(
         _AUTO_CACHE[cache_key] = result
         return result
 
-    achieved = solve_sdp(moments, a_u).objective
-    if achieved > rate + 1e-7:
-        # every certificate for a lower order is one for order k as well
-        achieved = upper.achieved_worst_case
+    achieved = None
     while a_u - a_l > epsilon:
         mid = 0.5 * (a_l + a_u)
         p_mid = solve_sdp(moments, mid).objective
@@ -216,6 +214,13 @@ def tune_threshold_sdp(
         else:
             a_u = mid
             achieved = p_mid
+    if achieved is None:
+        # no midpoint came down, so the bound at the initial upper end is
+        # the one returned; no midpoint reads it, so it is solved only now
+        achieved = solve_sdp(moments, a_u).objective
+        if achieved > rate + 1e-7:
+            # every certificate for a lower order is one for order k as well
+            achieved = upper.achieved_worst_case
     result = ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,

@@ -12,12 +12,14 @@ blocks are all of one single-digit size.  The scheme is the usual
 infeasible-start Mehrotra predictor-corrector with Nesterov-Todd scaling;
 per iteration one LU factorization of the (m + f) x (m + f) augmented KKT
 system.  The blocks ride on the leading axis of every array, so each
-block operation is one numpy call over the stack; stacked matmul, eigh,
-eigvalsh and cholesky round each slice exactly as a call on that slice
-alone does.
+block operation is one numpy call over the stack, and the primal X and
+the dual S share one stack wherever the iteration treats them alike;
+stacked matmul, eigh, eigvalsh and cholesky round each slice exactly as
+a call on that slice alone does.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import math
@@ -110,7 +112,7 @@ def _smat_basis(n: int) -> np.ndarray:
 
 def _t(mat: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack (..., n, n)."""
-    return np.swapaxes(mat, -1, -2)
+    return mat.swapaxes(-1, -2)
 
 
 def _sym_kron(w: np.ndarray) -> np.ndarray:
@@ -131,10 +133,11 @@ def _psd_sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M^{1/2}, M^{-1/2}) of each symmetric positive-definite matrix of a
     stack (..., n, n)."""
     vals, vecs = np.linalg.eigh(mat)
-    if np.any(vals[..., 0] <= 0):
+    if (vals[..., 0] <= 0).any():
         raise np.linalg.LinAlgError("matrix not positive definite")
     root = np.sqrt(vals)[..., None, :]
-    return (vecs * root) @ _t(vecs), (vecs / root) @ _t(vecs)
+    vecs_t = _t(vecs)
+    return (vecs * root) @ vecs_t, (vecs / root) @ vecs_t
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,20 @@ class ConicProblem:
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b", b)
 
+    def with_objective(self, c_free) -> "ConicProblem":
+        """This program with the objective `c_free` in place of its own.
+        The rows are shared, not stacked or checked again: they are
+        read-only, and were checked when this program was made."""
+        c_free = np.atleast_1d(np.asarray(c_free, dtype=float))
+        if c_free.shape != self.c_free.shape:
+            raise ValueError("objective has wrong shape")
+        if not np.all(np.isfinite(c_free)):
+            raise ValueError("problem data must be finite")
+        c_free.flags.writeable = False
+        problem = copy.copy(self)
+        object.__setattr__(problem, "c_free", c_free)
+        return problem
+
     @property
     def block_sizes(self) -> tuple[int, ...]:
         nb, _, d = self.a_blocks.shape
@@ -193,26 +210,41 @@ class ConicSolution:
     status: Status
 
 
-def _max_step(xs: np.ndarray, dxs: np.ndarray) -> float:
-    """Largest a with X + a dX psd for every X, dX of the stacks
-    (blocks, n, n), each X positive definite; 0 when one is not."""
+def _max_step(zs: np.ndarray, dzs: np.ndarray, parts: int = 2) -> tuple[float, ...]:
+    """For each of `parts` equal parts of the stacks (blocks, n, n), the
+    largest a with Z + a dZ psd for every Z, dZ of the part, each Z
+    positive definite; 0 for a part where one Z is not.  The solver's
+    stacks hold X, dX in the first half and S, dS in the second, so the
+    default gives the (primal, dual) steps."""
     try:
-        chols = np.linalg.cholesky(xs)
+        chols = np.linalg.cholesky(zs)
     except np.linalg.LinAlgError:
-        return 0.0
-    # L^{-1} dX L^{-T}; LAPACK reads the C-ordered factor L as the
+        if parts == 1:
+            return (0.0,)
+        # a stacked cholesky fails for the whole stack: take each part alone
+        pairs = zip(np.split(zs, parts), np.split(dzs, parts))
+        return sum((_max_step(z, dz, 1) for z, dz in pairs), ())
+    # L^{-1} dZ L^{-T}; LAPACK reads the C-ordered factor L as the
     # Fortran-ordered upper factor L^T, so solve with its transpose.
-    # LAPACK has no batched trtrs, so this is the one per-block loop.
-    inners = np.empty_like(dxs)
-    for chol, dx, inner in zip(chols, dxs, inners):
-        half, _ = _TRTRS(chol.T, dx, lower=0, trans=1)
+    # LAPACK has no batched trtrs, so this is the one per-matrix loop.
+    inners = np.empty_like(dzs)
+    for chol, dz, inner in zip(chols, dzs, inners):
+        half, _ = _TRTRS(chol.T, dz, lower=0, trans=1)
         inner[...] = _TRTRS(chol.T, half.T, lower=0, trans=1)[0]
+    lows = np.linalg.eigvalsh(_sym(inners))[:, 0].reshape(parts, -1)
     # the step is monotone in the smallest eigenvalue, so the least over
-    # the blocks gives the least step
-    lo = float(np.min(np.linalg.eigvalsh(_sym(inners))[:, 0]))
-    if lo >= -1e-14:
-        return np.inf
-    return -1.0 / lo
+    # a part gives its least step
+    return tuple(
+        np.inf if lo >= -1e-14 else -1.0 / lo for lo in lows.min(axis=1).tolist()
+    )
+
+
+def _stepped(zs: np.ndarray, dzs: np.ndarray, ap: float, ad: float) -> np.ndarray:
+    """X + ap dX on the first half of the stacks, S + ad dS on the second."""
+    half = zs.shape[0] // 2
+    step = dzs * ap
+    step[half:] = dzs[half:] * ad
+    return zs + step
 
 
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -224,7 +256,7 @@ def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _inner_sum(xs: np.ndarray, ss: np.ndarray) -> float:
     """sum_j <X_j, S_j>, one block sum after the other."""
-    return sum(np.sum(xs * ss, axis=(1, 2)).tolist())
+    return sum((xs * ss).sum(axis=(1, 2)).tolist())
 
 
 def _lyap_solve(q: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -241,10 +273,10 @@ def _kkt_solve(
     """Solve kkt @ sol = rhs from the `_GETRF` factors of kkt, with one
     step of iterative refinement."""
     sol, _ = _GETRS(lu, piv, rhs)
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError("singular KKT system")
     sol += _GETRS(lu, piv, rhs - kkt @ sol)[0]
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError("singular KKT system")
     return sol
 
@@ -263,16 +295,19 @@ def solve(prob: ConicProblem) -> ConicSolution:
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
     a_mats = prob.a_blocks
+    a_mats_t = _t(a_mats)
     sizes = prob.block_sizes
-    n, n_tot = sizes[0], sum(sizes)
+    nb, n, n_tot = len(sizes), sizes[0], sum(sizes)
     c_norm = 1.0 + math.sqrt(float(np.dot(prob.c_free, prob.c_free)))
     b_norm = 1.0 + float(np.linalg.norm(prob.b))
 
     u = np.zeros(f)
     u[0] = 1.0
     init_scale = 1.0 + float(np.sum(np.abs(prob.c_free)))
-    ss = np.repeat(np.eye(n)[None], len(sizes), axis=0)
-    xs = init_scale * ss
+    eyes = np.repeat(np.eye(n)[None], nb, axis=0)
+    # X and S ride on one stack (2 nb, n, n), X first: every step that
+    # treats the primal and the dual side alike is one call over it
+    zs = np.concatenate([init_scale * eyes, eyes])
     lam = np.zeros(m)
 
     best = None
@@ -283,11 +318,13 @@ def solve(prob: ConicProblem) -> ConicSolution:
     iterations = 0
 
     for iteration in range(_MAX_ITER + 1):
+        xs, ss = zs[:nb], zs[nb:]
+        z_vec = svec(zs)
         rp = prob.b - prob.a_free @ u
-        for a_x in _mv(a_mats, svec(xs)):  # block by block, in order
+        for a_x in _mv(a_mats, z_vec[:nb]):  # block by block, in order
             rp = rp - a_x
         rd_free = prob.c_free - prob.a_free.T @ lam
-        rd_cone = -(_t(a_mats) @ lam) - svec(ss)
+        rd_cone = -(a_mats_t @ lam) - z_vec[nb:]
         gap = _inner_sum(xs, ss)
         pobj = float(np.dot(prob.c_free, u))
         dobj = float(np.dot(prob.b, lam))
@@ -326,11 +363,12 @@ def solve(prob: ConicProblem) -> ConicSolution:
             t_half, _ = _psd_sqrt_pair(_sym(s_half @ xs @ s_half))
             w = _sym(s_ihalf @ t_half @ s_ihalf)
             r_half, r_ihalf = _psd_sqrt_pair(w)
-            lam_mat = _sym(
-                0.5 * (r_ihalf @ xs @ r_ihalf + r_half @ ss @ r_half)
-            )
+            # W^{-1/2} on the X half, W^{1/2} on the S half
+            rs = np.concatenate([r_ihalf, r_half])
+            scaled = rs @ zs @ rs
+            lam_mat = _sym(0.5 * (scaled[:nb] + scaled[nb:]))
             d_l, q_l = np.linalg.eigh(lam_mat)
-            if np.any(d_l[:, 0] <= 0):
+            if (d_l[:, 0] <= 0).any():
                 raise np.linalg.LinAlgError("scaled point not positive")
         except np.linalg.LinAlgError:
             status = Status.NUMERICAL_TROUBLE
@@ -339,7 +377,7 @@ def solve(prob: ConicProblem) -> ConicSolution:
         e_mats = _sym_kron(w)
         kkt = np.zeros((m + f, m + f))
         # the builtin sum adds the blocks' Schur terms in order, from 0
-        kkt[:m, :m] = sum(a_mats @ e_mats @ _t(a_mats))
+        kkt[:m, :m] = sum(a_mats @ e_mats @ a_mats_t)
         kkt[:m, m:] = prob.a_free
         kkt[m:, :m] = prob.a_free.T
         lu, piv, info = _GETRF(kkt)
@@ -349,31 +387,31 @@ def solve(prob: ConicProblem) -> ConicSolution:
             break
 
         def newton(rp_v, rdf_v, rdc_v, rc_v):
+            """(du, the stack of dX and dS, dlambda)."""
             rhs = np.concatenate(
                 [rp_v + sum(_mv(a_mats, _mv(e_mats, rdc_v) - rc_v)), rdf_v]
             )
             sol = _kkt_solve(lu, piv, kkt, rhs)
             dlam, du = sol[:m], sol[m:]
-            ds = rdc_v - _t(a_mats) @ dlam
+            ds = rdc_v - a_mats_t @ dlam
             dx = rc_v - _mv(e_mats, ds)
-            return du, smat(dx), smat(ds), dlam
+            return du, smat(np.concatenate([dx, ds])), dlam
 
         # predictor: aim at the boundary (sigma = 0)
         try:
-            rc_aff = -svec(xs)
-            du_a, dxs_a, dss_a, dlam_a = newton(rp, rd_free, rd_cone, rc_aff)
+            du_a, dzs_a, dlam_a = newton(rp, rd_free, rd_cone, -z_vec[:nb])
         except np.linalg.LinAlgError:
             status = Status.NUMERICAL_TROUBLE
             break
-        ap = min(1.0, _max_step(xs, dxs_a))
-        ad = min(1.0, _max_step(ss, dss_a))
-        gap_aff = _inner_sum(xs + ap * dxs_a, ss + ad * dss_a)
+        ap, ad = _max_step(zs, dzs_a)
+        z_aff = _stepped(zs, dzs_a, min(1.0, ap), min(1.0, ad))
+        gap_aff = _inner_sum(z_aff[:nb], z_aff[nb:])
         mu_aff = max(gap_aff, 0.0) / n_tot
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
         # corrector in the scaled space, with the Mehrotra cross term
-        dxi = r_ihalf @ dxs_a @ r_ihalf
-        dsg = r_half @ dss_a @ r_half
+        scaled = rs @ dzs_a @ rs
+        dxi, dsg = scaled[:nb], scaled[nb:]
         rhs_mat = (
             sigma * mu * np.eye(n)
             - lam_mat @ lam_mat
@@ -382,23 +420,22 @@ def solve(prob: ConicProblem) -> ConicSolution:
         sol_mat = _lyap_solve(q_l, d_l, _sym(rhs_mat))
         rc = svec(_sym(r_half @ sol_mat @ r_half))
         try:
-            du, dxs, dss, dlam = newton(rp, rd_free, rd_cone, rc)
+            du, dzs, dlam = newton(rp, rd_free, rd_cone, rc)
         except np.linalg.LinAlgError:
             status = Status.NUMERICAL_TROUBLE
             break
 
         eta = 0.98
-        ap = min(1.0, eta * _max_step(xs, dxs))
-        ad = min(1.0, eta * _max_step(ss, dss))
+        ap, ad = _max_step(zs, dzs)
+        ap, ad = min(1.0, eta * ap), min(1.0, eta * ad)
         if ap < 1e-10 and ad < 1e-10:
             status = Status.NUMERICAL_TROUBLE
             break
 
         u = u + ap * du
         lam = lam + ad * dlam
-        xs = _sym(xs + ap * dxs)
-        ss = _sym(ss + ad * dss)
-        if not all(np.all(np.isfinite(arr)) for arr in (xs, ss, u, lam)):
+        zs = _sym(_stepped(zs, dzs, ap, ad))
+        if not all(np.isfinite(arr).all() for arr in (zs, u, lam)):
             status = Status.NUMERICAL_TROUBLE
             break
 

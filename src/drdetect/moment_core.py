@@ -9,6 +9,7 @@ serves as ground truth when the residuals are Gaussian.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,16 @@ class MomentSequence:
             raise ValueError("variance needs moments up to order 2")
         return self.moments[2] - self.moments[1] ** 2
 
+    @functools.cached_property
+    def _feasible(self) -> bool:
+        """:func:`is_feasible`, worked out once per sequence: tuning asks
+        again before every bisection step."""
+        for mat in hankel_pair(self):
+            scale = max(1.0, float(np.abs(mat).max()))
+            if np.linalg.eigvalsh(mat)[0] < -1e-9 * scale:
+                return False
+        return True
+
     def truncated(self, order: int) -> "MomentSequence":
         """Drop moments above `order`; feasibility is preserved."""
         if not 1 <= order <= self.order:
@@ -107,13 +118,10 @@ def is_feasible(seq: MomentSequence) -> bool:
     Both Hankel matrices must have smallest eigenvalue >= -1e-9 * scale,
     where scale is the largest absolute entry of the matrix (at least 1).
     Eigendecomposition rather than Cholesky, so boundary sequences with
-    rank-deficient Hankel matrices (e.g. point masses) pass.
+    rank-deficient Hankel matrices (e.g. point masses) pass.  The test
+    runs once per sequence object; later calls return its answer.
     """
-    for mat in hankel_pair(seq):
-        scale = max(1.0, float(np.abs(mat).max()))
-        if np.linalg.eigvalsh(mat)[0] < -1e-9 * scale:
-            return False
-    return True
+    return seq._feasible
 
 
 # values per bincount pass in _exact_sum; keeps every bin sum below 2^53

@@ -133,6 +133,11 @@ def test_build_sdp_block_sizes_k4():
     np.testing.assert_array_equal(prob.a_free, other.a_free)
     for mine, theirs in zip(prob.a_blocks, other.a_blocks):
         np.testing.assert_array_equal(mine, theirs)
+    # so the programs of one order share them, read-only
+    for field in ("a_free", "a_blocks", "b"):
+        assert getattr(prob, field) is getattr(other, field)
+        assert not getattr(prob, field).flags.writeable
+    np.testing.assert_array_equal(other.c_free, chi_squared_moments(5, 4).moments)
     np.testing.assert_array_equal(prob.b, other.b)
     with pytest.raises(ValueError):
         solve_sdp(CHI2, -1.0)

@@ -1,5 +1,6 @@
-"""Smoke tests in fresh interpreters: every demo runs to the end, and the
-package imports without its heavy optional scipy modules."""
+"""Smoke tests in fresh interpreters: every demo runs to the end, the
+package imports without its heavy optional scipy modules, and every
+function the benchmark traces is where the benchmark looks for it."""
 import os
 import subprocess
 import sys
@@ -81,6 +82,26 @@ def test_pipeline_stays_light(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "far.csv").is_file()
+
+
+def test_span_targets_resolve():
+    # a traced benchmark run wraps each target by module and name; one
+    # that is renamed or moved would only print "span target missing"
+    done = _run(
+        [
+            "-c",
+            "import sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import drdetect, spans\n"
+            "recorder = spans.Recorder()\n"
+            "recorder.install()\n"
+            "print(len(spans.TARGETS), recorder.missing)",
+        ]
+    )
+    assert done.returncode == 0, done.stderr
+    count, missing = done.stdout.strip().split(" ", 1)
+    assert int(count) > 0
+    assert missing == "[]"
 
 
 def _run(args):

@@ -183,6 +183,46 @@ def test_default_upper_bracket_certified_by_lower_order():
         assert 4.44869396 < res.alpha <= k4.alpha + 1e-4
 
 
+def _solve_log(monkeypatch):
+    """(order, threshold) of every `solve_sdp` call tuning makes from here
+    on, starting from an empty memo."""
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    log = []
+    original = detector_tuning.solve_sdp
+
+    def logged(moments, alpha):
+        log.append((moments.order, alpha))
+        return original(moments, alpha)
+
+    monkeypatch.setattr(detector_tuning, "solve_sdp", logged)
+    return log
+
+
+def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
+    log = _solve_log(monkeypatch)
+    m = chi_squared_moments(2, 3)
+    res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
+    upper = min(
+        closed_form_threshold(m.truncated(k), 0.05, k).alpha for k in (1, 2)
+    )
+    # the lower end and 17 midpoints; a midpoint met the rate, so the
+    # bound at the upper end was never needed
+    assert len(log) == 18
+    assert (3, upper) not in log
+    assert res.alpha < upper
+    # at k = 5 no midpoint meets the rate: the bound at the k = 4
+    # threshold is solved last, comes out above the rate, and the k = 4
+    # guarantee stands in for it
+    k4 = tune_threshold_sdp(TWO_ATOM.truncated(4), 0.2, epsilon=1e-4)
+    del log[:]
+    res = tune_threshold_sdp(TWO_ATOM.truncated(5), 0.2, epsilon=1e-4)
+    assert log[-1] == (5, k4.alpha)
+    assert (5, k4.alpha) not in log[:-1]
+    assert solve_sdp(TWO_ATOM.truncated(5), k4.alpha).objective > 0.2 + 1e-7
+    assert res.alpha == k4.alpha
+    assert res.achieved_worst_case == k4.achieved_worst_case
+
+
 def test_bracket_degenerate_flag():
     # 0.9 w.p. 0.98 and 3.0 w.p. 0.02: the worst case at the mean is the
     # mass of the upper atom, already below the rate, so the lower end of

@@ -146,20 +146,32 @@ def _max_step_per_slice(xs, dxs):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_max_step_matches_solve_triangular_bit_for_bit(n):
-    # the stacked step is the least per-slice reference step
+    # X and S on one stack: each step is the per-side reference step
     rng = np.random.default_rng(200 + n)
     steps = []
     for nb in (1, 2, 3):
         for _ in range(20):
-            xs = np.stack([_random_pd(rng, n) for _ in range(nb)])
-            dxs = np.stack([_random_sym(rng, n) for _ in range(nb)])
-            steps.append(_max_step(xs, dxs))
-            assert steps[-1] == _max_step_per_slice(xs, dxs)
+            zs = np.stack([_random_pd(rng, n) for _ in range(2 * nb)])
+            dzs = np.stack([_random_sym(rng, n) for _ in range(2 * nb)])
+            steps.extend(_max_step(zs, dzs))
+            assert steps[-2:] == [
+                _max_step_per_slice(zs[:nb], dzs[:nb]),
+                _max_step_per_slice(zs[nb:], dzs[nb:]),
+            ]
+        # a side that is not positive definite gets no step, the other
+        # side its reference step
+        good = np.stack([_random_pd(rng, n) for _ in range(nb)])
+        bad = good.copy()
+        bad[-1] = -np.eye(n)
+        dzs = np.stack([_random_sym(rng, n) for _ in range(2 * nb)])
+        dx, ds = dzs[:nb], dzs[nb:]
+        step_x = _max_step_per_slice(good, dx)
+        step_s = _max_step_per_slice(good, ds)
+        assert _max_step(np.concatenate([bad, good]), dzs) == (0.0, step_s)
+        assert _max_step(np.concatenate([good, bad]), dzs) == (step_x, 0.0)
+        assert _max_step(np.concatenate([bad, bad]), dzs) == (0.0, 0.0)
+        assert min(step_x, step_s) > 0.0
     assert any(np.isfinite(steps))
-    # one slice not positive definite: no step
-    xs = np.stack([_random_pd(rng, n), -np.eye(n)])
-    dxs = np.stack([_random_sym(rng, n), np.eye(n)])
-    assert _max_step(xs, dxs) == 0.0 == _max_step_per_slice(xs, dxs)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -390,3 +402,15 @@ def test_problem_validation():
             value.flat[0] = bad
             with pytest.raises(ValueError, match="finite"):
                 _trace_problem(**{field: value})
+    # another objective shares the checked rows and is itself checked
+    moved = stacked.with_objective([2.0])
+    np.testing.assert_array_equal(moved.c_free, [2.0])
+    assert not moved.c_free.flags.writeable
+    for field in ("a_free", "a_blocks", "b"):
+        assert getattr(moved, field) is getattr(stacked, field)
+    np.testing.assert_array_equal(stacked.c_free, _trace_problem().c_free)
+    with pytest.raises(ValueError, match="shape"):
+        stacked.with_objective([1.0, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            stacked.with_objective([bad])
