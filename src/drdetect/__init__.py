@@ -25,6 +25,7 @@ from .bound_engine import (
     markov_bound,
     oracle_worst_case,
     solve_sdp,
+    tail_lower_bound,
 )
 from .cli_runner import ExperimentConfig, run_far, run_reach, run_tune
 from .cps_sim import (
@@ -91,6 +92,7 @@ __all__ = [
     "simulate",
     "solve_dare",
     "solve_sdp",
+    "tail_lower_bound",
     "tune_threshold_sdp",
     "volume_comparison",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ipm
 from .ipm import Status, svec_dim
-from .moment_core import MomentSequence, is_feasible
+from .moment_core import MomentSequence, _hankel_matrix, is_feasible
 
 __all__ = [
     "PolyBound",
@@ -34,6 +34,7 @@ __all__ = [
     "chebyshev_bound",
     "build_sdp",
     "solve_sdp",
+    "tail_lower_bound",
     "oracle_worst_case",
 ]
 
@@ -233,6 +234,68 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
         iterations=result.iterations,
         status=status,
     )
+
+
+def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
+    """Mass at or above alpha of an explicit law on R+ with the given
+    moments, or 0.0 when none is found: a lower bound on the tight
+    worst case that :func:`solve_sdp` bounds from above.
+
+    In the units of :func:`build_sdp` (moments s_r of q/alpha, threshold
+    1) the law is a Gauss-Radau rule with one node at 1.  For even k it
+    is the rule of the measure itself, built from the top Hankel matrix
+    (s_{i+j}); for odd k it is the rule of the measure q mu (s_{i+j+1}),
+    each weight is divided by its node and the mass left over sits at 0.
+    The Hankel matrix is factored by Cholesky, the factor gives the
+    Jacobi recurrence (Golub & Welsch, Math. Comp. 1969), and its last
+    diagonal entry is modified so that 1 is an eigenvalue (Golub, SIAM
+    Rev. 1973).  Extremal laws touch the threshold in the same way
+    (Bertsimas & Popescu, SIAM J. Optim. 2005).  The law is accepted only
+    when every atom and weight is nonnegative and it reproduces every
+    scaled moment to relative 1e-10; a singular Hankel matrix gives none.
+    """
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise ValueError("threshold must be positive")
+    k = moments.order
+    scaled = np.array(moments.scaled(1.0 / alpha).moments)
+    hankel = _hankel_matrix(tuple(scaled), k)
+    try:
+        upper = np.linalg.cholesky(hankel).T
+    except np.linalg.LinAlgError:
+        return 0.0
+    n = hankel.shape[0] - 1
+    # Jacobi matrix of the orthonormal polynomials, from hankel = R'R:
+    # a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and b_j =
+    # r_{jj}/r_{j-1,j-1}; its last diagonal entry is set below
+    pivots = np.diag(upper)
+    ratio = np.diag(upper, 1) / pivots[:-1]
+    a = np.append(ratio - np.append(0.0, ratio[:-1]), 1.0)
+    b = pivots[1:] / pivots[:-1]
+    jacobi = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    if n:
+        # the entry that makes 1 an eigenvalue: (J_n - I) d = b_n^2 e_n
+        rhs = np.zeros(n)
+        rhs[-1] = b[-1] ** 2
+        try:
+            jacobi[n, n] = 1.0 + np.linalg.solve(jacobi[:n, :n] - np.eye(n), rhs)[-1]
+        except np.linalg.LinAlgError:
+            return 0.0
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = hankel[0, 0] * vectors[0] ** 2
+    nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
+    if k % 2:
+        if (nodes <= 0.0).any():
+            return 0.0
+        weights = weights / nodes
+        nodes = np.append(nodes, 0.0)
+        weights = np.append(weights, scaled[0] - weights.sum())
+    if (nodes < 0.0).any() or (weights < 0.0).any():
+        return 0.0
+    law = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
+    if not (np.abs(law - scaled) <= 1e-10 * scaled).all():
+        return 0.0
+    return min(1.0, float(weights[nodes >= 1.0].sum()))
 
 
 def oracle_worst_case(

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bound_engine import solve_sdp
+from .bound_engine import solve_sdp, tail_lower_bound
 from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
@@ -134,6 +134,10 @@ def closed_form_threshold(
 
 
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
+# a bound counts as above the rate only beyond this margin where it is
+# not a midpoint's SDP objective: a certificate lands a few 1e-10 above
+# an exact bound, and a law matches its moments to relative 1e-10
+_SLACK = 1e-7
 
 
 def tune_threshold_sdp(
@@ -161,6 +165,13 @@ def tune_threshold_sdp(
     certificate for fewer moments is one for k moments too.  Results are
     memoized per moment sequence.  If the bound at the lower end already
     meets the target, that end is returned with `bracket_degenerate` set.
+
+    At the lower end and at each midpoint the SDP is solved only when it
+    can change the branch: if an explicit law with the given moments puts
+    more than the rate plus `_SLACK` above the threshold
+    (:func:`tail_lower_bound`), every bound lies above the rate too, and
+    the lower end rises without a solve.  Every value that is returned
+    comes from :func:`solve_sdp`.
     """
     k = moments.order
     if k < 2:
@@ -191,23 +202,28 @@ def tune_threshold_sdp(
             upper = lower_order
     a_l, a_u = m1, upper.alpha
 
-    p_low = solve_sdp(moments, a_l).objective
-    if p_low <= rate:
-        result = ThresholdResult(
-            alpha=a_l,
-            method=Method.SDP_BISECTION,
-            k=k,
-            target_rate=rate,
-            achieved_worst_case=p_low,
-            epsilon=epsilon,
-            bracket_degenerate=True,
-        )
-        _AUTO_CACHE[cache_key] = result
-        return result
+    if tail_lower_bound(moments, a_l) <= rate + _SLACK:
+        p_low = solve_sdp(moments, a_l).objective
+        if p_low <= rate:
+            result = ThresholdResult(
+                alpha=a_l,
+                method=Method.SDP_BISECTION,
+                k=k,
+                target_rate=rate,
+                achieved_worst_case=p_low,
+                epsilon=epsilon,
+                bracket_degenerate=True,
+            )
+            _AUTO_CACHE[cache_key] = result
+            return result
 
     achieved = None
     while a_u - a_l > epsilon:
         mid = 0.5 * (a_l + a_u)
+        if tail_lower_bound(moments, mid) > rate + _SLACK:
+            # an explicit law puts more than the rate above mid
+            a_l = mid
+            continue
         p_mid = solve_sdp(moments, mid).objective
         if p_mid > rate:
             a_l = mid
@@ -218,7 +234,7 @@ def tune_threshold_sdp(
         # no midpoint came down, so the bound at the initial upper end is
         # the one returned; no midpoint reads it, so it is solved only now
         achieved = solve_sdp(moments, a_u).objective
-        if achieved > rate + 1e-7:
+        if achieved > rate + _SLACK:
             # every certificate for a lower order is one for order k as well
             achieved = upper.achieved_worst_case
     result = ThresholdResult(
@@ -231,3 +247,4 @@ def tune_threshold_sdp(
     )
     _AUTO_CACHE[cache_key] = result
     return result
+

@@ -72,6 +72,29 @@ def random_oracle_instance(rng, k):
             return atomic_moments(atoms, weights, k), alpha
 
 
+# ---------------------------------------------------------------------------
+# fixed sequences on which the solver stalls or the Hankel matrices are
+# singular
+
+# random sequence #15 of acceptance criterion 2
+SEQ15 = MomentSequence(
+    (1.0, 3.487611887071376, 12.299231159213063, 43.845740550478375, 157.93227600190306)
+)
+# the law with weights (0.52100516, 0.47899484) on the atoms
+# (2.78569025, 4.44869396), to six moments
+TWO_ATOM = MomentSequence(
+    (
+        1.0,
+        3.5822604519964583,
+        13.522765056656262,
+        53.43505838543608,
+        218.98639668102658,
+        922.0279696057548,
+        3956.4755026157186,
+    )
+)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)

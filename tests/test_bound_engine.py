@@ -12,11 +12,12 @@ from drdetect import (
     markov_bound,
     oracle_worst_case,
     solve_sdp,
+    tail_lower_bound,
 )
 from drdetect import bound_engine
 from drdetect.ipm import Status, svec
 
-from conftest import atomic_moments, random_oracle_instance
+from conftest import TWO_ATOM, atomic_moments, random_moments, random_oracle_instance
 
 CHI2 = chi_squared_moments(2, 4)
 
@@ -204,6 +205,59 @@ def test_bound_monotone_in_order():
     ]
     for lo_k, hi_k in zip(vals[1:], vals[:-1]):
         assert lo_k <= hi_k + 1e-7
+
+
+def _sandwich(moments, alpha):
+    """(law, sdp) at one point: the explicit law's tail never exceeds the
+    certified bound, and meets it when the solve is optimal."""
+    law = tail_lower_bound(moments, alpha)
+    sol = solve_sdp(moments, alpha)
+    assert 0.0 <= law <= sol.objective + 1e-8, (moments, alpha)
+    if law > 0.0 and sol.status is Status.OPTIMAL:
+        assert sol.objective - law <= 1e-8, (moments, alpha)
+    return law, sol
+
+
+def test_tail_lower_bound_sandwiches_the_sdp(rng):
+    tight = 0
+    for p in (1, 2, 4):
+        for k in range(1, 7):
+            m = chi_squared_moments(p, k)
+            for ratio in (1.0, 1.05, 1.3, 1.7, 2.5, 4.0, 6.0, 10.0):
+                law, sol = _sandwich(m, ratio * m.mean)
+                tight += law > 0.0 and sol.status is Status.OPTIMAL
+    for k in range(1, 7):
+        m = random_moments(rng, k)
+        for ratio in (1.0, 1.4, 2.2, 3.5):
+            law, sol = _sandwich(m, ratio * m.mean)
+            tight += law > 0.0 and sol.status is Status.OPTIMAL
+    # two thirds of the 168 points have a law and an optimal solve, so
+    # the agreement check bites
+    assert tight >= 100
+
+
+def test_tail_lower_bound_is_markov_at_one_moment():
+    m = MomentSequence((1.0, 2.0))
+    for alpha in (2.0, 3.0, 40.0, 250.0):
+        law = tail_lower_bound(m, alpha)
+        assert law == pytest.approx(markov_bound(m, alpha), rel=1e-15)
+    # below the mean the mass left for 0 is negative: no law
+    assert tail_lower_bound(m, 1.5) == 0.0
+    with pytest.raises(ValueError):
+        tail_lower_bound(m, 0.0)
+
+
+def test_tail_lower_bound_on_the_two_atom_boundary():
+    # the upper atom 4.44869396 lies below the threshold: the true tail is
+    # 0, and the law found in rounding carries no more than 1e-8
+    assert 0.0 <= tail_lower_bound(TWO_ATOM.truncated(4), 4.45608) < 1e-8
+    # five moments of two atoms: the Hankel matrix is singular, no law
+    assert tail_lower_bound(TWO_ATOM.truncated(5), 4.45608) == 0.0
+    # the 1e-8 of the sandwich is needed: here a stalled solve's bound
+    # lies below the law's tail
+    law, sol = _sandwich(TWO_ATOM.truncated(4), 4.4551)
+    assert sol.status is Status.NUMERICAL_TROUBLE
+    assert sol.objective < law
 
 
 def test_oracle_markov_two_point():

@@ -16,7 +16,7 @@ from drdetect import (
 )
 from drdetect import detector_tuning
 
-from conftest import random_moments
+from conftest import SEQ15, TWO_ATOM, random_moments
 
 CHI2 = chi_squared_moments(2, 4)
 
@@ -125,25 +125,6 @@ def test_tune_random_sequences_match_closed_form(rng):
         assert abs(res.alpha - expected) <= 3e-4
 
 
-# random sequence #15 of acceptance criterion 2
-SEQ15 = MomentSequence(
-    (1.0, 3.487611887071376, 12.299231159213063, 43.845740550478375, 157.93227600190306)
-)
-# the law with weights (0.52100516, 0.47899484) on the atoms
-# (2.78569025, 4.44869396), to six moments
-TWO_ATOM = MomentSequence(
-    (
-        1.0,
-        3.5822604519964583,
-        13.522765056656262,
-        53.43505838543608,
-        218.98639668102658,
-        922.0279696057548,
-        3956.4755026157186,
-    )
-)
-
-
 def test_tune_through_stall_above_the_rate():
     # the solve at the lower end alpha = M1 stalls, with a certified bound
     # far above the rate; tuning raises the lower end and goes on
@@ -205,9 +186,10 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     upper = min(
         closed_form_threshold(m.truncated(k), 0.05, k).alpha for k in (1, 2)
     )
-    # the lower end and 17 midpoints; a midpoint met the rate, so the
-    # bound at the upper end was never needed
-    assert len(log) == 18
+    # of the lower end and 17 midpoints, 9 lie where an explicit law
+    # already puts more than the rate above them, so 9 are solved; a
+    # midpoint met the rate, so the bound at the upper end was never needed
+    assert len(log) == 9
     assert (3, upper) not in log
     assert res.alpha < upper
     # at k = 5 no midpoint meets the rate: the bound at the k = 4
@@ -221,6 +203,40 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     assert solve_sdp(TWO_ATOM.truncated(5), k4.alpha).objective > 0.2 + 1e-7
     assert res.alpha == k4.alpha
     assert res.achieved_worst_case == k4.achieved_worst_case
+
+
+def test_points_settled_by_a_law_lie_above_the_rate(monkeypatch):
+    # every point the tuner settles without a solve must be one where the
+    # SDP bound also lies above the rate, or the bisection would change
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    calls = []
+    original = detector_tuning.tail_lower_bound
+
+    def logged(moments, alpha):
+        law = original(moments, alpha)
+        calls.append((moments, alpha, law))
+        return law
+
+    monkeypatch.setattr(detector_tuning, "tail_lower_bound", logged)
+    cases = [
+        (chi_squared_moments(p, 6).truncated(k), rate)
+        for p in (1, 2, 4)
+        for rate in (0.01, 0.05, 0.2)
+        for k in range(3, 7)
+    ]
+    cases += [(TWO_ATOM.truncated(k), 0.2) for k in range(3, 7)]
+    cases += [(SEQ15.truncated(k), 0.05) for k in (3, 4)]
+    settled = set()
+    for moments, rate in cases:
+        del calls[:]
+        tune_threshold_sdp(moments, rate, epsilon=1e-4)
+        for seq, alpha, law in calls:
+            if law > rate + detector_tuning._SLACK:
+                settled.add((seq, alpha, rate))
+    # about 300 points are settled that way here
+    assert len(settled) >= 250
+    for seq, alpha, rate in settled:
+        assert solve_sdp(seq, alpha).objective > rate, (seq, alpha, rate)
 
 
 def test_bracket_degenerate_flag():
