@@ -10,9 +10,12 @@ variables y_0..y_k are the coefficients of a polynomial certificate
 p(q) = sum_r y_r q^r with p >= 1 above the threshold and p >= 0 on the
 nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 (Markov; a one-sided Chebyshev form valid at thresholds above M2/M1).
-A linear-programming oracle over gridded discrete distributions gives
-an independent cross-check.  It is not a certified lower bound: its
-loose moment check can overshoot the true tail on boundary sequences.
+The tail of an explicit law that matches the moments, a Gauss-Radau
+rule with a node at the threshold, is a certified lower bound where such
+a law exists.  A linear-programming oracle over gridded discrete
+distributions gives an independent cross-check.  It is not a certified
+lower bound: its loose moment check can overshoot the true tail on
+boundary sequences.
 """
 from __future__ import annotations
 
