@@ -23,7 +23,6 @@ from .bound_engine import (
     build_sdp,
     chebyshev_bound,
     markov_bound,
-    oracle_worst_case,
     solve_sdp,
     tail_lower_bound,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "is_feasible",
     "markov_bound",
     "noise_threshold",
-    "oracle_worst_case",
     "reach_bound",
     "run_far",
     "run_reach",

@@ -12,10 +12,7 @@ nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 (Markov; a one-sided Chebyshev form valid at thresholds above M2/M1).
 The tail of an explicit law that matches the moments, a Gauss-Radau
 rule with a node at the threshold, is a certified lower bound where such
-a law exists.  A linear-programming oracle over gridded discrete
-distributions gives an independent cross-check.  It is not a certified
-lower bound: its loose moment check can overshoot the true tail on
-boundary sequences.
+a law exists.
 """
 from __future__ import annotations
 
@@ -38,7 +35,6 @@ __all__ = [
     "build_sdp",
     "solve_sdp",
     "tail_lower_bound",
-    "oracle_worst_case",
 ]
 
 
@@ -299,82 +295,3 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     if not (np.abs(law - scaled) <= 1e-10 * scaled).all():
         return 0.0
     return min(1.0, float(weights[nodes >= 1.0].sum()))
-
-
-def oracle_worst_case(
-    moments: MomentSequence, alpha: float, grid: int = 2000
-) -> float:
-    """Cross-check of sup P(q >= alpha) by linear programming.
-
-    Maximizes the mass at or above the threshold over discrete
-    distributions supported on a fixed grid, subject to moment matching.
-    Atom locations are a uniform grid on [0, 10 alpha] plus a geometric
-    refinement near zero, with 0 and alpha always included (extremal
-    measures place mass exactly at the threshold).  A basic optimal
-    solution uses at most k+1 atoms.
-
-    This is not a certified lower bound.  The moment rows are scaled by
-    (10 alpha)^r and checked to an absolute 1e-7, which is loose at
-    higher r, so on boundary sequences the LP can move mass above the
-    threshold: for a two-atom law at k = 4 and alpha = 4.45608 it returns
-    0.468 where the true tail is 0.
-    """
-    import scipy.optimize  # costs about 0.5 s of import, for this call only
-
-    if alpha <= 0:
-        raise ValueError("threshold must be positive")
-    k = moments.order
-    if k > 4:
-        raise ValueError("oracle supports k <= 4 only")
-    if grid < 100:
-        raise ValueError("grid must have at least 100 points")
-    hi = 10.0 * alpha
-    n_geo = grid // 4
-    # 0, the threshold, and the mean are always candidate atoms: extremal
-    # measures touch the threshold, and point masses sit at the mean
-    pts = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, hi, grid - n_geo),
-                alpha * np.geomspace(1e-4, 10.0, n_geo),
-                [0.0, alpha, moments.moments[1]],
-            ]
-        )
-    )
-    # rows scaled by hi^r so all coefficients are order one
-    a_eq = np.vstack([(pts / hi) ** r for r in range(k + 1)])
-    b_eq = np.array([m / hi**r for r, m in enumerate(moments.moments)])
-    objective = -(pts >= alpha * (1.0 - 1e-12)).astype(float)
-
-    def moment_feasible(res, tol: float) -> bool:
-        if not res.success or res.x is None:
-            return False
-        return float(np.abs(a_eq @ res.x - b_eq).max()) <= tol
-
-    # the simplex can stall, or even report an infeasible basis as optimal,
-    # on the badly scaled near-duplicate columns of the geometric
-    # refinement; every candidate measure is therefore verified against the
-    # moment constraints before it is trusted, with the interior-point
-    # variant as the fallback
-    res = scipy.optimize.linprog(
-        objective, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
-    )
-    if not moment_feasible(res, 1e-7):
-        res = scipy.optimize.linprog(
-            objective, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm"
-        )
-    if not moment_feasible(res, 1e-7):
-        # boundary sequences may need a whisker of slack on the equalities
-        eps = 1e-9 * (1.0 + np.abs(b_eq))
-        res = scipy.optimize.linprog(
-            objective,
-            A_ub=np.vstack([a_eq, -a_eq]),
-            b_ub=np.concatenate([b_eq + eps, -(b_eq - eps)]),
-            bounds=(0, None),
-            method="highs",
-        )
-        if not moment_feasible(res, float(eps.max()) + 1e-7):
-            raise ValueError(
-                "moment sequence is not representable on the oracle grid"
-            )
-    return float(min(1.0, -res.fun))

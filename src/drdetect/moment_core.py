@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MomentSequence",
@@ -89,11 +88,9 @@ def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:
     """Hankel matrix R_index: entry (i, j) = M_{i+j} for even index,
     M_{i+j+1} for odd, with i, j = 0..floor(index/2)."""
     m = np.asarray(moments, dtype=float)
-    if index % 2 == 0:
-        half = index // 2
-        return scipy.linalg.hankel(m[: half + 1], m[half : 2 * half + 1])
-    half = (index - 1) // 2
-    return scipy.linalg.hankel(m[1 : half + 2], m[half + 1 : 2 * half + 2])
+    half, shift = divmod(index, 2)
+    i = np.arange(half + 1)
+    return m[i[:, None] + i + shift]
 
 
 def hankel_pair(seq: MomentSequence) -> tuple[np.ndarray, np.ndarray]:

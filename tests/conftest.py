@@ -59,8 +59,9 @@ def random_moments(rng, k, n_atoms=None, lo=0.0, hi=5.0) -> MomentSequence:
             return mom
 
 
-def random_oracle_instance(rng, k):
-    """(moments, alpha) pair whose support fits the oracle grid [0, 10a]."""
+def random_tail_instance(rng, k):
+    """(moments, alpha) pair of a random (k+1)-atom law on [0, 5] and a
+    threshold 1.1 to 3 times its mean, with every atom at most 10 alpha."""
     while True:
         atoms = np.sort(rng.uniform(0.0, 5.0, size=k + 1))
         weights = rng.dirichlet(np.ones(k + 1))

@@ -26,9 +26,9 @@ def test_demo_runs(script):
 
 
 def test_import_is_light():
-    # scipy.optimize (for the LP oracle) and scipy.special (for the
-    # chi-squared quantile) load only when their one caller runs; nothing
-    # in the package needs scipy.signal
+    # scipy.special (for the chi-squared quantile) loads only when its one
+    # caller runs; nothing in the package needs scipy.signal or
+    # scipy.optimize, so this guards against a caller coming back
     done = _run(
         [
             "-c",
@@ -44,7 +44,8 @@ def test_import_is_light():
 
 def test_state_simulations_stay_light():
     # attacked and attack-free runs that keep states take the banded
-    # route, which needs neither scipy.signal nor scipy.optimize
+    # route; the package has no caller of scipy.signal or scipy.optimize,
+    # and this guards against one coming back on that route
     done = _run(
         [
             "-c",
@@ -66,7 +67,8 @@ def test_state_simulations_stay_light():
 def test_pipeline_stays_light(tmp_path):
     # the laplacian config takes its moments from the simulated q, so
     # `all` runs the modal simulation, moment estimation, tuning, far.csv
-    # and reach, and needs neither scipy.signal nor scipy.optimize
+    # and reach; the package has no caller of scipy.signal or
+    # scipy.optimize, and this guards against one coming back on that path
     config = ROOT / "configs" / "benchmark2d_laplacian.json"
     argv = ["all", "--config", str(config), "--out", str(tmp_path), "--quiet"]
     done = _run(
