@@ -54,12 +54,12 @@ class AttackPolicy:
     rotate: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("threshold must be finite and nonnegative")
         direction = np.array(self.direction, dtype=float)
         norm = np.linalg.norm(direction)
-        if direction.ndim != 1 or norm == 0:
-            raise ValueError("direction must be a nonzero vector")
+        if direction.ndim != 1 or norm == 0 or not np.isfinite(direction).all():
+            raise ValueError("direction must be a finite nonzero vector")
         direction = direction / norm
         direction.flags.writeable = False
         object.__setattr__(self, "direction", direction)
@@ -112,21 +112,6 @@ class ReachBound:
     @property
     def n_dirs(self) -> int:
         return self.directions.shape[0]
-
-    def write_boundary_csv(self, path) -> None:
-        """Export as rows ``theta, x1, x2`` (planar systems only)."""
-        if self.directions.shape[1] != 2:
-            raise ValueError("boundary CSV export is for planar systems")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("theta,x1,x2\n")
-            for ell, point in zip(self.directions, self.boundary):
-                theta = math.atan2(ell[1], ell[0])
-                fh.write(
-                    ",".join(
-                        format(val, ".17g") for val in (theta, point[0], point[1])
-                    )
-                    + "\n"
-                )
 
 
 def _directions(n: int, n_dirs: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys as _sys
 from dataclasses import dataclass, replace
@@ -45,6 +46,10 @@ EMPIRICAL = "empirical"
 _THRESHOLD_HEADER = "method,k,target_rate,alpha,achieved,epsilon"
 _FAR_HEADER = "method,k,alpha,rate,stderr,samples"
 _AREA_HEADER = "alpha,area"
+_BOUNDARY_HEADER = "theta,x1,x2"
+
+# progress text, at INFO; `main` sends it to stdout
+_logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0 < self.target_rate <= 0.5:
             raise ValueError("target rate must be in (0, 0.5]")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.orders or any(k < 1 for k in self.orders):
             raise ValueError("moment orders must all be >= 1")
@@ -143,18 +148,13 @@ class ExperimentConfig:
         )
 
 
-def _log(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
-def resolve_moments(config: ExperimentConfig, quiet: bool = True) -> MomentSequence:
+def resolve_moments(config: ExperimentConfig) -> MomentSequence:
     """Moment sequence of the detection measure at the largest order."""
     k_max = max(config.orders)
     if config.moment_source == ANALYTIC_CHI_SQUARED:
         return chi_squared_moments(config.system.p, k_max)
     noise_w, noise_v = config.noise_models(0)
-    _log(quiet, f"estimating moments from {config.empirical_samples} samples")
+    _logger.info("estimating moments from %d samples", config.empirical_samples)
     trace = simulate(
         config.system,
         noise_w,
@@ -165,9 +165,7 @@ def resolve_moments(config: ExperimentConfig, quiet: bool = True) -> MomentSeque
     return estimate_moments(trace.q_values, k_max)
 
 
-def run_tune(
-    config: ExperimentConfig, quiet: bool = True
-) -> list[ThresholdResult]:
+def run_tune(config: ExperimentConfig) -> list[ThresholdResult]:
     """One threshold per configured moment order plus the chi-squared
     reference row (whose k column records the degrees of freedom).
     Per-order failures are reported and skipped; the run continues.
@@ -184,7 +182,7 @@ def run_tune(
             achieved_worst_case=rate,
         )
     )
-    moments = resolve_moments(config, quiet=quiet)
+    moments = resolve_moments(config)
     for k in config.orders:
         try:
             seq = moments.truncated(k)
@@ -200,14 +198,12 @@ def run_tune(
 
 
 def run_far(
-    config: ExperimentConfig,
-    thresholds: list[ThresholdResult],
-    quiet: bool = True,
+    config: ExperimentConfig, thresholds: list[ThresholdResult]
 ) -> list[tuple[ThresholdResult, float, float]]:
     """Empirical false-alarm rate with binomial standard error for each
     tuned threshold, measured on one fresh attack-free run."""
     noise_w, noise_v = config.noise_models(2)
-    _log(quiet, f"simulating {config.sim_samples} attack-free steps")
+    _logger.info("simulating %d attack-free steps", config.sim_samples)
     trace = simulate(
         config.system, noise_w, noise_v, config.sim_samples, burn_in=config.burn_in
     )
@@ -219,17 +215,13 @@ def run_far(
     return out
 
 
-def run_reach(
-    config: ExperimentConfig,
-    thresholds: list[ThresholdResult],
-    quiet: bool = True,
-):
+def run_reach(config: ExperimentConfig, thresholds: list[ThresholdResult]):
     """Reach bounds for every tuned threshold at the configured horizon,
     plus the ordering report over their areas and support functions."""
     w_bar = noise_threshold(config.system.n, config.noise_rate)
     bounds = []
     for row in thresholds:
-        _log(quiet, f"reach bound at alpha={row.alpha:.4f}")
+        _logger.info("reach bound at alpha=%.4f", row.alpha)
         bounds.append(
             reach_bound(
                 config.system,
@@ -243,56 +235,56 @@ def run_reach(
     return bounds, report
 
 
-def _write_lines(path: Path, header: str, lines: list[str]) -> None:
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write the header and one comma-separated line per row, each ending
+    in a newline.  Floats (numpy's included) are written with 17
+    significant digits, so they parse back exactly; any other field is
+    written with `str`."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        for row in rows:
+            fields = (
+                format(v, ".17g") if isinstance(v, float) else str(v) for v in row
+            )
+            fh.write(",".join(fields) + "\n")
+    return path
 
 
 def _write_thresholds(out: Path, rows: list[ThresholdResult]) -> Path:
-    path = out / "thresholds.csv"
-    _write_lines(path, _THRESHOLD_HEADER, [row.to_csv_row() for row in rows])
-    return path
+    records = (
+        (r.method.value, r.k, r.target_rate, r.alpha, r.achieved_worst_case, r.epsilon)
+        for r in rows
+    )
+    return _write_csv(out / "thresholds.csv", _THRESHOLD_HEADER, records)
 
 
 def _write_far(out: Path, far_rows, samples: int) -> Path:
-    path = out / "far.csv"
-    lines = []
-    for row, rate, stderr in far_rows:
-        lines.append(
-            ",".join(
-                [
-                    row.method.value,
-                    str(row.k),
-                    format(row.alpha, ".17g"),
-                    format(rate, ".17g"),
-                    format(stderr, ".17g"),
-                    str(samples),
-                ]
-            )
-        )
-    _write_lines(path, _FAR_HEADER, lines)
-    return path
+    records = (
+        (row.method.value, row.k, row.alpha, rate, stderr, samples)
+        for row, rate, stderr in far_rows
+    )
+    return _write_csv(out / "far.csv", _FAR_HEADER, records)
 
 
 def _write_reach(
     out: Path, thresholds: list[ThresholdResult], bounds, report
 ) -> list[Path]:
-    """One boundary file per threshold row, named by its (method, k),
-    which is unique within a run, plus areas.csv."""
+    """One boundary file ``theta, x1, x2`` per threshold row, named by its
+    (method, k), which is unique within a run, plus areas.csv.  Boundary
+    files exist for planar systems only."""
     paths = []
     for row, rb in zip(thresholds, bounds):
+        if rb.directions.shape[1] != 2:
+            raise ValueError("boundary CSV export is for planar systems")
+        points = (
+            (math.atan2(ell[1], ell[0]), point[0], point[1])
+            for ell, point in zip(rb.directions, rb.boundary)
+        )
         path = out / f"reach_{row.method.value}_k{row.k}.csv"
-        rb.write_boundary_csv(path)
-        paths.append(path)
-    area_path = out / "areas.csv"
-    lines = [
-        ",".join([format(alpha, ".17g"), format(area, ".17g")])
-        for alpha, area in zip(report.alphas, report.areas)
-    ]
-    _write_lines(area_path, _AREA_HEADER, lines)
-    paths.append(area_path)
+        paths.append(_write_csv(path, _BOUNDARY_HEADER, points))
+    paths.append(
+        _write_csv(out / "areas.csv", _AREA_HEADER, zip(report.alphas, report.areas))
+    )
     return paths
 
 
@@ -324,24 +316,30 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, seed=args.seed)
     out = Path(args.out if args.out is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    quiet = args.quiet
 
-    thresholds = run_tune(config, quiet=quiet)
-    written = [_write_thresholds(out, thresholds)]
-    exit_code = 0
-    if args.command in ("far", "all"):
-        far_rows = run_far(config, thresholds, quiet=quiet)
-        written.append(_write_far(out, far_rows, config.sim_samples))
-    if args.command in ("reach", "all"):
-        bounds, report = run_reach(config, thresholds, quiet=quiet)
-        written.extend(_write_reach(out, thresholds, bounds, report))
-        if not (report.area_ordered and report.support_ordered):
-            print(
-                "reachable-set ordering violated: "
-                f"max support violation {report.max_support_violation:.3g}",
-                file=_sys.stderr,
-            )
-            exit_code = 1
-    for path in written:
-        _log(quiet, f"wrote {path}")
-    return exit_code
+    handler = logging.StreamHandler(_sys.stdout)
+    _logger.addHandler(handler)
+    _logger.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    try:
+        thresholds = run_tune(config)
+        written = [_write_thresholds(out, thresholds)]
+        exit_code = 0
+        if args.command in ("far", "all"):
+            far_rows = run_far(config, thresholds)
+            written.append(_write_far(out, far_rows, config.sim_samples))
+        if args.command in ("reach", "all"):
+            bounds, report = run_reach(config, thresholds)
+            written.extend(_write_reach(out, thresholds, bounds, report))
+            if not (report.area_ordered and report.support_ordered):
+                print(
+                    "reachable-set ordering violated: "
+                    f"max support violation {report.max_support_violation:.3g}",
+                    file=_sys.stderr,
+                )
+                exit_code = 1
+        for path in written:
+            _logger.info("wrote %s", path)
+        return exit_code
+    finally:
+        _logger.removeHandler(handler)
+        _logger.setLevel(logging.NOTSET)

@@ -428,6 +428,6 @@ def simulate(
 def empirical_false_alarm_rate(trace: ResidualTrace, alpha: float) -> float:
     """Fraction of steps with q > alpha (strict, per the alarm rule).
     Meaningful as a false-alarm rate only on attack-free traces."""
-    if alpha < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
     return float(np.mean(trace.q_values > alpha))

@@ -48,20 +48,8 @@ class ThresholdResult:
             raise ValueError("threshold must be positive")
         if not 0 < self.target_rate < 1:
             raise ValueError("target rate must be in (0, 1)")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("bisection tolerance must be nonnegative")
-
-    def to_csv_row(self) -> str:
-        """Serialize as ``method, k, target_rate, alpha, achieved, epsilon``."""
-        fields = [
-            self.method.value,
-            str(self.k),
-            format(self.target_rate, ".17g"),
-            format(self.alpha, ".17g"),
-            format(self.achieved_worst_case, ".17g"),
-            format(self.epsilon, ".17g"),
-        ]
-        return ",".join(fields)
 
 
 class TuningError(RuntimeError):
@@ -178,7 +166,7 @@ def tune_threshold_sdp(
         raise ValueError("bisection needs a sequence of order >= 2")
     if not 0 < rate <= 0.5:
         raise ValueError("target rate must be in (0, 0.5]")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("bisection tolerance must be positive")
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")

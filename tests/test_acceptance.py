@@ -36,6 +36,7 @@ from drdetect import (
     volume_comparison,
 )
 from drdetect import detector_tuning
+from drdetect.cli_runner import _write_reach, _write_thresholds
 
 RATE = 0.05
 EPSILON = 1e-4
@@ -287,18 +288,23 @@ def test_criterion_10_property_suites(rng, tmp_path, monkeypatch):
     if min(cross) < -1e-9 * max(abs(c) for c in cross):
         failures.append("boundary convexity")
 
-    # each run tunes from scratch and each file comes from its own bound,
-    # so a nondeterministic step shows as a difference
+    # each run tunes from scratch and builds its own bounds, and both go
+    # through the CLI writers, so a nondeterministic step shows as a
+    # difference in some file
     experiment = ExperimentConfig.from_json(GAUSSIAN_CONFIG)
-    runs = []
-    for _ in range(2):
+    trees = []
+    for name in ("a", "b"):
         monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
-        runs.append([row.to_csv_row() for row in run_tune(experiment)])
-    rows_a, rows_b = runs
-    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    rb.write_boundary_csv(path_a)
-    reach_bound(benchmark_system(), 40.0, 9.1315, 50, 128).write_boundary_csv(path_b)
-    if rows_a != rows_b or path_a.read_bytes() != path_b.read_bytes():
+        out = tmp_path / name
+        out.mkdir()
+        rows = run_tune(experiment)
+        bounds = [
+            reach_bound(benchmark_system(), 40.0, row.alpha, 50, 128) for row in rows
+        ]
+        _write_thresholds(out, rows)
+        _write_reach(out, rows, bounds, volume_comparison(bounds))
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    if trees[0] != trees[1]:
         failures.append("determinism")
 
     check_criterion(

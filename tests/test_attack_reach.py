@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from drdetect import (
     AttackPolicy,
     LtiSystem,
+    Method,
     NoiseFamily,
     NoiseModel,
+    ThresholdResult,
     benchmark_system,
     noise_threshold,
     reach_bound,
     simulate,
     volume_comparison,
 )
+from drdetect.cli_runner import _write_reach
 
 
 def _identity_system(sigma_w=((1.0, 0.0), (0.0, 1.0))):
@@ -197,10 +200,16 @@ def test_attack_policy_budget():
 
 
 def test_attack_policy_validation():
-    with pytest.raises(ValueError):
-        AttackPolicy(alpha=-1.0, direction=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        AttackPolicy(alpha=1.0, direction=np.zeros(2))
+    for alpha, direction in (
+        (-1.0, [1.0, 0.0]),
+        (math.nan, [1.0, 0.0]),
+        (math.inf, [1.0, 0.0]),
+        (1.0, [0.0, 0.0]),
+        (1.0, [math.nan, 1.0]),
+        (1.0, [math.inf, 1.0]),
+    ):
+        with pytest.raises(ValueError):
+            AttackPolicy(alpha=alpha, direction=np.array(direction))
 
 
 def test_simulated_attack_never_alarms():
@@ -337,13 +346,30 @@ def test_volume_comparison_rejects_mismatch():
 def test_boundary_csv(tmp_path):
     sys_ = benchmark_system()
     rb = reach_bound(sys_, 40.0, 9.0, 30, 32)
-    path = tmp_path / "reach.csv"
-    rb.write_boundary_csv(path)
+    row = ThresholdResult(
+        alpha=9.0,
+        method=Method.SDP_BISECTION,
+        k=4,
+        target_rate=0.05,
+        achieved_worst_case=0.05,
+    )
+
+    def write(out, rb):
+        out.mkdir()
+        return _write_reach(out, [row], [rb], volume_comparison([rb]))[0]
+
+    path = write(tmp_path / "a", rb)
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,x1,x2"
     assert len(lines) == 33
-    rb.write_boundary_csv(tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert write(tmp_path / "b", rb).read_bytes() == path.read_bytes()
+    eye = np.eye(3).tolist()
+    spatial = LtiSystem.from_matrices(
+        A=(0.5 * np.eye(3)).tolist(), B=eye, C=eye,
+        K=(-0.25 * np.eye(3)).tolist(), sigma_w=eye, sigma_v=eye,
+    )
+    with pytest.raises(ValueError, match="planar"):
+        write(tmp_path / "c", reach_bound(spatial, 40.0, 9.0, 30, 32))
 
 
 @given(

@@ -14,6 +14,7 @@ from drdetect import (
     run_reach,
     run_tune,
 )
+from drdetect import detector_tuning
 from drdetect.cli_runner import (
     ANALYTIC_CHI_SQUARED,
     EMPIRICAL,
@@ -78,6 +79,7 @@ def test_config_orders_sorted_and_deduped():
         {"noise_rate": 0.0},
         {"sim_samples": 0},
         {"burn_in": -1},
+        {"epsilon": float("nan")},
     ],
 )
 def test_config_validation(overrides):
@@ -227,30 +229,59 @@ def test_main_reach_writes_one_file_per_threshold_row(tmp_path):
     assert (out / names[1]).read_bytes() == (out / names[2]).read_bytes()
 
 
-def test_main_is_deterministic(tmp_path):
+def _main_from_scratch(monkeypatch, argv):
+    # an empty tuning memo per call, so no call reads a row another tuned
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    return main(argv)
+
+
+def test_main_is_deterministic(tmp_path, monkeypatch):
     config_path = _write_small_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(
-            ["all", "--config", str(config_path), "--out", str(out), "--quiet"]
+        assert _main_from_scratch(
+            monkeypatch,
+            ["all", "--config", str(config_path), "--out", str(out), "--quiet"],
         ) == 0
-    for name in ("thresholds.csv", "far.csv", "areas.csv"):
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert len(names) == 7
+    for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_main_seed_override_changes_rates_not_thresholds(tmp_path):
+def test_main_seed_override_changes_rates_not_thresholds(tmp_path, monkeypatch):
     config_path = _write_small_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["far", "--config", str(config_path), "--out", str(out_a), "--quiet",
-          "--seed", "11"])
-    main(["far", "--config", str(config_path), "--out", str(out_b), "--quiet",
-          "--seed", "12"])
+    for out, seed in ((out_a, "11"), (out_b, "12")):
+        _main_from_scratch(
+            monkeypatch,
+            ["far", "--config", str(config_path), "--out", str(out), "--quiet",
+             "--seed", seed],
+        )
     # analytic moments ignore the seed; the fresh simulation does not
     assert (
         (out_a / "thresholds.csv").read_bytes()
         == (out_b / "thresholds.csv").read_bytes()
     )
     assert (out_a / "far.csv").read_bytes() != (out_b / "far.csv").read_bytes()
+
+
+def test_main_prints_one_line_per_file_unless_quiet(tmp_path, capsys):
+    config_path = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["tune", "--config", str(config_path), "--out", str(out)]
+    # the second loud call prints one line too, so the first call's
+    # handler is gone
+    for extra, expected in (
+        ([], f"wrote {out / 'thresholds.csv'}\n"),
+        (["--quiet"], ""),
+        ([], f"wrote {out / 'thresholds.csv'}\n"),
+    ):
+        assert main(argv + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
 
 
 def test_main_requires_config():

@@ -333,6 +333,9 @@ def test_empirical_false_alarm_rate_counts_strictly():
     mid = q_sorted[5000]
     manual = float(np.mean(trace.q_values > mid))
     assert empirical_false_alarm_rate(trace, mid) == manual
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            empirical_false_alarm_rate(trace, alpha)
 
 
 def test_simulate_divergence_guard():

@@ -7,6 +7,7 @@ from drdetect import (
     Method,
     MomentSequence,
     Status,
+    ThresholdResult,
     chi_squared_moments,
     chi_squared_threshold,
     closed_form_threshold,
@@ -15,6 +16,7 @@ from drdetect import (
     tune_threshold_sdp,
 )
 from drdetect import detector_tuning
+from drdetect.cli_runner import _write_thresholds
 
 from conftest import SEQ15, TWO_ATOM, random_moments
 
@@ -255,16 +257,27 @@ def test_bracket_degenerate_flag():
 def test_rate_domain():
     with pytest.raises(ValueError):
         tune_threshold_sdp(CHI2, 0.7, epsilon=1e-4)
-    with pytest.raises(ValueError):
-        tune_threshold_sdp(CHI2, 0.05, epsilon=0.0)
+    for epsilon in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            tune_threshold_sdp(CHI2, 0.05, epsilon=epsilon)
     with pytest.raises(ValueError):
         tune_threshold_sdp(CHI2.truncated(1), 0.05, epsilon=1e-4)
+    with pytest.raises(ValueError):
+        ThresholdResult(
+            alpha=9.0,
+            method=Method.SDP_BISECTION,
+            k=4,
+            target_rate=0.05,
+            achieved_worst_case=0.05,
+            epsilon=math.nan,
+        )
 
 
-def test_threshold_result_csv_round_trip():
+def test_threshold_result_csv_round_trip(tmp_path):
     # every float field is written with 17 digits, so it parses back exactly
     res = tune_threshold_sdp(CHI2.truncated(2), 0.05, epsilon=1e-4)
-    method, k, rate, alpha, achieved, epsilon = res.to_csv_row().split(",")
+    line = _write_thresholds(tmp_path, [res]).read_text().splitlines()[1]
+    method, k, rate, alpha, achieved, epsilon = line.split(",")
     assert method == res.method.value
     assert int(k) == res.k
     assert float(rate) == res.target_rate
