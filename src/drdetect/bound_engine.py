@@ -83,40 +83,38 @@ class PolyBound:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("coefficients must be finite")
 
     def __call__(self, q) -> np.ndarray:
         return np.polynomial.polynomial.polyval(q, self.coeffs)
 
-    def min_over(self, lo: float, hi: float = math.inf) -> float:
-        """Minimum of p on [lo, hi] via a dense grid refined with the real
-        critical points of p (root isolation on the derivative).
-
-        With `hi` infinite the minimum is exact on the half-line [lo, inf):
-        it is -inf when the leading coefficient is negative, and otherwise
-        taken over lo and every real critical point above it; the grid
-        then spans [lo, 100 lo]."""
+    def slack(self) -> float:
+        """Least certificate margin: the smaller of min p - 1 on
+        [threshold, inf) and min p on [0, threshold], exact up to
+        rounding.  It is -inf when the leading coefficient is negative;
+        otherwise p is evaluated at 0, at the threshold and at the real
+        part of every root of p' that is nonnegative.  Taking every root
+        keeps a real one that comes back with a rounding-size imaginary
+        part; a point that is not a critical point can only bring the
+        computed minimum closer to the true one."""
         coeffs = np.polynomial.polynomial.polytrim(self.coeffs)
-        if math.isinf(hi) and len(coeffs) > 1 and coeffs[-1] < 0.0:
+        if len(coeffs) > 1 and coeffs[-1] < 0.0:
             return -math.inf
-        grid = np.linspace(lo, hi if math.isfinite(hi) else 100.0 * lo, 10_000)
-        candidates = [self(grid).min()]
-        deriv = np.polynomial.polynomial.polyder(coeffs)
-        if len(deriv) > 1:
-            roots = np.polynomial.polynomial.polyroots(deriv)
-            scale = np.maximum(1.0, np.abs(roots.real))
-            real = roots[np.abs(roots.imag) < 1e-9 * scale].real
-            inside = real[(real >= lo) & (real <= hi)]
-            if inside.size:
-                candidates.append(self(inside).min())
-        return float(min(candidates))
+        a = self.threshold
+        roots = np.polynomial.polynomial.polyroots(
+            np.polynomial.polynomial.polyder(coeffs)
+        ).real
+        pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
+        values = self(pts)
+        return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
 
     def is_valid(self) -> bool:
         """Certificate check: p >= 1 on [threshold, inf) and p >= 0 on
         [0, threshold], within -1e-6."""
-        a = self.threshold
-        return self.min_over(a) >= 1.0 - 1e-6 and self.min_over(0.0, a) >= -1e-6
+        return self.slack() >= -1e-6
 
 
 def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
@@ -191,8 +189,8 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     one.  Any residual infeasibility of the returned certificate is
     absorbed into the constant coefficient, so the reported objective is
     always a certified upper bound, also when the solver stalls and the
-    status is `NUMERICAL_TROUBLE`.  The certificate is checked exactly on
-    the whole half-line above the threshold.
+    status is `NUMERICAL_TROUBLE`.  The certificate is checked exactly by
+    :meth:`PolyBound.slack`.
     """
     alpha = float(alpha)
     if alpha <= 0:
@@ -208,11 +206,7 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     status = result.status
     # certificate polish: absorb solver residual into the constant term
     cert_scaled = PolyBound(tuple(y_scaled), 1.0)
-    slack = min(
-        cert_scaled.min_over(1.0) - 1.0,
-        cert_scaled.min_over(0.0, 1.0),
-    )
-    shift = max(0.0, -slack)
+    shift = max(0.0, -cert_scaled.slack())
     if shift > 1e-5:
         status = Status.NUMERICAL_TROUBLE
     if math.isinf(shift):

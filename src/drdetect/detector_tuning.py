@@ -44,28 +44,18 @@ class ThresholdResult:
     bracket_degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if not 0 < self.target_rate < 1:
             raise ValueError("target rate must be in (0, 1)")
         if not self.epsilon >= 0:
             raise ValueError("bisection tolerance must be nonnegative")
+        if not 0 <= self.achieved_worst_case <= 1:
+            raise ValueError("worst-case probability must be in [0, 1]")
 
 
 class TuningError(RuntimeError):
-    """Bisection failure, carrying the surviving bracket.
-
-    Nothing raises it: a stalled solve still gives a certified bound,
-    and tuning goes on with it.  Only the benchmark harness
-    (`perfbench/workloads.py`) names it; it goes together with the
-    tuning memo once tuning walks the orders in one chain."""
-
-    def __init__(self, message: str, alpha_lower: float, alpha_upper: float):
-        super().__init__(
-            f"{message} (surviving bracket [{alpha_lower:.6g}, {alpha_upper:.6g}])"
-        )
-        self.alpha_lower = alpha_lower
-        self.alpha_upper = alpha_upper
+    """Never raised; kept because the benchmark harness names it."""
 
 
 def chi_squared_threshold(p: int, rate: float) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,9 +54,10 @@ def test_poly_bound_evaluation_and_validity():
     assert not bad.is_valid()
     # polynomials that dip below 1 only beyond 100 alpha must be rejected:
     # one by its negative leading coefficient, 1 + (q-1)(300-q)/1000 ...
+    beyond = np.linspace(1.0, 100.0, 10_000)
     falls = np.polynomial.polynomial.polymul((-1.0, 1.0), (300.0, -1.0))
     falls = PolyBound(np.polynomial.polynomial.polyadd((1.0,), 1e-3 * falls), 1.0)
-    assert falls.min_over(1.0, 100.0) >= 1.0 and falls.min_over(0.0, 1.0) >= 0.0
+    assert falls(beyond).min() >= 1.0 and falls(0.0) >= 0.0
     assert falls(400.0) < 1.0
     assert not falls.is_valid()
     # ... one by an interior dip, 1 + (q-1)((q-200)^2 - 100)/1e5
@@ -62,9 +65,18 @@ def test_poly_bound_evaluation_and_validity():
         (-1.0, 1.0), (200.0**2 - 100.0, -400.0, 1.0)
     )
     well = PolyBound(np.polynomial.polynomial.polyadd((1.0,), 1e-5 * well), 1.0)
-    assert well.min_over(1.0, 100.0) >= 1.0 and well.min_over(0.0, 1.0) >= 0.0
+    assert well(beyond).min() >= 1.0 and well(0.0) >= 0.0
     assert well(200.0) < 1.0
     assert not well.is_valid()
+
+
+def test_poly_bound_rejects_non_finite_input():
+    for threshold in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PolyBound((0.0, 1.0), threshold)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            PolyBound((0.0, bad), 1.0)
 
 
 def test_stalled_solve_stops_early_with_a_certified_bound():
@@ -77,10 +89,80 @@ def test_stalled_solve_stops_early_with_a_certified_bound():
     assert 0.0 <= sol.objective <= 1.0
 
 
-def test_poly_bound_min_over_finds_interior_dip():
-    # p(q) = (q-1)^2 = 1 - 2q + q^2 has its minimum 0 at q=1
-    p = PolyBound((1.0, -2.0, 1.0), 2.0)
-    assert p.min_over(0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+def test_poly_bound_slack_finds_interior_dip():
+    # p(q) = (q-1)^2 = 1 - 2q + q^2 has its minimum 0 at q=1, inside
+    # [0, 3]; at 0 and at the threshold it is 1 and 4
+    p = PolyBound((1.0, -2.0, 1.0), 3.0)
+    assert p.slack() == pytest.approx(0.0, abs=1e-12)
+    # with the threshold at 0.5 the dip lies above it: min p - 1 = -1
+    assert PolyBound((1.0, -2.0, 1.0), 0.5).slack() == pytest.approx(-1.0)
+    # a line has no critical point: its least margin is at 0 or the threshold
+    assert PolyBound((-0.1, 1.0), 2.0).slack() == pytest.approx(-0.1)
+    assert PolyBound((0.1, 0.25), 4.0).slack() == pytest.approx(0.1)
+    # a negative leading coefficient fails on the half-line
+    assert PolyBound((2.0, 1.0, -1e-9), 1.0).slack() == -math.inf
+
+
+def _grid_min(p, lo, hi=math.inf):
+    """Minimum of p on [lo, hi] as the check before the exact one took it:
+    10 000 grid points on [lo, hi] (on [lo, 100 lo] for an infinite hi)
+    and the critical points that are real within 1e-9 relative."""
+    coeffs = np.polynomial.polynomial.polytrim(p.coeffs)
+    if math.isinf(hi) and len(coeffs) > 1 and coeffs[-1] < 0.0:
+        return -math.inf
+    grid = np.linspace(lo, hi if math.isfinite(hi) else 100.0 * lo, 10_000)
+    candidates = [p(grid).min()]
+    deriv = np.polynomial.polynomial.polyder(coeffs)
+    if len(deriv) > 1:
+        roots = np.polynomial.polynomial.polyroots(deriv)
+        scale = np.maximum(1.0, np.abs(roots.real))
+        real = roots[np.abs(roots.imag) < 1e-9 * scale].real
+        inside = real[(real >= lo) & (real <= hi)]
+        if inside.size:
+            candidates.append(p(inside).min())
+    return float(min(candidates))
+
+
+def _raw_certificate(moments, alpha):
+    """The solver's certificate in units of the threshold, before the
+    polish in `solve_sdp` absorbs its residual."""
+    conic = build_sdp(moments.scaled(1.0 / alpha))
+    return PolyBound(tuple(bound_engine.ipm.solve(conic).x_free), 1.0)
+
+
+def test_slack_equals_the_grid_check_bit_for_bit():
+    cases = [
+        (chi_squared_moments(p, k), mean * ratio)
+        for p, mean in ((1, 1.0), (2, 2.0), (4, 4.0))
+        for k in range(3, 7)
+        for ratio in (1.0, 2.5, 6.0)
+    ]
+    # the stalled solve, and the two-atom law whose solves beyond four
+    # moments stall at the k = 4 threshold
+    cases.append((chi_squared_moments(1, 5), 1.0))
+    cases += [(TWO_ATOM.truncated(k), 4.45435) for k in (4, 5, 6)]
+    stalled = 0
+    for moments, alpha in cases:
+        sol = solve_sdp(moments, alpha)
+        stalled += sol.status == Status.NUMERICAL_TROUBLE
+        for cert in (_raw_certificate(moments, alpha), sol.y):
+            a = cert.threshold
+            grid = min(_grid_min(cert, a) - 1.0, _grid_min(cert, 0.0, a))
+            assert repr(cert.slack()) == repr(grid)
+    assert stalled >= 2
+
+
+def test_solve_finds_critical_points_once(monkeypatch):
+    calls = []
+    original = np.polynomial.polynomial.polyroots
+
+    def counted(c):
+        calls.append(len(c))
+        return original(c)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", counted)
+    solve_sdp(CHI2, 9.1315)
+    assert len(calls) == 1
 
 
 def _residual(prob, y, x, z):

@@ -23,6 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(script):
     done = _run([str(ROOT / "demos" / script)])
     assert done.returncode == 0, done.stderr
+    if script == "01_moment_bounds.py":
+        # one checked certificate per order k = 1..4
+        assert done.stdout.count("certificate valid: True") == 4
 
 
 def test_import_is_light():

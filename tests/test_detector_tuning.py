@@ -262,15 +262,23 @@ def test_rate_domain():
             tune_threshold_sdp(CHI2, 0.05, epsilon=epsilon)
     with pytest.raises(ValueError):
         tune_threshold_sdp(CHI2.truncated(1), 0.05, epsilon=1e-4)
-    with pytest.raises(ValueError):
-        ThresholdResult(
-            alpha=9.0,
-            method=Method.SDP_BISECTION,
-            k=4,
-            target_rate=0.05,
-            achieved_worst_case=0.05,
-            epsilon=math.nan,
-        )
+    valid = dict(
+        alpha=9.0,
+        method=Method.SDP_BISECTION,
+        k=4,
+        target_rate=0.05,
+        achieved_worst_case=0.05,
+    )
+    ThresholdResult(**valid)
+    for field, bad in (
+        ("epsilon", math.nan),
+        ("alpha", math.inf),
+        ("achieved_worst_case", math.nan),
+        ("achieved_worst_case", -1.0),
+        ("achieved_worst_case", 2.0),
+    ):
+        with pytest.raises(ValueError):
+            ThresholdResult(**{**valid, field: bad})
 
 
 def test_threshold_result_csv_round_trip(tmp_path):
