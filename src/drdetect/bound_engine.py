@@ -40,7 +40,7 @@ __all__ = [
 
 def markov_bound(moments: MomentSequence, alpha: float) -> float:
     """min(1, M1/alpha): the tight one-moment bound on P(q >= alpha)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("threshold must be positive")
     return min(1.0, moments.moments[1] / alpha)
 
@@ -54,7 +54,7 @@ def chebyshev_bound(moments: MomentSequence, alpha: float) -> float:
     alpha >= M2/M1; below that the tight value is M1/alpha instead, and
     this function intentionally keeps the Chebyshev form.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("threshold must be positive")
     if moments.order < 2:
         raise ValueError("two moments are needed")
@@ -193,7 +193,7 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     :meth:`PolyBound.slack`.
     """
     alpha = float(alpha)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("threshold must be positive")
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
@@ -248,7 +248,7 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     scaled moment to relative 1e-10; a singular Hankel matrix gives none.
     """
     alpha = float(alpha)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("threshold must be positive")
     k = moments.order
     scaled = np.array(moments.scaled(1.0 / alpha).moments)

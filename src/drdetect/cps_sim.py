@@ -253,6 +253,8 @@ class NoiseModel:
         object.__setattr__(self, "covariance", cov)
         if not isinstance(self.family, NoiseFamily):
             raise ValueError(f"unknown noise family {self.family!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
     @property
     def dim(self) -> int:

@@ -151,8 +151,7 @@ def tune_threshold_sdp(
     the lower end rises without a solve.  Every value that is returned
     comes from :func:`solve_sdp`.
     """
-    k = moments.order
-    if k < 2:
+    if moments.order < 2:
         raise ValueError("bisection needs a sequence of order >= 2")
     if not 0 < rate <= 0.5:
         raise ValueError("target rate must be in (0, 0.5]")
@@ -160,14 +159,27 @@ def tune_threshold_sdp(
         raise ValueError("bisection tolerance must be positive")
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
-    m1 = moments.moments[1]
-    if not m1 > 0:
+    if not moments.moments[1] > 0:
         raise ValueError("the mean must be positive to place a threshold")
-
     cache_key = (moments, rate, epsilon)
-    if cache_key in _AUTO_CACHE:
-        return _AUTO_CACHE[cache_key]
+    if cache_key not in _AUTO_CACHE:
+        _AUTO_CACHE[cache_key] = _bisect(moments, rate, epsilon)
+    return _AUTO_CACHE[cache_key]
 
+
+def _settle(moments: MomentSequence, alpha: float, rate: float):
+    """Whether the tight bound at alpha lies above the rate, and the SDP
+    bound at alpha, or None where a law settled the point without one."""
+    if tail_lower_bound(moments, alpha) > rate + _SLACK:
+        # an explicit law puts more than the rate above alpha
+        return True, None
+    bound = solve_sdp(moments, alpha).objective
+    return bound > rate, bound
+
+
+def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdResult:
+    """The row of :func:`tune_threshold_sdp` for validated inputs."""
+    k = moments.order
     # the Markov threshold is always a valid upper end; the two-moment
     # closed form can sit above it for very dispersed sequences
     upper = closed_form_threshold(moments.truncated(1), rate, 1)
@@ -178,51 +190,33 @@ def tune_threshold_sdp(
             lower_order = tune_threshold_sdp(moments.truncated(k - 1), rate, epsilon)
         if lower_order.alpha <= upper.alpha:
             upper = lower_order
-    a_l, a_u = m1, upper.alpha
+    a_l, a_u = moments.moments[1], upper.alpha
 
-    if tail_lower_bound(moments, a_l) <= rate + _SLACK:
-        p_low = solve_sdp(moments, a_l).objective
-        if p_low <= rate:
-            result = ThresholdResult(
-                alpha=a_l,
-                method=Method.SDP_BISECTION,
-                k=k,
-                target_rate=rate,
-                achieved_worst_case=p_low,
-                epsilon=epsilon,
-                bracket_degenerate=True,
-            )
-            _AUTO_CACHE[cache_key] = result
-            return result
-
-    achieved = None
-    while a_u - a_l > epsilon:
-        mid = 0.5 * (a_l + a_u)
-        if tail_lower_bound(moments, mid) > rate + _SLACK:
-            # an explicit law puts more than the rate above mid
-            a_l = mid
-            continue
-        p_mid = solve_sdp(moments, mid).objective
-        if p_mid > rate:
-            a_l = mid
-        else:
-            a_u = mid
-            achieved = p_mid
-    if achieved is None:
-        # no midpoint came down, so the bound at the initial upper end is
-        # the one returned; no midpoint reads it, so it is solved only now
-        achieved = solve_sdp(moments, a_u).objective
-        if achieved > rate + _SLACK:
-            # every certificate for a lower order is one for order k as well
-            achieved = upper.achieved_worst_case
-    result = ThresholdResult(
+    above, achieved = _settle(moments, a_l, rate)
+    if not above:  # the bound at the lower end already meets the target
+        a_u = a_l
+    else:
+        achieved = None
+        while a_u - a_l > epsilon:
+            mid = 0.5 * (a_l + a_u)
+            mid_above, p_mid = _settle(moments, mid, rate)
+            if mid_above:
+                a_l = mid
+            else:
+                a_u, achieved = mid, p_mid
+        if achieved is None:
+            # no midpoint came down, so the bound at the initial upper end
+            # is the one returned; no midpoint reads it, so it is solved only now
+            achieved = solve_sdp(moments, a_u).objective
+            if achieved > rate + _SLACK:
+                # every certificate for a lower order is one for order k as well
+                achieved = upper.achieved_worst_case
+    return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,
         k=k,
         target_rate=rate,
         achieved_worst_case=achieved,
         epsilon=epsilon,
+        bracket_degenerate=not above,
     )
-    _AUTO_CACHE[cache_key] = result
-    return result
-

@@ -290,8 +290,10 @@ def solve(prob: ConicProblem) -> ConicSolution:
     The score of an iterate is the largest of the three measures.  A run
     whose best score has not halved within `_STALL_ITERS` iterations has
     stalled: it stops with `NUMERICAL_TROUBLE` instead of running on to
-    `_MAX_ITER`, as does a run whose KKT matrix is exactly singular.  Any
-    run that does not reach `OPTIMAL` returns its best-scored iterate."""
+    `_MAX_ITER`.  So does a run whose iteration raises `LinAlgError`: a
+    point that cannot be scaled, a singular KKT system, no step on
+    either side, or an iterate that is not finite.  Any run that does
+    not reach `OPTIMAL` returns its best-scored iterate."""
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
     a_mats = prob.a_blocks
@@ -356,9 +358,9 @@ def solve(prob: ConicProblem) -> ConicSolution:
             break
 
         mu = gap / n_tot
-
-        # Nesterov-Todd scaling per block: W S W = X.
+        # every exit below is a LinAlgError, and they all end the run alike
         try:
+            # Nesterov-Todd scaling per block: W S W = X.
             s_half, s_ihalf = _psd_sqrt_pair(ss)
             t_half, _ = _psd_sqrt_pair(_sym(s_half @ xs @ s_half))
             w = _sym(s_ihalf @ t_half @ s_ihalf)
@@ -370,72 +372,60 @@ def solve(prob: ConicProblem) -> ConicSolution:
             d_l, q_l = np.linalg.eigh(lam_mat)
             if (d_l[:, 0] <= 0).any():
                 raise np.linalg.LinAlgError("scaled point not positive")
-        except np.linalg.LinAlgError:
-            status = Status.NUMERICAL_TROUBLE
-            break
 
-        e_mats = _sym_kron(w)
-        kkt = np.zeros((m + f, m + f))
-        # the builtin sum adds the blocks' Schur terms in order, from 0
-        kkt[:m, :m] = sum(a_mats @ e_mats @ a_mats_t)
-        kkt[:m, m:] = prob.a_free
-        kkt[m:, :m] = prob.a_free.T
-        lu, piv, info = _GETRF(kkt)
-        if info != 0:
-            # an exactly singular KKT matrix has a zero pivot
-            status = Status.NUMERICAL_TROUBLE
-            break
+            e_mats = _sym_kron(w)
+            kkt = np.zeros((m + f, m + f))
+            # the builtin sum adds the blocks' Schur terms in order, from 0
+            kkt[:m, :m] = sum(a_mats @ e_mats @ a_mats_t)
+            kkt[:m, m:] = prob.a_free
+            kkt[m:, :m] = prob.a_free.T
+            lu, piv, info = _GETRF(kkt)
+            if info != 0:
+                # an exactly singular KKT matrix has a zero pivot
+                raise np.linalg.LinAlgError("singular KKT matrix")
 
-        def newton(rp_v, rdf_v, rdc_v, rc_v):
-            """(du, the stack of dX and dS, dlambda)."""
-            rhs = np.concatenate(
-                [rp_v + sum(_mv(a_mats, _mv(e_mats, rdc_v) - rc_v)), rdf_v]
-            )
-            sol = _kkt_solve(lu, piv, kkt, rhs)
-            dlam, du = sol[:m], sol[m:]
-            ds = rdc_v - a_mats_t @ dlam
-            dx = rc_v - _mv(e_mats, ds)
-            return du, smat(np.concatenate([dx, ds])), dlam
+            def newton(rp_v, rdf_v, rdc_v, rc_v):
+                """(du, the stack of dX and dS, dlambda)."""
+                rhs = np.concatenate(
+                    [rp_v + sum(_mv(a_mats, _mv(e_mats, rdc_v) - rc_v)), rdf_v]
+                )
+                sol = _kkt_solve(lu, piv, kkt, rhs)
+                dlam, du = sol[:m], sol[m:]
+                ds = rdc_v - a_mats_t @ dlam
+                dx = rc_v - _mv(e_mats, ds)
+                return du, smat(np.concatenate([dx, ds])), dlam
 
-        # predictor: aim at the boundary (sigma = 0)
-        try:
+            # predictor: aim at the boundary (sigma = 0)
             du_a, dzs_a, dlam_a = newton(rp, rd_free, rd_cone, -z_vec[:nb])
-        except np.linalg.LinAlgError:
-            status = Status.NUMERICAL_TROUBLE
-            break
-        ap, ad = _max_step(zs, dzs_a)
-        z_aff = _stepped(zs, dzs_a, min(1.0, ap), min(1.0, ad))
-        gap_aff = _inner_sum(z_aff[:nb], z_aff[nb:])
-        mu_aff = max(gap_aff, 0.0) / n_tot
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+            ap, ad = _max_step(zs, dzs_a)
+            z_aff = _stepped(zs, dzs_a, min(1.0, ap), min(1.0, ad))
+            gap_aff = _inner_sum(z_aff[:nb], z_aff[nb:])
+            mu_aff = max(gap_aff, 0.0) / n_tot
+            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-        # corrector in the scaled space, with the Mehrotra cross term
-        scaled = rs @ dzs_a @ rs
-        dxi, dsg = scaled[:nb], scaled[nb:]
-        rhs_mat = (
-            sigma * mu * np.eye(n)
-            - lam_mat @ lam_mat
-            - 0.5 * (dxi @ dsg + dsg @ dxi)
-        )
-        sol_mat = _lyap_solve(q_l, d_l, _sym(rhs_mat))
-        rc = svec(_sym(r_half @ sol_mat @ r_half))
-        try:
+            # corrector in the scaled space, with the Mehrotra cross term
+            scaled = rs @ dzs_a @ rs
+            dxi, dsg = scaled[:nb], scaled[nb:]
+            rhs_mat = (
+                sigma * mu * np.eye(n)
+                - lam_mat @ lam_mat
+                - 0.5 * (dxi @ dsg + dsg @ dxi)
+            )
+            sol_mat = _lyap_solve(q_l, d_l, _sym(rhs_mat))
+            rc = svec(_sym(r_half @ sol_mat @ r_half))
             du, dzs, dlam = newton(rp, rd_free, rd_cone, rc)
+
+            ap, ad = _max_step(zs, dzs)
+            ap, ad = min(1.0, 0.98 * ap), min(1.0, 0.98 * ad)
+            if ap < 1e-10 and ad < 1e-10:
+                raise np.linalg.LinAlgError("no step on either side")
+
+            u = u + ap * du
+            lam = lam + ad * dlam
+            zs = _sym(_stepped(zs, dzs, ap, ad))
+            if not all(np.isfinite(arr).all() for arr in (zs, u, lam)):
+                raise np.linalg.LinAlgError("iterate not finite")
         except np.linalg.LinAlgError:
-            status = Status.NUMERICAL_TROUBLE
-            break
-
-        eta = 0.98
-        ap, ad = _max_step(zs, dzs)
-        ap, ad = min(1.0, eta * ap), min(1.0, eta * ad)
-        if ap < 1e-10 and ad < 1e-10:
-            status = Status.NUMERICAL_TROUBLE
-            break
-
-        u = u + ap * du
-        lam = lam + ad * dlam
-        zs = _sym(_stepped(zs, dzs, ap, ad))
-        if not all(np.isfinite(arr).all() for arr in (zs, u, lam)):
             status = Status.NUMERICAL_TROUBLE
             break
 

@@ -15,7 +15,7 @@ from drdetect import (
     solve_sdp,
     tail_lower_bound,
 )
-from drdetect import bound_engine
+from drdetect import bound_engine, ipm
 from drdetect.ipm import Status, svec
 
 from conftest import TWO_ATOM, atomic_moments, random_moments
@@ -87,6 +87,34 @@ def test_stalled_solve_stops_early_with_a_certified_bound():
     assert sol.iterations <= 40
     assert sol.y.is_valid()
     assert 0.0 <= sol.objective <= 1.0
+
+
+def test_linalg_error_in_a_step_ends_the_run(monkeypatch):
+    # a LinAlgError from the step length (here the 5th call, in the 3rd
+    # iteration) ends the run like every other failed iteration: with
+    # NUMERICAL_TROUBLE and the best iterate, which solve_sdp certifies
+    original, calls = ipm._max_step, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) % 5 == 0:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return original(*args)
+
+    monkeypatch.setattr(ipm, "_max_step", failing)
+    run = ipm.solve(build_sdp(CHI2.scaled(1 / 9)))
+    assert run.status == Status.NUMERICAL_TROUBLE
+    assert run.iterations == 2
+    sol = solve_sdp(CHI2, 9.0)
+    assert sol.status == Status.NUMERICAL_TROUBLE
+    assert sol.y.is_valid()
+    assert 0.0 < sol.objective <= 1.0
+
+
+def test_nan_threshold_is_rejected():
+    for bound in (markov_bound, chebyshev_bound, solve_sdp, tail_lower_bound):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            bound(CHI2, math.nan)
 
 
 def test_poly_bound_slack_finds_interior_dip():

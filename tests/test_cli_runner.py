@@ -80,6 +80,7 @@ def test_config_orders_sorted_and_deduped():
         {"sim_samples": 0},
         {"burn_in": -1},
         {"epsilon": float("nan")},
+        {"seed": -1},
     ],
 )
 def test_config_validation(overrides):
@@ -282,6 +283,15 @@ def test_main_prints_one_line_per_file_unless_quiet(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == expected
         assert captured.err == ""
+
+
+def test_main_rejects_a_negative_seed_before_any_work(tmp_path):
+    config_path = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["all", "--config", str(config_path), "--out", str(out), "--quiet"]
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        main(argv + ["--seed", "-3"])
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_main_requires_config():

@@ -166,6 +166,14 @@ def test_noise_model_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_noise_model_rejects_a_bad_seed():
+    # numpy's Philox would fail only at the first draw
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), seed)
+    assert NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), np.int64(3)).seed == 3
+
+
 def test_laplacian_matches_covariance_with_heavy_tails():
     cov = np.array([[1.0, 0.3], [0.3, 2.0]])
     model = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, cov, 5)
