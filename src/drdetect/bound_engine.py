@@ -10,9 +10,10 @@ variables y_0..y_k are the coefficients of a polynomial certificate
 p(q) = sum_r y_r q^r with p >= 1 above the threshold and p >= 0 on the
 nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 (Markov; a one-sided Chebyshev form valid at thresholds above M2/M1).
-The tail of an explicit law that matches the moments, a Gauss-Radau
-rule with a node at the threshold, is a certified lower bound where such
-a law exists.
+The tail of an explicit law that matches the moments is a certified
+lower bound where such a law is found: a Gauss-Radau rule with a node at
+the threshold, or the rule one order lower plus one far atom that
+carries the rest of the top moment.
 """
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ __all__ = [
 
 def markov_bound(moments: MomentSequence, alpha: float) -> float:
     """min(1, M1/alpha): the tight one-moment bound on P(q >= alpha)."""
-    if not alpha > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("threshold must be positive and finite")
     return min(1.0, moments.moments[1] / alpha)
 
 
@@ -54,8 +55,8 @@ def chebyshev_bound(moments: MomentSequence, alpha: float) -> float:
     alpha >= M2/M1; below that the tight value is M1/alpha instead, and
     this function intentionally keeps the Chebyshev form.
     """
-    if not alpha > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if moments.order < 2:
         raise ValueError("two moments are needed")
     if not is_feasible(moments):
@@ -193,8 +194,8 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     :meth:`PolyBound.slack`.
     """
     alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("threshold must be positive and finite")
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
     conic = build_sdp(moments.scaled(1.0 / alpha))
@@ -235,28 +236,56 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     worst case that :func:`solve_sdp` bounds from above.
 
     In the units of :func:`build_sdp` (moments s_r of q/alpha, threshold
-    1) the law is a Gauss-Radau rule with one node at 1.  For even k it
-    is the rule of the measure itself, built from the top Hankel matrix
-    (s_{i+j}); for odd k it is the rule of the measure q mu (s_{i+j+1}),
-    each weight is divided by its node and the mass left over sits at 0.
-    The Hankel matrix is factored by Cholesky, the factor gives the
-    Jacobi recurrence (Golub & Welsch, Math. Comp. 1969), and its last
-    diagonal entry is modified so that 1 is an eigenvalue (Golub, SIAM
-    Rev. 1973).  Extremal laws touch the threshold in the same way
-    (Bertsimas & Popescu, SIAM J. Optim. 2005).  The law is accepted only
-    when every atom and weight is nonnegative and it reproduces every
-    scaled moment to relative 1e-10; a singular Hankel matrix gives none.
+    1) the law is the Gauss-Radau rule of order k with one node at 1
+    (:func:`_radau_law`).  Where that rule does not exist and k >= 2, it
+    is the rule of order k-1 plus one far atom: the rule of s_0..s_{k-1}
+    leaves d = s_k - sum w_i x_i^k of the k-th moment, which must be
+    nonnegative; an atom at L = 1e12 max(1, largest node) carries it with
+    weight d / L^k, and the rule is refitted to the lower moments that
+    the atom leaves, s_r - d L^(r-k).  Mass may escape to infinity in
+    this way on [0, inf) (Karlin & Studden, Tchebycheff Systems, 1966;
+    Krein & Nudelman, 1977); the far atom lies above the threshold, so
+    its weight counts in the tail.  Either law is accepted only when it
+    reproduces every scaled moment to relative 1e-10.
     """
     alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("threshold must be positive and finite")
     k = moments.order
     scaled = np.array(moments.scaled(1.0 / alpha).moments)
+    law = _radau_law(scaled, k)
+    if isinstance(law, str) and k > 1:
+        law = _far_atom_law(scaled, k)
+    if isinstance(law, str):
+        return 0.0
+    nodes, weights = law
+    fit = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
+    if not (np.abs(fit - scaled) <= 1e-10 * scaled).all():
+        return 0.0
+    return min(1.0, float(weights[nodes >= 1.0].sum()))
+
+
+def _radau_law(scaled: np.ndarray, k: int):
+    """Nodes and weights, in units of the threshold, of the Gauss-Radau
+    rule with one node at 1 for the moments scaled[0..k], or the name of
+    the step that finds none: "cholesky", "radau", "node <= 0" or
+    "negative".  The moments are not checked here.
+
+    For even k it is the rule of the measure itself, built from the top
+    Hankel matrix (s_{i+j}); for odd k it is the rule of the measure
+    q mu (s_{i+j+1}), each weight is divided by its node and the mass
+    left over sits at 0.  The Hankel matrix is factored by Cholesky, the
+    factor gives the Jacobi recurrence (Golub & Welsch, Math. Comp.
+    1969), and its last diagonal entry is modified so that 1 is an
+    eigenvalue (Golub, SIAM Rev. 1973).  Extremal laws touch the
+    threshold in the same way (Bertsimas & Popescu, SIAM J. Optim. 2005).
+    A singular Hankel matrix gives none.
+    """
     hankel = _hankel_matrix(tuple(scaled), k)
     try:
         upper = np.linalg.cholesky(hankel).T
     except np.linalg.LinAlgError:
-        return 0.0
+        return "cholesky"
     n = hankel.shape[0] - 1
     # Jacobi matrix of the orthonormal polynomials, from hankel = R'R:
     # a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and b_j =
@@ -273,19 +302,41 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
         try:
             jacobi[n, n] = 1.0 + np.linalg.solve(jacobi[:n, :n] - np.eye(n), rhs)[-1]
         except np.linalg.LinAlgError:
-            return 0.0
+            return "radau"
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = hankel[0, 0] * vectors[0] ** 2
     nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
     if k % 2:
         if (nodes <= 0.0).any():
-            return 0.0
+            return "node <= 0"
         weights = weights / nodes
         nodes = np.append(nodes, 0.0)
         weights = np.append(weights, scaled[0] - weights.sum())
     if (nodes < 0.0).any() or (weights < 0.0).any():
-        return 0.0
-    law = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
-    if not (np.abs(law - scaled) <= 1e-10 * scaled).all():
-        return 0.0
-    return min(1.0, float(weights[nodes >= 1.0].sum()))
+        return "negative"
+    return nodes, weights
+
+
+def _far_atom_law(scaled: np.ndarray, k: int):
+    """The law of :func:`tail_lower_bound` one order down: the rule of
+    order k-1 refitted under one far atom that carries the rest of the
+    k-th moment, as nodes and weights with the far atom last, or the
+    name of the step that finds none ("d < 0", "far atom" where L^k is
+    not finite, or a reason of :func:`_radau_law`)."""
+    law = _radau_law(scaled, k - 1)
+    if isinstance(law, str):
+        return law
+    nodes, weights = law
+    d = float(scaled[k] - weights @ nodes**k)
+    if d < 0.0:
+        return "d < 0"
+    far = 1e12 * max(1.0, float(nodes.max()))
+    try:
+        omega = d / far**k
+    except OverflowError:
+        return "far atom"
+    law = _radau_law(scaled[:k] - omega * far ** np.arange(k), k - 1)
+    if isinstance(law, str):
+        return law
+    nodes, weights = law
+    return np.append(nodes, far), np.append(weights, omega)

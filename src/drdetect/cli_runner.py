@@ -20,6 +20,7 @@ from .cps_sim import (
     LtiSystem,
     NoiseFamily,
     NoiseModel,
+    _check_seed,
     empirical_false_alarm_rate,
     simulate,
 )
@@ -91,8 +92,7 @@ class ExperimentConfig:
             raise ValueError("sample counts must be positive")
         if self.burn_in < 0:
             raise ValueError("burn-in must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_seed(self.seed)
         if self.reach_horizon < 2 or self.reach_dirs < 16:
             raise ValueError("reach block needs horizon >= 2 and >= 16 directions")
         if not 0 < self.noise_rate < 1:

@@ -231,6 +231,13 @@ class NoiseFamily(enum.Enum):
     MULTIVARIATE_LAPLACIAN = "multivariate_laplacian"
 
 
+def _check_seed(seed) -> None:
+    """The seed rule of every noise stream: a nonnegative integer, a
+    numpy one included."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean iid noise with a prescribed covariance.
@@ -253,8 +260,7 @@ class NoiseModel:
         object.__setattr__(self, "covariance", cov)
         if not isinstance(self.family, NoiseFamily):
             raise ValueError(f"unknown noise family {self.family!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_seed(self.seed)
 
     @property
     def dim(self) -> int:

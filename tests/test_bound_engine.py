@@ -18,7 +18,7 @@ from drdetect import (
 from drdetect import bound_engine, ipm
 from drdetect.ipm import Status, svec
 
-from conftest import TWO_ATOM, atomic_moments, random_moments
+from conftest import SEQ15, TWO_ATOM, atomic_moments, random_moments
 
 CHI2 = chi_squared_moments(2, 4)
 
@@ -115,6 +115,12 @@ def test_nan_threshold_is_rejected():
     for bound in (markov_bound, chebyshev_bound, solve_sdp, tail_lower_bound):
         with pytest.raises(ValueError, match="threshold must be positive"):
             bound(CHI2, math.nan)
+
+
+def test_infinite_threshold_is_rejected():
+    for bound in (markov_bound, chebyshev_bound, solve_sdp, tail_lower_bound):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            bound(CHI2, math.inf)
 
 
 def test_poly_bound_slack_finds_interior_dip():
@@ -387,3 +393,44 @@ def test_certificates_always_valid(atoms, weights, ratio):
     sol = solve_sdp(mom, alpha)
     assert sol.y.is_valid()
     assert 0.0 <= sol.objective <= 1.0
+
+
+# a rare atom far out carries most of M4 but little of M3, as one outlier
+# does in empirical moments: there the far atom of the fallback law moves
+# the lower moments by more than 1e-10, and the refit puts them back
+OUTLIER = atomic_moments([0.5, 1.0, 2.0, 3.0, 1e6], [0.3, 0.3, 0.2, 0.2, 1e-19], 4)
+
+
+def test_fallback_law_matches_the_moments():
+    # where no Gauss-Radau law of order k exists, the law of order k - 1
+    # with a far atom is an explicit law for all k moments
+    sequences = [chi_squared_moments(p, 6) for p in (1, 2, 4)]
+    sequences += [TWO_ATOM, SEQ15, OUTLIER]
+    accepted = 0
+    for seq in sequences:
+        for k in range(3, seq.order + 1):
+            m = seq.truncated(k)
+            for ratio in (1.0, 1.05, 1.3, 1.7, 2.5, 4.0, 6.0, 10.0):
+                alpha = ratio * m.mean
+                scaled = np.array(m.scaled(1.0 / alpha).moments)
+                if not isinstance(bound_engine._radau_law(scaled, k), str):
+                    continue
+                law = bound_engine._far_atom_law(scaled, k)
+                tail, _ = _sandwich(m, alpha)
+                if isinstance(law, str):
+                    assert tail == 0.0, (m, alpha)
+                    continue
+                nodes, weights = law
+                assert (nodes >= 0.0).all() and (weights >= 0.0).all(), (m, alpha)
+                fit = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
+                assert (np.abs(fit - scaled) <= 1e-10 * scaled).all(), (m, alpha)
+                assert tail == min(1.0, weights[nodes >= 1.0].sum()), (m, alpha)
+                accepted += 1
+    # 36 of the 52 points without an order-k law have one an order down
+    assert accepted >= 30
+    # far below the mean the far atom's L^k leaves the float range: no
+    # law, and no overflow
+    m = chi_squared_moments(1, 5)
+    scaled = np.array(m.scaled(1e51).moments)
+    assert bound_engine._far_atom_law(scaled, 5) == "far atom"
+    assert tail_lower_bound(m, 1e-51) == 0.0

@@ -81,6 +81,7 @@ def test_config_orders_sorted_and_deduped():
         {"burn_in": -1},
         {"epsilon": float("nan")},
         {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_config_validation(overrides):
@@ -289,7 +290,7 @@ def test_main_rejects_a_negative_seed_before_any_work(tmp_path):
     config_path = _write_small_config(tmp_path)
     out = tmp_path / "out"
     argv = ["all", "--config", str(config_path), "--out", str(out), "--quiet"]
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         main(argv + ["--seed", "-3"])
     assert not out.exists() or not any(out.iterdir())
 

@@ -188,10 +188,10 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     upper = min(
         closed_form_threshold(m.truncated(k), 0.05, k).alpha for k in (1, 2)
     )
-    # of the lower end and 17 midpoints, 9 lie where an explicit law
-    # already puts more than the rate above them, so 9 are solved; a
+    # of the lower end and 17 midpoints, 10 lie where an explicit law
+    # already puts more than the rate above them, so 8 are solved; a
     # midpoint met the rate, so the bound at the upper end was never needed
-    assert len(log) == 9
+    assert len(log) == 8
     assert (3, upper) not in log
     assert res.alpha < upper
     # at k = 5 no midpoint meets the rate: the bound at the k = 4
@@ -235,8 +235,9 @@ def test_points_settled_by_a_law_lie_above_the_rate(monkeypatch):
         for seq, alpha, law in calls:
             if law > rate + detector_tuning._SLACK:
                 settled.add((seq, alpha, rate))
-    # about 300 points are settled that way here
-    assert len(settled) >= 250
+    # about 500 points are settled that way here, some by a law one order
+    # down with a far atom
+    assert len(settled) >= 450
     for seq, alpha, rate in settled:
         assert solve_sdp(seq, alpha).objective > rate, (seq, alpha, rate)
 
