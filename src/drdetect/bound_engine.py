@@ -240,13 +240,14 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     (:func:`_radau_law`).  Where that rule does not exist and k >= 2, it
     is the rule of order k-1 plus one far atom: the rule of s_0..s_{k-1}
     leaves d = s_k - sum w_i x_i^k of the k-th moment, which must be
-    nonnegative; an atom at L = 1e12 max(1, largest node) carries it with
-    weight d / L^k, and the rule is refitted to the lower moments that
-    the atom leaves, s_r - d L^(r-k).  Mass may escape to infinity in
-    this way on [0, inf) (Karlin & Studden, Tchebycheff Systems, 1966;
-    Krein & Nudelman, 1977); the far atom lies above the threshold, so
-    its weight counts in the tail.  Either law is accepted only when it
-    reproduces every scaled moment to relative 1e-10.
+    nonnegative, and an atom at L = 1e12 max(1, largest node) carries it
+    with weight d / L^k.  Mass may escape to infinity in this way on
+    [0, inf) (Karlin & Studden, Tchebycheff Systems, 1966; Krein &
+    Nudelman, 1977); the far atom lies above the threshold, so its weight
+    counts in the tail.  It also adds d L^(r-k) to each lower moment s_r,
+    which the check below rejects where that is not negligible.  Either
+    law is accepted only when it reproduces every scaled moment to
+    relative 1e-10.
     """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
@@ -254,9 +255,9 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     k = moments.order
     scaled = np.array(moments.scaled(1.0 / alpha).moments)
     law = _radau_law(scaled, k)
-    if isinstance(law, str) and k > 1:
+    if law is None and k > 1:
         law = _far_atom_law(scaled, k)
-    if isinstance(law, str):
+    if law is None:
         return 0.0
     nodes, weights = law
     fit = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
@@ -267,9 +268,8 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
 
 def _radau_law(scaled: np.ndarray, k: int):
     """Nodes and weights, in units of the threshold, of the Gauss-Radau
-    rule with one node at 1 for the moments scaled[0..k], or the name of
-    the step that finds none: "cholesky", "radau", "node <= 0" or
-    "negative".  The moments are not checked here.
+    rule with one node at 1 for the moments scaled[0..k], or None where
+    there is none.  The moments are not checked here.
 
     For even k it is the rule of the measure itself, built from the top
     Hankel matrix (s_{i+j}); for odd k it is the rule of the measure
@@ -285,7 +285,7 @@ def _radau_law(scaled: np.ndarray, k: int):
     try:
         upper = np.linalg.cholesky(hankel).T
     except np.linalg.LinAlgError:
-        return "cholesky"
+        return None
     n = hankel.shape[0] - 1
     # Jacobi matrix of the orthonormal polynomials, from hankel = R'R:
     # a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and b_j =
@@ -302,41 +302,36 @@ def _radau_law(scaled: np.ndarray, k: int):
         try:
             jacobi[n, n] = 1.0 + np.linalg.solve(jacobi[:n, :n] - np.eye(n), rhs)[-1]
         except np.linalg.LinAlgError:
-            return "radau"
+            return None
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = hankel[0, 0] * vectors[0] ** 2
     nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
     if k % 2:
         if (nodes <= 0.0).any():
-            return "node <= 0"
+            return None
         weights = weights / nodes
         nodes = np.append(nodes, 0.0)
         weights = np.append(weights, scaled[0] - weights.sum())
     if (nodes < 0.0).any() or (weights < 0.0).any():
-        return "negative"
+        return None
     return nodes, weights
 
 
 def _far_atom_law(scaled: np.ndarray, k: int):
     """The law of :func:`tail_lower_bound` one order down: the rule of
-    order k-1 refitted under one far atom that carries the rest of the
-    k-th moment, as nodes and weights with the far atom last, or the
-    name of the step that finds none ("d < 0", "far atom" where L^k is
-    not finite, or a reason of :func:`_radau_law`)."""
+    order k-1 plus one far atom that carries the rest of the k-th moment,
+    as nodes and weights with the far atom last, or None where the rule
+    does not exist, the rest is negative or L^k is not finite."""
     law = _radau_law(scaled, k - 1)
-    if isinstance(law, str):
-        return law
+    if law is None:
+        return None
     nodes, weights = law
     d = float(scaled[k] - weights @ nodes**k)
     if d < 0.0:
-        return "d < 0"
+        return None
     far = 1e12 * max(1.0, float(nodes.max()))
     try:
         omega = d / far**k
     except OverflowError:
-        return "far atom"
-    law = _radau_law(scaled[:k] - omega * far ** np.arange(k), k - 1)
-    if isinstance(law, str):
-        return law
-    nodes, weights = law
+        return None
     return np.append(nodes, far), np.append(weights, omega)

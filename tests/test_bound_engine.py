@@ -395,17 +395,11 @@ def test_certificates_always_valid(atoms, weights, ratio):
     assert 0.0 <= sol.objective <= 1.0
 
 
-# a rare atom far out carries most of M4 but little of M3, as one outlier
-# does in empirical moments: there the far atom of the fallback law moves
-# the lower moments by more than 1e-10, and the refit puts them back
-OUTLIER = atomic_moments([0.5, 1.0, 2.0, 3.0, 1e6], [0.3, 0.3, 0.2, 0.2, 1e-19], 4)
-
-
 def test_fallback_law_matches_the_moments():
     # where no Gauss-Radau law of order k exists, the law of order k - 1
     # with a far atom is an explicit law for all k moments
     sequences = [chi_squared_moments(p, 6) for p in (1, 2, 4)]
-    sequences += [TWO_ATOM, SEQ15, OUTLIER]
+    sequences += [TWO_ATOM, SEQ15]
     accepted = 0
     for seq in sequences:
         for k in range(3, seq.order + 1):
@@ -413,11 +407,11 @@ def test_fallback_law_matches_the_moments():
             for ratio in (1.0, 1.05, 1.3, 1.7, 2.5, 4.0, 6.0, 10.0):
                 alpha = ratio * m.mean
                 scaled = np.array(m.scaled(1.0 / alpha).moments)
-                if not isinstance(bound_engine._radau_law(scaled, k), str):
+                if bound_engine._radau_law(scaled, k) is not None:
                     continue
                 law = bound_engine._far_atom_law(scaled, k)
                 tail, _ = _sandwich(m, alpha)
-                if isinstance(law, str):
+                if law is None:
                     assert tail == 0.0, (m, alpha)
                     continue
                 nodes, weights = law
@@ -426,11 +420,11 @@ def test_fallback_law_matches_the_moments():
                 assert (np.abs(fit - scaled) <= 1e-10 * scaled).all(), (m, alpha)
                 assert tail == min(1.0, weights[nodes >= 1.0].sum()), (m, alpha)
                 accepted += 1
-    # 36 of the 52 points without an order-k law have one an order down
-    assert accepted >= 30
+    # 28 of the 44 points without an order-k law have one an order down
+    assert accepted >= 25
     # far below the mean the far atom's L^k leaves the float range: no
     # law, and no overflow
     m = chi_squared_moments(1, 5)
     scaled = np.array(m.scaled(1e51).moments)
-    assert bound_engine._far_atom_law(scaled, 5) == "far atom"
+    assert bound_engine._far_atom_law(scaled, 5) is None
     assert tail_lower_bound(m, 1e-51) == 0.0
