@@ -53,6 +53,13 @@ _BOUNDARY_HEADER = "theta,x1,x2"
 _logger = logging.getLogger(__name__)
 
 
+def _integer(value, field: str) -> int:
+    """An integral JSON number as an int: 1e6 gives 1000000, 1.5 an error."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters; see :meth:`from_json` for the
@@ -117,18 +124,22 @@ class ExperimentConfig:
         return cls(
             system=system,
             target_rate=float(detector.get("target_rate", 0.05)),
-            orders=tuple(int(k) for k in detector.get("orders", (1, 2, 4))),
+            orders=tuple(
+                _integer(k, "orders") for k in detector.get("orders", (1, 2, 4))
+            ),
             epsilon=float(detector.get("epsilon", 1e-4)),
             moment_source=str(
                 detector.get("moment_source", ANALYTIC_CHI_SQUARED)
             ),
-            empirical_samples=int(detector.get("empirical_samples", 1_000_000)),
+            empirical_samples=_integer(
+                detector.get("empirical_samples", 1_000_000), "empirical_samples"
+            ),
             noise_family=NoiseFamily(noise.get("family", "gaussian")),
-            seed=int(noise.get("seed", 0)),
-            sim_samples=int(sim.get("samples", 1_000_000)),
-            burn_in=int(sim.get("burn_in", 1000)),
-            reach_horizon=int(reach.get("horizon", 50)),
-            reach_dirs=int(reach.get("n_dirs", 256)),
+            seed=_integer(noise.get("seed", 0), "seed"),
+            sim_samples=_integer(sim.get("samples", 1_000_000), "samples"),
+            burn_in=_integer(sim.get("burn_in", 1000), "burn_in"),
+            reach_horizon=_integer(reach.get("horizon", 50), "horizon"),
+            reach_dirs=_integer(reach.get("n_dirs", 256), "n_dirs"),
             noise_rate=float(
                 reach.get("noise_rate", detector.get("target_rate", 0.05))
             ),
@@ -316,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    if args.command in ("reach", "all") and config.system.n != 2:
+        raise ValueError("boundary CSV export is for planar systems")
     out = Path(args.out if args.out is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

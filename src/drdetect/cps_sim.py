@@ -12,7 +12,7 @@ form q[t] = r[t]' sigma_r^{-1} r[t].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -152,22 +152,10 @@ class LtiSystem:
     sigma_r_sqrt: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in (
-            "A",
-            "B",
-            "C",
-            "K",
-            "sigma_w",
-            "sigma_v",
-            "L",
-            "P",
-            "sigma_r",
-            "sigma_r_inv",
-            "sigma_r_sqrt",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for field in fields(self):
+            arr = np.asarray(getattr(self, field.name), dtype=float)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, field.name, arr)
 
     @classmethod
     def from_matrices(cls, A, B, C, K, sigma_w, sigma_v) -> "LtiSystem":
@@ -385,16 +373,18 @@ def simulate(
     """Run the closed loop from zero states for `burn_in + T` steps and
     record the last T.
 
-    Two routes.  Attack-free without states, the control input cancels
-    out of the residual, and the estimation error
-    e[t+1] = (A - L C) e[t] + w[t] - L v[t] is one bidiagonal solve per
-    eigenmode (`_error_path_modal`).
-    Otherwise, and when A - L C resists diagonalization, the path is
-    linear with known inputs and `_linear_path` solves it in banded
-    chunks: z = (x, e) attack-free, with r = C e + v, and z = (x, xhat)
-    under an attack, whose pinned residuals r drive xhat through L r.
-    Raises ArithmeticError at the first plant state whose norm exceeds
-    1e12 or is not finite.
+    The loop is a cascade of n-state paths, each driven by the one
+    before.  Attack-free, the estimation error
+    e[t+1] = (A - L C) e[t] + w[t] - L v[t] takes one bidiagonal solve
+    per eigenmode (`_error_path_modal`), or `_linear_path` where
+    A - L C resists diagonalization; the residual is r = C e + v, and
+    with `keep_states` the plant follows as
+    x[t+1] = (A + B K) x[t] + w[t] - B K e[t].  Under an attack the
+    pinned residuals r drive the estimate,
+    xhat[t+1] = (A + B K) xhat[t] + L r[t], and the estimate drives the
+    plant, x[t+1] = A x[t] + w[t] + B K xhat[t], both by `_linear_path`.
+    Where the plant path is computed, raises ArithmeticError at its first
+    state whose norm exceeds 1e12 or is not finite.
     """
     if T < 1:
         raise ValueError("simulation length must be positive")
@@ -404,31 +394,25 @@ def simulate(
         raise ValueError("noise dimensions do not match the system")
     total = burn_in + T
     w = noise_w.sample(total)
-    v = noise_v.sample(total)
-    F = sys.A - sys.L @ sys.C
     bk = sys.B @ sys.K
-    zero = np.zeros_like(bk)
     if attack is None:
+        v = noise_v.sample(total)
+        F = sys.A - sys.L @ sys.C
         inputs = w - v @ sys.L.T
-        if not keep_states:
-            e = _error_path_modal(F, inputs)
-            if e is not None:
-                r = e @ sys.C.T + v
-                q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
-                return ResidualTrace(r[burn_in:], q[burn_in:])
-        M = np.block([[sys.A + bk, -bk], [zero, F]])
-        z = _linear_path(M, np.hstack([w, inputs]))
+        e = _error_path_modal(F, inputs)
+        if e is None:
+            e = _linear_path(F, inputs)
+        r = e @ sys.C.T + v
+        x = _linear_path(sys.A + bk, w - e @ bk.T) if keep_states else None
     else:
         r = attack.residuals(sys, total)
-        M = np.block([[sys.A, bk], [zero, sys.A + bk]])
-        z = _linear_path(M, np.hstack([w, r @ sys.L.T]))
-    x, e = np.split(z, 2, axis=1)
-    with np.errstate(over="ignore"):  # a diverged path may overflow to inf
-        diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
-    if diverged.any():
-        raise ArithmeticError(f"state diverged at step {diverged.argmax()}")
-    if attack is None:
-        r = e @ sys.C.T + v
+        xhat = _linear_path(sys.A + bk, r @ sys.L.T)
+        x = _linear_path(sys.A, w + xhat @ bk.T)
+    if x is not None:
+        with np.errstate(over="ignore"):  # a diverged path may overflow to inf
+            diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
+        if diverged.any():
+            raise ArithmeticError(f"state diverged at step {diverged.argmax()}")
     q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
     return ResidualTrace(r[burn_in:], q[burn_in:], x[burn_in:] if keep_states else None)
 

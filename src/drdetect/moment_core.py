@@ -76,12 +76,14 @@ class MomentSequence:
         return MomentSequence(self.moments[: order + 1])
 
     def scaled(self, c: float) -> "MomentSequence":
-        """Moments of c*X for c > 0: M^r picks up a factor c^r."""
+        """Moments of c*X for c > 0: M^r picks up a factor c^r.  Raises
+        ValueError when a scaled moment leaves the float range."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
-        return MomentSequence(
-            tuple(m * c**r for r, m in enumerate(self.moments))
-        )
+        try:
+            return MomentSequence(tuple(m * c**r for r, m in enumerate(self.moments)))
+        except (OverflowError, ValueError):  # c**r, or a moment, is not finite
+            raise ValueError(f"moments of {c:.3g} X leave the float range") from None
 
 
 def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:

@@ -123,6 +123,16 @@ def test_infinite_threshold_is_rejected():
             bound(CHI2, math.inf)
 
 
+def test_threshold_far_below_the_mean_is_rejected():
+    # at 1e-60 the factor (1/alpha)^6 overflows, at 1e-51 only M6 = 46080
+    # times it does; both are one ValueError, not an OverflowError
+    m = chi_squared_moments(2, 6)
+    for alpha in (1e-60, 1e-51):
+        for bound in (solve_sdp, tail_lower_bound):
+            with pytest.raises(ValueError, match="leave the float range"):
+                bound(m, alpha)
+
+
 def test_poly_bound_slack_finds_interior_dip():
     # p(q) = (q-1)^2 = 1 - 2q + q^2 has its minimum 0 at q=1, inside
     # [0, 3]; at 0 and at the threshold it is 1 and 4

@@ -58,6 +58,9 @@ def test_config_from_json_laplacian():
     assert config.noise_family is NoiseFamily.MULTIVARIATE_LAPLACIAN
     assert config.seed == 7
     assert config.empirical_samples == 1_000_000
+    # JSON may write an integral count as 1e6
+    config = ExperimentConfig.from_dict(_raw_config({"sim": {"samples": 1e6}}))
+    assert config.sim_samples == 1_000_000 and type(config.sim_samples) is int
 
 
 def test_config_orders_sorted_and_deduped():
@@ -82,11 +85,28 @@ def test_config_orders_sorted_and_deduped():
         {"epsilon": float("nan")},
         {"seed": -1},
         {"seed": 1.5},
+        # a block of the JSON file: from_dict must not truncate a number
+        {"noise": {"seed": 1.5}},
+        {"detector": {"orders": [1, 2.5, 4]}},
+        {"reach": {"n_dirs": 16.9}},
+        {"sim": {"samples": 1000.7}},
     ],
 )
 def test_config_validation(overrides):
+    blocks = {key: v for key, v in overrides.items() if isinstance(v, dict)}
     with pytest.raises(ValueError):
-        replace(_gaussian_config(), **overrides)
+        if blocks:
+            ExperimentConfig.from_dict(_raw_config(blocks))
+        else:
+            replace(_gaussian_config(), **overrides)
+
+
+def _raw_config(blocks):
+    """The gaussian config file as a dict, with keys of its blocks replaced."""
+    raw = json.loads((CONFIG_DIR / "benchmark2d_gaussian.json").read_text())
+    for name, block in blocks.items():
+        raw[name].update(block)
+    return raw
 
 
 def test_config_rejects_unknown_noise_family():
@@ -293,6 +313,25 @@ def test_main_rejects_a_negative_seed_before_any_work(tmp_path):
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         main(argv + ["--seed", "-3"])
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_main_rejects_reach_on_a_non_planar_system_before_any_work(tmp_path):
+    # the boundary files are planar; a 3-state system used to write
+    # thresholds.csv and every reach bound before failing
+    eye = np.eye(3).tolist()
+    raw = json.loads(_write_small_config(tmp_path).read_text())
+    raw["system"] = dict(
+        A=(0.5 * np.eye(3)).tolist(), B=eye, C=eye,
+        K=(-0.25 * np.eye(3)).tolist(), sigma_w=eye, sigma_v=eye,
+    )
+    config_path = tmp_path / "spatial.json"
+    config_path.write_text(json.dumps(raw))
+    for command in ("reach", "all"):
+        out = tmp_path / command
+        argv = [command, "--config", str(config_path), "--out", str(out), "--quiet"]
+        with pytest.raises(ValueError, match="planar"):
+            main(argv)
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_main_requires_config():

@@ -46,9 +46,10 @@ def test_import_is_light():
 
 
 def test_state_simulations_stay_light():
-    # attacked and attack-free runs that keep states take the banded
-    # route; the package has no caller of scipy.signal or scipy.optimize,
-    # and this guards against one coming back on that route
+    # attacked runs and attack-free runs that keep states solve their
+    # state paths in banded chunks; the package has no caller of
+    # scipy.signal or scipy.optimize, and this guards against one coming
+    # back on that route
     done = _run(
         [
             "-c",
