@@ -13,7 +13,10 @@ nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 The tail of an explicit law that matches the moments is a certified
 lower bound where such a law is found: a Gauss-Radau rule with a node at
 the threshold, or the rule one order lower plus one far atom that
-carries the rest of the top moment.
+carries the rest of the top moment.  The polynomial that interpolates
+the indicator at the nodes of the highest-order rule that exists,
+checked like the SDP's certificate, gives a certified upper bound
+without a solve; at the order-k rule both ends meet up to rounding.
 """
 from __future__ import annotations
 
@@ -249,18 +252,64 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     law is accepted only when it reproduces every scaled moment to
     relative 1e-10.
     """
+    return _law_ends(moments, alpha, certify_up_to=-1.0)[0]
+
+
+def _law_ends(
+    moments: MomentSequence, alpha: float, certify_up_to: float = math.inf
+) -> tuple[float, float]:
+    """Both certified ends of the tight bound at alpha that the Gauss-Radau
+    rules give without a solve: the tail of :func:`tail_lower_bound`'s
+    law, and the mean of the polynomial certificate built on the nodes of
+    the highest-order rule that exists (:func:`_interpolant`).  The upper
+    end is 1.0 (the certificate p = 1) where no rule exists, where the
+    interpolant's leading coefficient is negative, and where the tail
+    exceeds `certify_up_to`: the certificate is not built there.
+
+    The certificate is checked by :meth:`PolyBound.slack` and any negative
+    slack is added to its constant coefficient, as in :func:`solve_sdp`,
+    so its mean E[p] = sum y_r s_r is an upper bound on every law with
+    these moments whatever the accuracy of the rule.  Where the rule is
+    the order-k law, E[p] is its tail up to rounding: p interpolates the
+    indicator at the law's atoms (Karlin & Studden 1966; Bertsimas &
+    Popescu 2005).  The far-atom law gives none, since its node at L
+    cannot carry p' = 0 in floating point; the rule of order k-1 that it
+    extends does.
+    """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
         raise ValueError("threshold must be positive and finite")
     k = moments.order
     scaled = np.array(moments.scaled(1.0 / alpha).moments)
-    law = _radau_law(scaled, k)
-    if law is None and k > 1:
-        law = _far_atom_law(scaled, k)
+    for order in range(k, 0, -1):
+        law = _radau_law(scaled, order)
+        if law is None:
+            continue
+        if order == k:
+            lower = _tail(scaled, law)
+        elif order == k - 1:
+            lower = _tail(scaled, _far_atom_law(scaled, *law))
+        else:
+            lower = 0.0
+        if lower > certify_up_to:
+            return lower, 1.0
+        y = _interpolant(law[0], order)
+        shift = max(0.0, -PolyBound(tuple(y), 1.0).slack())
+        if math.isinf(shift):
+            return lower, 1.0
+        y[0] += shift
+        return lower, float(np.clip(y @ scaled[: order + 1], 0.0, 1.0))
+    return 0.0, 1.0
+
+
+def _tail(scaled: np.ndarray, law) -> float:
+    """Mass at or above 1 of a law given as (nodes, weights), or 0.0 where
+    there is none or it misses a moment in scaled by more than relative
+    1e-10."""
     if law is None:
         return 0.0
     nodes, weights = law
-    fit = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
+    fit = (weights * nodes ** np.arange(len(scaled))[:, None]).sum(axis=1)
     if not (np.abs(fit - scaled) <= 1e-10 * scaled).all():
         return 0.0
     return min(1.0, float(weights[nodes >= 1.0].sum()))
@@ -317,15 +366,13 @@ def _radau_law(scaled: np.ndarray, k: int):
     return nodes, weights
 
 
-def _far_atom_law(scaled: np.ndarray, k: int):
+def _far_atom_law(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
     """The law of :func:`tail_lower_bound` one order down: the rule of
-    order k-1 plus one far atom that carries the rest of the k-th moment,
-    as nodes and weights with the far atom last, or None where the rule
-    does not exist, the rest is negative or L^k is not finite."""
-    law = _radau_law(scaled, k - 1)
-    if law is None:
-        return None
-    nodes, weights = law
+    order k-1 (`nodes`, `weights`, from :func:`_radau_law`) plus one far
+    atom that carries the rest of the k-th moment, k = len(scaled) - 1,
+    as nodes and weights with the far atom last, or None where the rest
+    is negative or L^k is not finite."""
+    k = len(scaled) - 1
     d = float(scaled[k] - weights @ nodes**k)
     if d < 0.0:
         return None
@@ -335,3 +382,31 @@ def _far_atom_law(scaled: np.ndarray, k: int):
     except OverflowError:
         return None
     return np.append(nodes, far), np.append(weights, omega)
+
+
+def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
+    """Coefficients, in units of the threshold, of the polynomial p of
+    degree k that certifies the Gauss-Radau rule of order k with these
+    nodes (:func:`_radau_law`): p(1) = 1, p = [x >= 1] and p' = 0 at
+    every other positive node, and p = 0 at the atom at 0 that odd orders
+    add.  Every node but 1 and that atom counts twice, which makes k + 1
+    conditions.  p is built in Newton form over the nodes in ascending
+    order, whose divided differences stay accurate at the small nodes
+    that carry most of the mass; at a repeated node the first difference
+    is p' = 0."""
+    single = nodes == 1.0
+    if k % 2:
+        single[-1] = True
+    z = sorted(np.append(nodes, nodes[~single]).tolist())
+    diffs = [float(x >= 1.0) for x in z]
+    for level in range(1, k + 1):
+        for i in range(k, level - 1, -1):
+            step = z[i] - z[i - level]
+            diffs[i] = (diffs[i] - diffs[i - 1]) / step if step > 0.0 else 0.0
+    # Horner's rule on the Newton form: p <- p (x - z_j) + diffs_j
+    coeffs = [diffs[k]]
+    for j in range(k - 1, -1, -1):
+        shifted = [0.0] + coeffs
+        coeffs = [lo - z[j] * hi for lo, hi in zip(shifted, coeffs + [0.0])]
+        coeffs[0] += diffs[j]
+    return np.array(coeffs)

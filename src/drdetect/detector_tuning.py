@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bound_engine import solve_sdp, tail_lower_bound
+from .bound_engine import _law_ends, solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
@@ -112,9 +112,11 @@ def closed_form_threshold(
 
 
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
-# a bound counts as above the rate only beyond this margin where it is
-# not a midpoint's SDP objective: a certificate lands a few 1e-10 above
-# an exact bound, and a law matches its moments to relative 1e-10
+# a bound that is not a midpoint's SDP objective settles a branch only
+# beyond this margin from the rate: a law's tail above it, a certificate's
+# mean below it, and a solve at the returned upper end counts as stalled
+# only above it; a certificate lands a few 1e-10 above an exact bound, and
+# a law matches its moments to relative 1e-10
 _SLACK = 1e-7
 
 
@@ -126,11 +128,11 @@ def tune_threshold_sdp(
     Halves a bracket until it is narrower than epsilon: a midpoint whose
     worst-case probability exceeds the target raises the lower end,
     otherwise the upper end comes down.  The returned threshold is the
-    certified upper end of the final bracket.  Each step acts on the
-    objective of :func:`solve_sdp`, which is a certified bound whatever
-    the solver status: a stalled solve (`NUMERICAL_TROUBLE`) may report a
-    loose bound, which only raises the lower end, so the result stays
-    certified but may sit above the tight threshold.
+    certified upper end of the final bracket.  A step that is solved acts
+    on the objective of :func:`solve_sdp`, which is a certified bound
+    whatever the solver status: a stalled solve (`NUMERICAL_TROUBLE`) may
+    report a loose bound, which only raises the lower end, so the result
+    stays certified but may sit above the tight threshold.
 
     The lower end starts at the mean (no threshold below the mean meets a
     target rate <= 1/2).  The upper end starts at the lower-order
@@ -144,12 +146,18 @@ def tune_threshold_sdp(
     memoized per moment sequence.  If the bound at the lower end already
     meets the target, that end is returned with `bracket_degenerate` set.
 
-    At the lower end and at each midpoint the SDP is solved only when it
-    can change the branch: if an explicit law with the given moments puts
-    more than the rate plus `_SLACK` above the threshold
-    (:func:`tail_lower_bound`), every bound lies above the rate too, and
-    the lower end rises without a solve.  Every value that is returned
-    comes from :func:`solve_sdp`.
+    At the lower end and at each midpoint the SDP is solved only where the
+    Gauss-Radau law through the point cannot settle the branch.  If an
+    explicit law with the given moments puts more than the rate plus
+    `_SLACK` above the threshold (:func:`tail_lower_bound`), every bound
+    lies above the rate too, and the lower end rises without a solve.  If
+    the polynomial that interpolates the indicator at the law's nodes,
+    checked on the whole half-line, has a mean at most the rate minus
+    `_SLACK`, every law lies below the rate, and the upper end comes down
+    without a solve.  The returned threshold is then solved once, so the
+    value returned is the objective of :func:`solve_sdp` there; where that
+    solve stalls above the rate plus `_SLACK`, the certificate that took
+    the upper end down stands in for it.
     """
     if moments.order < 2:
         raise ValueError("bisection needs a sequence of order >= 2")
@@ -168,13 +176,19 @@ def tune_threshold_sdp(
 
 
 def _settle(moments: MomentSequence, alpha: float, rate: float):
-    """Whether the tight bound at alpha lies above the rate, and the SDP
-    bound at alpha, or None where a law settled the point without one."""
-    if tail_lower_bound(moments, alpha) > rate + _SLACK:
+    """Whether the tight bound at alpha lies above the rate, with the SDP
+    bound at alpha where it was solved and the certificate's E[p] where
+    that settled the point below the rate; (True, None, None) where a law
+    settled it above."""
+    lower, upper = _law_ends(moments, alpha, certify_up_to=rate + _SLACK)
+    if lower > rate + _SLACK:
         # an explicit law puts more than the rate above alpha
-        return True, None
+        return True, None, None
+    if upper <= rate - _SLACK:
+        # a checked certificate bounds every law by less than the rate
+        return False, None, upper
     bound = solve_sdp(moments, alpha).objective
-    return bound > rate, bound
+    return bound > rate, bound, None
 
 
 def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdResult:
@@ -192,25 +206,27 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
             upper = lower_order
     a_l, a_u = moments.moments[1], upper.alpha
 
-    above, achieved = _settle(moments, a_l, rate)
+    above, achieved, certified = _settle(moments, a_l, rate)
     if not above:  # the bound at the lower end already meets the target
         a_u = a_l
     else:
-        achieved = None
+        achieved = certified = None
         while a_u - a_l > epsilon:
             mid = 0.5 * (a_l + a_u)
-            mid_above, p_mid = _settle(moments, mid, rate)
+            mid_above, p_mid, c_mid = _settle(moments, mid, rate)
             if mid_above:
                 a_l = mid
             else:
-                a_u, achieved = mid, p_mid
-        if achieved is None:
-            # no midpoint came down, so the bound at the initial upper end
-            # is the one returned; no midpoint reads it, so it is solved only now
-            achieved = solve_sdp(moments, a_u).objective
-            if achieved > rate + _SLACK:
-                # every certificate for a lower order is one for order k as well
-                achieved = upper.achieved_worst_case
+                a_u, achieved, certified = mid, p_mid, c_mid
+    if achieved is None:
+        # no solve at the upper end: solve it now, so that the row keeps
+        # the objective of the program that settles it
+        achieved = solve_sdp(moments, a_u).objective
+        if achieved > rate + _SLACK:
+            # a stalled solve: the certificate that took the upper end
+            # down stands in, else the initial upper end's guarantee, since
+            # every certificate for a lower order is one for order k as well
+            achieved = upper.achieved_worst_case if certified is None else certified
     return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,

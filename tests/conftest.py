@@ -99,3 +99,40 @@ TWO_ATOM = MomentSequence(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+# ---------------------------------------------------------------------------
+# the bisection points of a fixed set of tuning runs, for the tests that hold
+# the point rule of `detector_tuning._settle` to the SDP and to the law
+
+
+@pytest.fixture(scope="session")
+def settled_points():
+    """(moments, alpha, rate, (above, bound, certified)) for every point
+    that bisection settles while tuning chi-squared(1, 2, 4) at rates 0.01,
+    0.05 and 0.2, the two-atom law at 0.2 and sequence #15 at 0.05, each
+    at k = 3 and up, from an empty memo."""
+    from drdetect import chi_squared_moments, detector_tuning
+
+    cases = [
+        (chi_squared_moments(p, 6).truncated(k), rate)
+        for p in (1, 2, 4)
+        for rate in (0.01, 0.05, 0.2)
+        for k in range(3, 7)
+    ]
+    cases += [(TWO_ATOM.truncated(k), 0.2) for k in range(3, 7)]
+    cases += [(SEQ15.truncated(k), 0.05) for k in (3, 4)]
+    points = []
+    original = detector_tuning._settle
+
+    def logged(moments, alpha, rate):
+        result = original(moments, alpha, rate)
+        points.append((moments, alpha, rate, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector_tuning, "_AUTO_CACHE", {})
+        mp.setattr(detector_tuning, "_settle", logged)
+        for moments, rate in cases:
+            detector_tuning.tune_threshold_sdp(moments, rate, epsilon=1e-4)
+    return points

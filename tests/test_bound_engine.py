@@ -390,6 +390,38 @@ def test_tail_lower_bound_on_the_two_atom_boundary():
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
+def test_certificate_meets_the_law_at_every_settled_point(settled_points):
+    # where the order-k law is accepted, the polynomial built on its nodes
+    # is a certificate before any polish and its mean is the law's tail.
+    # p touches the indicator at the nodes, so both hold up to the
+    # rounding of sums of |y_r| x^r, which 1e-15 times their size covers
+    checked = 0
+    for seq, alpha in {(seq, alpha) for seq, alpha, _, _ in settled_points}:
+        k = seq.order
+        scaled = np.array(seq.scaled(1.0 / alpha).moments)
+        law = bound_engine._radau_law(scaled, k)
+        if law is None:
+            continue
+        nodes, weights = law
+        tail = tail_lower_bound(seq, alpha)
+        fit = (weights * nodes ** np.arange(k + 1)[:, None]).sum(axis=1)
+        if not (np.abs(fit - scaled) <= 1e-10 * scaled).all():
+            assert tail == 0.0
+            continue
+        y = bound_engine._interpolant(nodes, k)
+        slack = PolyBound(tuple(y), 1.0).slack()
+        reach = np.abs(y) @ max(1.0, nodes.max()) ** np.arange(k + 1)
+        assert slack >= -1e-15 * reach, (seq, alpha, slack)
+        size = np.abs(y) @ scaled
+        y[0] += max(0.0, -slack)
+        mean = y @ scaled
+        assert abs(mean - tail) <= 1e-10 + 1e-15 * size, (seq, alpha)
+        assert bound_engine._law_ends(seq, alpha) == (tail, min(1.0, max(0.0, mean)))
+        checked += 1
+    # 484 of the 702 points have an accepted order-k law
+    assert checked >= 450
+
+
 @given(
     atoms=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=5),
     weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=5),
@@ -419,7 +451,10 @@ def test_fallback_law_matches_the_moments():
                 scaled = np.array(m.scaled(1.0 / alpha).moments)
                 if bound_engine._radau_law(scaled, k) is not None:
                     continue
-                law = bound_engine._far_atom_law(scaled, k)
+                law = None
+                rule = bound_engine._radau_law(scaled, k - 1)
+                if rule is not None:
+                    law = bound_engine._far_atom_law(scaled, *rule)
                 tail, _ = _sandwich(m, alpha)
                 if law is None:
                     assert tail == 0.0, (m, alpha)
@@ -436,5 +471,6 @@ def test_fallback_law_matches_the_moments():
     # law, and no overflow
     m = chi_squared_moments(1, 5)
     scaled = np.array(m.scaled(1e51).moments)
-    assert bound_engine._far_atom_law(scaled, 5) is None
+    rule = bound_engine._radau_law(scaled, 4)
+    assert bound_engine._far_atom_law(scaled, *rule) is None
     assert tail_lower_bound(m, 1e-51) == 0.0

@@ -158,6 +158,26 @@ def test_run_tune_rows():
         assert row.target_rate == 0.05
 
 
+@pytest.mark.parametrize("name", ["benchmark2d_gaussian", "benchmark2d_laplacian"])
+def test_run_tune_solves_once_per_sdp_order(name, monkeypatch):
+    # on both checked-in configs the law settles every bisection point of
+    # the k = 4 row and of the k = 3 row under it, above the rate by its
+    # tail and below it by its certificate, so each row is solved once, at
+    # the upper end it returns
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    calls = []
+    original = detector_tuning.solve_sdp
+
+    def counted(moments, alpha):
+        calls.append((moments.order, alpha))
+        return original(moments, alpha)
+
+    monkeypatch.setattr(detector_tuning, "solve_sdp", counted)
+    rows = run_tune(ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json"))
+    assert [k for k, _ in calls] == [3, 4]
+    assert calls[-1] == (4, rows[-1].alpha)
+
+
 def test_run_far_rates_and_stderr():
     config = _small(_gaussian_config())
     far_rows = run_far(config, run_tune(config))

@@ -140,9 +140,10 @@ def test_tune_through_stall_above_the_rate():
 
 
 def test_tune_through_stall_below_the_rate():
-    # chi-squared(2) at rate 0.2 with five moments: a bisection midpoint
-    # stalls with a certified bound just under the rate, which lowers the
-    # upper end
+    # chi-squared(2) at rate 0.2 with five moments: the solve at a
+    # bisection midpoint stalls with a certified bound just under the rate;
+    # the law's certificate settles that midpoint below the rate too, and
+    # the upper end comes down there
     m = chi_squared_moments(2, 5)
     sol = solve_sdp(m, 5.36199951171875)
     assert sol.y.is_valid()
@@ -154,8 +155,8 @@ def test_tune_through_stall_below_the_rate():
 
 
 def test_default_upper_bracket_certified_by_lower_order():
-    # beyond four moments the solves at the k = 4 threshold stall with
-    # loose bounds above the rate; the k = 4 guarantee holds there anyway
+    # beyond four moments the solves near the upper atom stall with loose
+    # bounds above the rate; the rows hold their guarantees anyway
     k4 = tune_threshold_sdp(TWO_ATOM.truncated(4), 0.2, epsilon=1e-4)
     # the upper atom carries weight 0.479 > 0.2, so any certified
     # threshold lies above it
@@ -164,6 +165,16 @@ def test_default_upper_bracket_certified_by_lower_order():
         res = tune_threshold_sdp(TWO_ATOM.truncated(k), 0.2, epsilon=1e-4)
         assert res.achieved_worst_case <= 0.2 + 1e-7
         assert 4.44869396 < res.alpha <= k4.alpha + 1e-4
+
+
+def test_two_atom_law_tunes_below_the_stalled_rows():
+    # the k = 4 row sat at 4.45434863055387 when only solves took the upper
+    # end down, and k = 5 and 6 kept it, since each of their solves above
+    # the upper atom stalled; the law's certificate brings all three down
+    for k in (4, 5, 6):
+        res = tune_threshold_sdp(TWO_ATOM.truncated(k), 0.2, epsilon=1e-4)
+        assert 4.44869396 < res.alpha < 4.45434863055387
+        assert res.achieved_worst_case <= 0.2
 
 
 def _solve_log(monkeypatch):
@@ -188,58 +199,65 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     upper = min(
         closed_form_threshold(m.truncated(k), 0.05, k).alpha for k in (1, 2)
     )
-    # of the lower end and 17 midpoints, 10 lie where an explicit law
-    # already puts more than the rate above them, so 8 are solved; a
-    # midpoint met the rate, so the bound at the upper end was never needed
-    assert len(log) == 8
-    assert (3, upper) not in log
+    # of the lower end and 17 midpoints, 10 lie where an explicit law puts
+    # more than the rate above them and 8 where its certificate bounds
+    # every law under the rate; the one solve is at the returned upper end,
+    # whose row keeps that program's objective
+    assert log == [(3, res.alpha)]
+    assert res.achieved_worst_case == solve_sdp(m, res.alpha).objective <= 0.05
     assert res.alpha < upper
-    # at k = 5 no midpoint meets the rate: the bound at the k = 4
-    # threshold is solved last, comes out above the rate, and the k = 4
-    # guarantee stands in for it
-    k4 = tune_threshold_sdp(TWO_ATOM.truncated(4), 0.2, epsilon=1e-4)
+    # at k = 5 the last midpoint to come down is settled by the certificate,
+    # and the solve there stalls above the rate: the certificate's bound
+    # stands in for it
     del log[:]
-    res = tune_threshold_sdp(TWO_ATOM.truncated(5), 0.2, epsilon=1e-4)
-    assert log[-1] == (5, k4.alpha)
-    assert (5, k4.alpha) not in log[:-1]
-    assert solve_sdp(TWO_ATOM.truncated(5), k4.alpha).objective > 0.2 + 1e-7
-    assert res.alpha == k4.alpha
-    assert res.achieved_worst_case == k4.achieved_worst_case
+    k5 = tune_threshold_sdp(TWO_ATOM.truncated(5), 0.2, epsilon=1e-4)
+    assert log[-1] == (5, k5.alpha)
+    assert (5, k5.alpha) not in log[:-1]
+    assert solve_sdp(TWO_ATOM.truncated(5), k5.alpha).objective > 0.2 + 1e-7
+    _, certified = detector_tuning._law_ends(TWO_ATOM.truncated(5), k5.alpha)
+    assert k5.achieved_worst_case == certified <= 0.2 - 1e-7
+    # at k = 6 no midpoint meets the rate: the bound at the k = 5 threshold
+    # is solved last, comes out above the rate, and the k = 5 guarantee
+    # stands in for it
+    del log[:]
+    res = tune_threshold_sdp(TWO_ATOM.truncated(6), 0.2, epsilon=1e-4)
+    assert log[-1] == (6, k5.alpha)
+    assert (6, k5.alpha) not in log[:-1]
+    assert solve_sdp(TWO_ATOM.truncated(6), k5.alpha).objective > 0.2 + 1e-7
+    assert res.alpha == k5.alpha
+    assert res.achieved_worst_case == k5.achieved_worst_case
 
 
-def test_points_settled_by_a_law_lie_above_the_rate(monkeypatch):
+def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
     # every point the tuner settles without a solve must be one where the
-    # SDP bound also lies above the rate, or the bisection would change
-    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
-    calls = []
-    original = detector_tuning.tail_lower_bound
-
-    def logged(moments, alpha):
-        law = original(moments, alpha)
-        calls.append((moments, alpha, law))
-        return law
-
-    monkeypatch.setattr(detector_tuning, "tail_lower_bound", logged)
-    cases = [
-        (chi_squared_moments(p, 6).truncated(k), rate)
-        for p in (1, 2, 4)
-        for rate in (0.01, 0.05, 0.2)
-        for k in range(3, 7)
-    ]
-    cases += [(TWO_ATOM.truncated(k), 0.2) for k in range(3, 7)]
-    cases += [(SEQ15.truncated(k), 0.05) for k in (3, 4)]
-    settled = set()
-    for moments, rate in cases:
-        del calls[:]
-        tune_threshold_sdp(moments, rate, epsilon=1e-4)
-        for seq, alpha, law in calls:
-            if law > rate + detector_tuning._SLACK:
-                settled.add((seq, alpha, rate))
-    # about 500 points are settled that way here, some by a law one order
-    # down with a far atom
-    assert len(settled) >= 450
-    for seq, alpha, rate in settled:
+    # SDP takes the same branch, or the bisection would change: above the
+    # rate where a law puts more than the rate above the point, and below
+    # it where the law's checked certificate bounds every law under it
+    above, below = set(), {}
+    for seq, alpha, rate, (is_above, bound, certified) in settled_points:
+        if bound is not None:
+            continue
+        if is_above:
+            above.add((seq, alpha, rate))
+        else:
+            below[seq, alpha, rate] = certified
+    # about 500 points are settled above the rate here, some by a law one
+    # order down with a far atom, and about 180 below it
+    assert len(above) >= 450
+    assert len(below) >= 170
+    for seq, alpha, rate in above:
         assert solve_sdp(seq, alpha).objective > rate, (seq, alpha, rate)
+    optimal = 0
+    for (seq, alpha, rate), certified in below.items():
+        sol = solve_sdp(seq, alpha)
+        if sol.status is Status.OPTIMAL:
+            optimal += 1
+            assert sol.objective <= rate, (seq, alpha, rate)
+        else:
+            # a stalled solve's bound is certified too, so it cannot sit
+            # below the tight bound that the certificate meets
+            assert sol.objective >= certified - 1e-9, (seq, alpha, rate)
+    assert optimal >= 150
 
 
 def test_bracket_degenerate_flag():
