@@ -35,8 +35,6 @@ __all__ = [
 # steps per banded solve in _linear_path; its band holds 2 d^2 _CHUNK floats
 _CHUNK = 1024
 (_TBTRS,) = scipy.linalg.get_lapack_funcs(("tbtrs",), dtype=np.float64)
-(_DGTSV,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.float64)
-(_ZGTSV,) = scipy.linalg.get_lapack_funcs(("gtsv",), dtype=np.complex128)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -301,44 +299,6 @@ class ResidualTrace:
         return self.q_values.shape[0]
 
 
-def _mode_path(lam, x: np.ndarray) -> np.ndarray:
-    """y[t] = x[t] + lam y[t-1] from y[-1] = 0: the unit lower-bidiagonal
-    system with subdiagonal -lam, solved by LAPACK gtsv in the dtype of x
-    (complex whenever lam is).
-
-    gtsv does not pivot while the unit diagonal dominates, |lam| <= 1 for
-    real lam, and then computes fl(x[t] + fl(lam y[t-1])) step by step,
-    bit for bit the two-rounding scalar loop.  Complex lam pivots once
-    |Re lam| + |Im lam| > 1; the path then agrees with the scalar loop to
-    about 3e-15 relative, not bit for bit.
-    """
-    gtsv = _ZGTSV if np.iscomplexobj(x) else _DGTSV
-    off = max(x.size - 1, 1)  # the wrapper wants an off-diagonal even at size 1
-    _, _, _, y, _ = gtsv(np.full(off, -lam), np.ones(x.size), np.zeros(off), x[:, None])
-    return y[:, 0]
-
-
-def _error_path_modal(
-    F: np.ndarray, inputs: np.ndarray
-) -> np.ndarray | None:
-    """Estimation-error path e[t+1] = F e[t] + inputs[t] from e[0] = 0 by
-    one `_mode_path` per eigenmode; None when F is too far from
-    diagonalizable for the modal route to be trustworthy.  The modes of a
-    Schur-stable F with real eigenvalues follow the scalar loop bit for
-    bit."""
-    vals, vecs = np.linalg.eig(F)
-    if np.linalg.cond(vecs) > 1e8:
-        return None
-    total = inputs.shape[0]
-    modal_in = np.linalg.solve(vecs, inputs.T)  # (n, total)
-    modal_out = np.empty_like(modal_in)
-    for i, lam in enumerate(vals):
-        modal_out[i] = _mode_path(lam, modal_in[i])
-    e = np.zeros((total, F.shape[0]))
-    e[1:] = (vecs @ modal_out[:, :-1]).T.real
-    return e
-
-
 def _linear_path(M: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Path z[t+1] = M z[t] + u[t] from z[0] = 0, one row per step t: a unit
     lower-triangular system with 2 d - 1 subdiagonals (d = len(z)), solved
@@ -374,15 +334,13 @@ def simulate(
     record the last T.
 
     The loop is a cascade of n-state paths, each driven by the one
-    before.  Attack-free, the estimation error
-    e[t+1] = (A - L C) e[t] + w[t] - L v[t] takes one bidiagonal solve
-    per eigenmode (`_error_path_modal`), or `_linear_path` where
-    A - L C resists diagonalization; the residual is r = C e + v, and
-    with `keep_states` the plant follows as
+    before, and every path is one `_linear_path` call.  Attack-free, the
+    estimation error follows e[t+1] = (A - L C) e[t] + w[t] - L v[t]; the
+    residual is r = C e + v, and with `keep_states` the plant follows as
     x[t+1] = (A + B K) x[t] + w[t] - B K e[t].  Under an attack the
     pinned residuals r drive the estimate,
     xhat[t+1] = (A + B K) xhat[t] + L r[t], and the estimate drives the
-    plant, x[t+1] = A x[t] + w[t] + B K xhat[t], both by `_linear_path`.
+    plant, x[t+1] = A x[t] + w[t] + B K xhat[t].
     Where the plant path is computed, raises ArithmeticError at its first
     state whose norm exceeds 1e12 or is not finite.
     """
@@ -397,11 +355,7 @@ def simulate(
     bk = sys.B @ sys.K
     if attack is None:
         v = noise_v.sample(total)
-        F = sys.A - sys.L @ sys.C
-        inputs = w - v @ sys.L.T
-        e = _error_path_modal(F, inputs)
-        if e is None:
-            e = _linear_path(F, inputs)
+        e = _linear_path(sys.A - sys.L @ sys.C, w - v @ sys.L.T)
         r = e @ sys.C.T + v
         x = _linear_path(sys.A + bk, w - e @ bk.T) if keep_states else None
     else:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.signal
 
 from drdetect import (
     AttackPolicy,
@@ -13,7 +12,6 @@ from drdetect import (
     simulate,
     solve_dare,
 )
-from drdetect.cps_sim import _error_path_modal, _mode_path
 
 
 def _simple_system(**overrides):
@@ -42,17 +40,17 @@ def _three_state_system():
     )
 
 
-def _reference_loop(sys_, noise_w, noise_v, T, policy=None, burn_in=1000):
-    """The per-step joint (x, xhat) recursion, with the zero-alarm sensor
-    offset -C e - v + sigma_r^{1/2} delta_bar injected into the measurement.
-    Returns (states, residuals, q) for the last T steps."""
+def _reference_loop(sys_, noise_w, noise_v, T, policy=None, burn_in=1000, dtype=float):
+    """The per-step joint (x, xhat) recursion in `dtype`, with the zero-alarm
+    sensor offset -C e - v + sigma_r^{1/2} delta_bar injected into the
+    measurement.  Returns (states, residuals, q) for the last T steps."""
     total = burn_in + T
-    w = noise_w.sample(total)
-    v = noise_v.sample(total)
-    x = np.zeros(sys_.n)
-    xhat = np.zeros(sys_.n)
-    residuals = np.empty((total, sys_.p))
-    states = np.empty((total, sys_.n))
+    w = noise_w.sample(total).astype(dtype)
+    v = noise_v.sample(total).astype(dtype)
+    x = np.zeros(sys_.n, dtype)
+    xhat = np.zeros(sys_.n, dtype)
+    residuals = np.empty((total, sys_.p), dtype)
+    states = np.empty((total, sys_.n), dtype)
     for t in range(total):
         e = x - xhat
         delta = 0.0
@@ -266,49 +264,6 @@ def test_simulate_matches_reference_loop(system, policy, family):
     _assert_close_to(trace.q_values, q)
 
 
-def _scalar_loop(lam, x):
-    """y[t] = x[t] + lam y[t-1] from y[-1] = 0, one Python step per t."""
-    y = []
-    prev = 0.0
-    for value in x.tolist():
-        prev = value + lam * prev
-        y.append(prev)
-    return np.array(y)
-
-
-def test_mode_path_matches_scalar_loop_bit_for_bit():
-    # the real modes of the benchmark system (0.534..., 0.337...), a fast
-    # sign flip, and a mode next to the unit circle
-    sys_ = benchmark_system()
-    modes = np.linalg.eigvals(sys_.A - sys_.L @ sys_.C)
-    assert not np.iscomplexobj(modes)
-    x = np.random.default_rng(41).standard_normal(100_000)
-    for lam in (*modes, -0.97, 0.999):
-        want = _scalar_loop(lam, x)
-        np.testing.assert_array_equal(_mode_path(lam, x), want, err_msg=f"lam={lam}")
-        np.testing.assert_array_equal(
-            scipy.signal.lfilter([1.0], [1.0, -lam], x), want, err_msg=f"lam={lam}"
-        )
-        # a scalar plant: the eigenbasis is 1, so the error path is the mode
-        e = _error_path_modal(np.array([[lam]]), x[:, None])
-        np.testing.assert_array_equal(e[1:, 0], want[:-1], err_msg=f"lam={lam}")
-
-
-@pytest.mark.parametrize("lam", [0.366 + 0.419j, 0.7 + 0.69j])
-def test_mode_path_complex_modes(lam):
-    # gtsv does not pivot while |Re lam| + |Im lam| <= 1, and then follows
-    # the scalar loop bit for bit; beyond that it agrees to 1e-14
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000)
-    got = _mode_path(lam, x)
-    want = _scalar_loop(lam, x)
-    if abs(lam.real) + abs(lam.imag) <= 1.0:
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(scipy.signal.lfilter([1.0], [1.0, -lam], x), want)
-    else:
-        _assert_close_to(got, want)
-
-
 def test_simulate_single_step():
     sys_ = benchmark_system()
     w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 5)
@@ -317,19 +272,30 @@ def test_simulate_single_step():
     np.testing.assert_array_equal(trace.residuals, v.sample(1))
 
 
-def test_simulate_falls_back_when_modes_are_defective():
-    # A - L C = [[0.5, 1], [0, 0.5]] is a Jordan block: no eigenbasis, so
-    # the error path takes the banded route
+@pytest.mark.parametrize(
+    "F",
+    [
+        # a Jordan block: A - L C has no eigenbasis
+        [[0.5, 1.0], [0.0, 0.5]],
+        # eigenvalues 0.6 and 0.6 + 1e-7, with eigenvectors (1, 0) and
+        # (1, 1e-7): the eigenbasis has condition number 2e7
+        [[0.6, 1.0], [0.0, 0.6 + 1e-7]],
+    ],
+    ids=["jordan", "near-defective"],
+)
+def test_simulate_holds_nearly_defective_error_paths(F):
+    # the banded route is backward stable whatever the eigenbasis of
+    # A - L C, so the residuals stay within 1e-15 of a step loop in
+    # extended precision
     sys_ = _simple_system()
-    jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
-    object.__setattr__(sys_, "L", (sys_.A - jordan) @ np.linalg.inv(sys_.C))
+    object.__setattr__(sys_, "L", (sys_.A - np.array(F)) @ np.linalg.inv(sys_.C))
     w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 91)
     v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 92)
-    trace = simulate(sys_, w, v, 1500, burn_in=100)
+    trace = simulate(sys_, w, v, 20_000, burn_in=100)
     assert trace.states is None
-    _, residuals, q = _reference_loop(sys_, w, v, 1500, burn_in=100)
-    _assert_close_to(trace.residuals, residuals)
-    _assert_close_to(trace.q_values, q)
+    _, want, _ = _reference_loop(sys_, w, v, 20_000, burn_in=100, dtype=np.longdouble)
+    err = np.abs(trace.residuals - want).max() / np.abs(want).max()
+    assert err <= 1e-15, f"relative error {float(err):.3g}"
 
 
 def test_empirical_false_alarm_rate_counts_strictly():

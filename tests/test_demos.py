@@ -70,7 +70,7 @@ def test_state_simulations_stay_light():
 
 def test_pipeline_stays_light(tmp_path):
     # the laplacian config takes its moments from the simulated q, so
-    # `all` runs the modal simulation, moment estimation, tuning, far.csv
+    # `all` runs the attack-free simulation, moment estimation, tuning, far.csv
     # and reach; the package has no caller of scipy.signal or
     # scipy.optimize, and this guards against one coming back on that path
     config = ROOT / "configs" / "benchmark2d_laplacian.json"
