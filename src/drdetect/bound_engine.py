@@ -20,7 +20,6 @@ without a solve; at the order-k rule both ends meet up to rounding.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -126,10 +125,9 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
 
     The bound at a threshold alpha is this program for the moments of
     q/alpha, ``moments.scaled(1/alpha)``; in these units every constraint
-    coefficient is an integer that depends on k alone, and programs of
-    one order share their read-only rows.  Objective: minimize
-    sum_r y_r M^r over free y and two (k+1) x (k+1) PSD blocks X and Z,
-    subject to
+    coefficient is an integer that depends on k alone.  Objective:
+    minimize sum_r y_r M^r over free y and two (k+1) x (k+1) PSD blocks X
+    and Z, subject to
 
       X odd,  l = 1..k:   sum_{i+j=2l-1} X_ij = 0
       X even, l = 0..k:   sum_{i+j=2l} X_ij = sum_{r=l..k} C(r,l) y_r - [l = 0]
@@ -142,14 +140,7 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     The result is laid out for :mod:`drdetect.ipm`: `c_free` holds the
     moments, `a_free` acts on y, and the two blocks on svec(X), svec(Z).
     """
-    return _moment_rows(moments.order).with_objective(moments.moments)
-
-
-@functools.lru_cache(maxsize=None)
-def _moment_rows(k: int) -> ipm.ConicProblem:
-    """The program of :func:`build_sdp` at order k with a zero objective.
-    Its rows are integers that depend on k alone, so they are made and
-    checked once per order and shared by every threshold."""
+    k = moments.order
     size = k + 1
     # row t in svec coordinates of the functional X -> sum_{i+j=t} X_ij
     rows, cols, scale = ipm._svec_index(size)
@@ -165,11 +156,33 @@ def _moment_rows(k: int) -> ipm.ConicProblem:
     b = np.zeros(2 * (k + size))
     b[k] = -1.0  # the X even row at l = 0 carries the 1 of p - 1
     return ipm.ConicProblem(
-        c_free=np.zeros(size),
+        c_free=moments.moments,
         a_free=np.vstack([no_y, x_even, no_y, z_even]),
         a_blocks=(np.vstack([odd, even, no_block]), np.vstack([no_block, odd, even])),
         b=b,
     )
+
+
+def _polish(y: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A certified upper bound from a certificate y in units of the
+    threshold, for the moments `scaled` of q/alpha: (the polished
+    coefficients, the shift, their mean clipped to [0, 1]).
+
+    The certificate is checked exactly by :meth:`PolyBound.slack`, and
+    any negative slack is added to its constant coefficient as the shift,
+    so the mean E[p] = sum y_r s_r bounds every law with these moments
+    whatever the accuracy of y.  No shift repairs a negative leading
+    coefficient (the shift is inf there), so p falls back to the trivial
+    certificate p = 1.
+    """
+    shift = max(0.0, -PolyBound(tuple(y), 1.0).slack())
+    if math.isinf(shift):
+        y = np.zeros(len(y))
+        y[0] = 1.0
+    else:
+        y = y.copy()
+        y[0] += shift
+    return y, shift, float(np.clip(np.dot(y, scaled), 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -190,11 +203,9 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     The program is solved in units of the threshold (q -> q/alpha maps
     the bound onto the same program at threshold 1, see
     :func:`build_sdp`), which keeps all constraint coefficients order
-    one.  Any residual infeasibility of the returned certificate is
-    absorbed into the constant coefficient, so the reported objective is
-    always a certified upper bound, also when the solver stalls and the
-    status is `NUMERICAL_TROUBLE`.  The certificate is checked exactly by
-    :meth:`PolyBound.slack`.
+    one.  The solver's certificate is polished by :func:`_polish`, so the
+    reported objective is always a certified upper bound, also when the
+    solver stalls; a shift above 1e-5 marks the solve `NUMERICAL_TROUBLE`.
     """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
@@ -202,28 +213,10 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
     conic = build_sdp(moments.scaled(1.0 / alpha))
-    c_vec = conic.c_free
-    size = c_vec.shape[0]
     result = ipm.solve(conic)
-
-    y_scaled = result.x_free
-    status = result.status
-    # certificate polish: absorb solver residual into the constant term
-    cert_scaled = PolyBound(tuple(y_scaled), 1.0)
-    shift = max(0.0, -cert_scaled.slack())
-    if shift > 1e-5:
-        status = Status.NUMERICAL_TROUBLE
-    if math.isinf(shift):
-        # a negative leading coefficient: no shift repairs it, so fall
-        # back to the trivial certificate p = 1
-        y_scaled = np.zeros(size)
-        y_scaled[0] = 1.0
-    else:
-        y_scaled = y_scaled.copy()
-        y_scaled[0] += shift
-
-    objective = float(np.clip(np.dot(y_scaled, c_vec), 0.0, 1.0))
-    coeffs = tuple(y_scaled[r] / alpha**r for r in range(size))
+    y_scaled, shift, objective = _polish(result.x_free, conic.c_free)
+    status = Status.NUMERICAL_TROUBLE if shift > 1e-5 else result.status
+    coeffs = tuple(y_scaled[r] / alpha**r for r in range(len(y_scaled)))
     return SdpSolution(
         objective=objective,
         y=PolyBound(coeffs, alpha),
@@ -261,14 +254,12 @@ def _law_ends(
     """Both certified ends of the tight bound at alpha that the Gauss-Radau
     rules give without a solve: the tail of :func:`tail_lower_bound`'s
     law, and the mean of the polynomial certificate built on the nodes of
-    the highest-order rule that exists (:func:`_interpolant`).  The upper
-    end is 1.0 (the certificate p = 1) where no rule exists, where the
-    interpolant's leading coefficient is negative, and where the tail
-    exceeds `certify_up_to`: the certificate is not built there.
+    the highest-order rule that exists (:func:`_interpolant`), polished
+    by :func:`_polish`.  The upper end is 1.0 where no rule exists, and
+    where the tail exceeds `certify_up_to`: the certificate is not built
+    there.
 
-    The certificate is checked by :meth:`PolyBound.slack` and any negative
-    slack is added to its constant coefficient, as in :func:`solve_sdp`,
-    so its mean E[p] = sum y_r s_r is an upper bound on every law with
+    The polish makes E[p] = sum y_r s_r an upper bound on every law with
     these moments whatever the accuracy of the rule.  Where the rule is
     the order-k law, E[p] is its tail up to rounding: p interpolates the
     indicator at the law's atoms (Karlin & Studden 1966; Bertsimas &
@@ -293,12 +284,7 @@ def _law_ends(
             lower = 0.0
         if lower > certify_up_to:
             return lower, 1.0
-        y = _interpolant(law[0], order)
-        shift = max(0.0, -PolyBound(tuple(y), 1.0).slack())
-        if math.isinf(shift):
-            return lower, 1.0
-        y[0] += shift
-        return lower, float(np.clip(y @ scaled[: order + 1], 0.0, 1.0))
+        return lower, _polish(_interpolant(law[0], order), scaled[: order + 1])[2]
     return 0.0, 1.0
 
 

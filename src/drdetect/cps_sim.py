@@ -219,8 +219,8 @@ class NoiseFamily(enum.Enum):
 
 def _check_seed(seed) -> None:
     """The seed rule of every noise stream: a nonnegative integer, a
-    numpy one included."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    numpy one included, and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
 
 

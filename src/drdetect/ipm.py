@@ -19,7 +19,6 @@ a call on that slice alone does.
 """
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import math
@@ -180,20 +179,6 @@ class ConicProblem:
         object.__setattr__(self, "a_free", a_free)
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b", b)
-
-    def with_objective(self, c_free) -> "ConicProblem":
-        """This program with the objective `c_free` in place of its own.
-        The rows are shared, not stacked or checked again: they are
-        read-only, and were checked when this program was made."""
-        c_free = np.atleast_1d(np.asarray(c_free, dtype=float))
-        if c_free.shape != self.c_free.shape:
-            raise ValueError("objective has wrong shape")
-        if not np.all(np.isfinite(c_free)):
-            raise ValueError("problem data must be finite")
-        c_free.flags.writeable = False
-        problem = copy.copy(self)
-        object.__setattr__(problem, "c_free", c_free)
-        return problem
 
     @property
     def block_sizes(self) -> tuple[int, ...]:

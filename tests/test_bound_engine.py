@@ -111,6 +111,27 @@ def test_linalg_error_in_a_step_ends_the_run(monkeypatch):
     assert 0.0 < sol.objective <= 1.0
 
 
+def test_negative_leading_coefficient_falls_back_to_one(monkeypatch):
+    # no shift of the constant repairs a certificate that falls to -inf,
+    # so both the SDP's and the law's certificate become p = 1
+    def falling(problem):
+        y = np.zeros(problem.c_free.shape[0])
+        y[-1] = -1.0
+        dual = np.zeros(problem.b.shape[0])
+        return ipm.ConicSolution(y, dual, 0.0, 1, Status.OPTIMAL)
+
+    monkeypatch.setattr(ipm, "solve", falling)
+    sol = solve_sdp(CHI2, 9.0)
+    assert sol.objective == 1.0
+    assert sol.y.coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert sol.status == Status.NUMERICAL_TROUBLE
+
+    lower, upper = bound_engine._law_ends(CHI2, 9.0)
+    assert 0.0 < lower <= upper < 1.0
+    monkeypatch.setattr(bound_engine, "_interpolant", lambda _, k: -np.eye(k + 1)[k])
+    assert bound_engine._law_ends(CHI2, 9.0) == (lower, 1.0)
+
+
 def test_nan_threshold_is_rejected():
     for bound in (markov_bound, chebyshev_bound, solve_sdp, tail_lower_bound):
         with pytest.raises(ValueError, match="threshold must be positive"):
@@ -259,9 +280,7 @@ def test_build_sdp_block_sizes_k4():
     np.testing.assert_array_equal(prob.a_free, other.a_free)
     for mine, theirs in zip(prob.a_blocks, other.a_blocks):
         np.testing.assert_array_equal(mine, theirs)
-    # so the programs of one order share them, read-only
     for field in ("a_free", "a_blocks", "b"):
-        assert getattr(prob, field) is getattr(other, field)
         assert not getattr(prob, field).flags.writeable
     np.testing.assert_array_equal(other.c_free, chi_squared_moments(5, 4).moments)
     np.testing.assert_array_equal(prob.b, other.b)

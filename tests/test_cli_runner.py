@@ -90,6 +90,7 @@ def test_config_orders_sorted_and_deduped():
         {"detector": {"orders": [1, 2.5, 4]}},
         {"reach": {"n_dirs": 16.9}},
         {"sim": {"samples": 1000.7}},
+        {"seed": True},
     ],
 )
 def test_config_validation(overrides):

@@ -166,7 +166,7 @@ def test_noise_model_determinism():
 
 def test_noise_model_rejects_a_bad_seed():
     # numpy's Philox would fail only at the first draw
-    for seed in (-1, 1.5, "3", None):
+    for seed in (-1, 1.5, "3", None, True, np.True_):
         with pytest.raises(ValueError, match="seed"):
             NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), seed)
     assert NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), np.int64(3)).seed == 3

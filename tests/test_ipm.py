@@ -402,15 +402,3 @@ def test_problem_validation():
             value.flat[0] = bad
             with pytest.raises(ValueError, match="finite"):
                 _trace_problem(**{field: value})
-    # another objective shares the checked rows and is itself checked
-    moved = stacked.with_objective([2.0])
-    np.testing.assert_array_equal(moved.c_free, [2.0])
-    assert not moved.c_free.flags.writeable
-    for field in ("a_free", "a_blocks", "b"):
-        assert getattr(moved, field) is getattr(stacked, field)
-    np.testing.assert_array_equal(stacked.c_free, _trace_problem().c_free)
-    with pytest.raises(ValueError, match="shape"):
-        stacked.with_objective([1.0, 2.0])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            stacked.with_objective([bad])

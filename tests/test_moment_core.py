@@ -24,22 +24,6 @@ def test_chi_squared_sequence_is_feasible():
     assert is_feasible(MomentSequence((1.0, 2.0, 8.0, 48.0, 384.0)))
 
 
-def test_feasibility_is_tested_once_per_sequence(monkeypatch):
-    # tuning asks before every bisection step; the Hankel test runs once
-    tested = []
-
-    def counted(seq):
-        tested.append(seq)
-        return hankel_pair(seq)
-
-    monkeypatch.setattr(moment_core, "hankel_pair", counted)
-    seq = MomentSequence((1.0, 1.0, 0.5))
-    assert [is_feasible(seq) for _ in range(3)] == [False] * 3
-    assert len(tested) == 1
-    assert is_feasible(MomentSequence((1.0, 2.0, 8.0)))
-    assert len(tested) == 2
-
-
 def test_validation_rejects_bad_sequences():
     with pytest.raises(ValueError):
         MomentSequence((0.9999999999999999, 2.0))
