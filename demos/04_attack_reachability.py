@@ -44,7 +44,10 @@ print(f"max |x| without attack {np.linalg.norm(quiet.states, axis=1).max():.2f},
 # ---------------------------------------------------------------------------
 # Reachable-set outer bounds at horizon 50.  The disturbance level
 # w_bar = n/rate covers 95% of the process noise by the same two-moment
-# argument used for the detector.
+# argument used for the detector.  Each bound is sampled by its support
+# values along 256 directions; their support lines cut out a polygon that
+# holds the reachable set, and its area and largest vertex norm bound the
+# set's area and extent from outside.
 
 w_bar = noise_threshold(sys.n, 0.05)
 print(f"\ndisturbance level w_bar = {w_bar}")

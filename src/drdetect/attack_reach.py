@@ -12,9 +12,8 @@ raises an alarm.  The pinned residuals do not depend on the state, so
 `AttackPolicy.residuals` gives the whole sequence at once and `simulate`
 feeds it to the estimator.  The states reachable under such attacks
 and bounded disturbances are outer-bounded by a Minkowski sum of
-ellipsoids whose boundary is exact direction-by-direction (support
-functions add under Minkowski sums), so a tighter detector threshold
-shrinks the bound monotonically.
+ellipsoids, sampled through its support function (support functions add
+under Minkowski sums), so a tighter detector threshold shrinks the bound.
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ __all__ = [
     "VolumeReport",
 ]
 
-_FLAT_TOL = 1e-14
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
 
@@ -92,22 +90,24 @@ def noise_threshold(n: int, rate: float) -> float:
 class ReachBound:
     """Outer bound on the attack-reachable state set at a fixed horizon:
     the Minkowski sum of per-step disturbance and attack ellipsoids,
-    sampled exactly along `directions`."""
+    sampled exactly along `directions`.  For planar systems `boundary` and
+    `area` are the circumscribed polygon's vertices and area, else None."""
 
     horizon: int
     w_bar: float
     alpha: float
     directions: np.ndarray
-    boundary: np.ndarray
+    boundary: np.ndarray | None
     support_values: np.ndarray
     truncation_error: float
     area: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("directions", "boundary", "support_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            if (value := getattr(self, name)) is not None:
+                arr = np.asarray(value, dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
     @property
     def n_dirs(self) -> int:
@@ -121,13 +121,6 @@ def _directions(n: int, n_dirs: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(0))
     draws = rng.standard_normal((n_dirs, n))
     return draws / np.linalg.norm(draws, axis=1, keepdims=True)
-
-
-def _shoelace(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * abs(
-        float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-    )
 
 
 def reach_bound(
@@ -148,10 +141,10 @@ def reach_bound(
     powers, into a uniform bound on the support-function truncation
     error; the bound is inf when the tail has not converged after 10000
     terms.  Support functions add under Minkowski sums, so one pass per
-    summand, in series order, adds its support value and its maximizer
-    (zero where the summand is flat) for all directions at once; the
-    boundary points are exact.  The enclosed polygon area is computed for
-    planar systems.
+    summand, in series order, adds its support value for all directions
+    at once.  For planar systems the boundary is the circumscribed
+    polygon: vertex i solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1
+    mod n_dirs), one stacked 2 x 2 solve, and the area is its shoelace.
     """
     if t < 2:
         raise ValueError("horizon must be at least 2")
@@ -185,16 +178,18 @@ def reach_bound(
         truncation = math.inf
 
     dirs = _directions(sys.n, n_dirs)
-    boundary = np.zeros((n_dirs, sys.n))
     support = np.zeros(n_dirs)
     for q in shapes:
-        # these matmul forms give the bits of d @ q @ d and q @ d per row
+        # this matmul form gives the bits of d @ q @ d per row
         val = np.matmul((dirs @ q)[:, None, :], dirs[:, :, None])[:, 0, 0]
         support += np.sqrt(np.maximum(0.0, val))
-        point = np.matmul(q, dirs[:, :, None])[:, :, 0]
-        point /= np.sqrt(np.maximum(val, _FLAT_TOL))[:, None]
-        boundary += np.where((val < _FLAT_TOL)[:, None], 0.0, point)
-    area = _shoelace(boundary) if sys.n == 2 else None
+    boundary = area = None
+    if sys.n == 2:
+        lines = np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1)
+        values = np.stack([support, np.roll(support, -1)], axis=1)
+        boundary = np.linalg.solve(lines, values[:, :, None])[:, :, 0]
+        x, y = boundary.T
+        area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
     return ReachBound(
         horizon=t,
         w_bar=float(w_bar),

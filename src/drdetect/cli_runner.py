@@ -283,15 +283,16 @@ def _write_reach(
     out: Path, thresholds: list[ThresholdResult], bounds, report
 ) -> list[Path]:
     """One boundary file ``theta, x1, x2`` per threshold row, named by its
-    (method, k), which is unique within a run, plus areas.csv.  Boundary
-    files exist for planar systems only."""
+    (method, k), which is unique within a run, plus areas.csv.  Row i holds
+    direction i's angle and the circumscribed polygon's vertex i, on the
+    support lines of directions i and i + 1; only planar bounds have one."""
     paths = []
     for row, rb in zip(thresholds, bounds):
-        if rb.directions.shape[1] != 2:
+        if rb.boundary is None:
             raise ValueError("boundary CSV export is for planar systems")
         points = (
-            (math.atan2(ell[1], ell[0]), point[0], point[1])
-            for ell, point in zip(rb.directions, rb.boundary)
+            (math.atan2(ell[1], ell[0]), vertex[0], vertex[1])
+            for ell, vertex in zip(rb.directions, rb.boundary)
         )
         path = out / f"reach_{row.method.value}_k{row.k}.csv"
         paths.append(_write_csv(path, _BOUNDARY_HEADER, points))
