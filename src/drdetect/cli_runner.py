@@ -20,9 +20,9 @@ from .cps_sim import (
     LtiSystem,
     NoiseFamily,
     NoiseModel,
+    _alarm_count,
+    _attack_free_stream,
     _check_seed,
-    empirical_false_alarm_rate,
-    simulate,
 )
 from .detector_tuning import (
     Method,
@@ -31,7 +31,7 @@ from .detector_tuning import (
     closed_form_threshold,
     tune_threshold_sdp,
 )
-from .moment_core import MomentSequence, chi_squared_moments, estimate_moments
+from .moment_core import MomentSequence, _PowerSums, chi_squared_moments
 
 __all__ = [
     "ExperimentConfig",
@@ -162,20 +162,21 @@ class ExperimentConfig:
 
 
 def resolve_moments(config: ExperimentConfig) -> MomentSequence:
-    """Moment sequence of the detection measure at the largest order."""
+    """Moment sequence of the detection measure at the largest order.
+    Empirical moments are the bits of `estimate_moments` on the q of
+    `simulate`, from exact power sums over the attack-free run's bounded
+    pieces; no piece outlives its sums."""
     k_max = max(config.orders)
     if config.moment_source == ANALYTIC_CHI_SQUARED:
         return chi_squared_moments(config.system.p, k_max)
     noise_w, noise_v = config.noise_models(0)
     _logger.info("estimating moments from %d samples", config.empirical_samples)
-    trace = simulate(
-        config.system,
-        noise_w,
-        noise_v,
-        config.empirical_samples,
-        burn_in=config.burn_in,
-    )
-    return estimate_moments(trace.q_values, k_max)
+    sums = _PowerSums(k_max)
+    for trace in _attack_free_stream(
+        config.system, noise_w, noise_v, config.empirical_samples, config.burn_in
+    ):
+        sums.add(trace.q_values)
+    return sums.moments()
 
 
 def run_tune(config: ExperimentConfig) -> list[ThresholdResult]:
@@ -214,17 +215,23 @@ def run_far(
     config: ExperimentConfig, thresholds: list[ThresholdResult]
 ) -> list[tuple[ThresholdResult, float, float]]:
     """Empirical false-alarm rate with binomial standard error for each
-    tuned threshold, measured on one fresh attack-free run."""
+    tuned threshold, measured on one fresh attack-free run.  The rates
+    are those of `empirical_false_alarm_rate` on `simulate`'s trace,
+    counted over the run's bounded pieces, which are dropped as they are
+    counted."""
     noise_w, noise_v = config.noise_models(2)
-    _logger.info("simulating %d attack-free steps", config.sim_samples)
-    trace = simulate(
-        config.system, noise_w, noise_v, config.sim_samples, burn_in=config.burn_in
-    )
+    samples = config.sim_samples
+    _logger.info("simulating %d attack-free steps", samples)
+    alarms = [0] * len(thresholds)
+    for trace in _attack_free_stream(
+        config.system, noise_w, noise_v, samples, config.burn_in
+    ):
+        for i, row in enumerate(thresholds):
+            alarms[i] += _alarm_count(trace, row.alpha)
     out = []
-    for row in thresholds:
-        rate = empirical_false_alarm_rate(trace, row.alpha)
-        stderr = math.sqrt(rate * (1.0 - rate) / trace.length)
-        out.append((row, rate, stderr))
+    for row, count in zip(thresholds, alarms):
+        rate = count / samples
+        out.append((row, rate, math.sqrt(rate * (1.0 - rate) / samples)))
     return out
 
 

@@ -34,6 +34,9 @@ __all__ = [
 
 # steps per banded solve in _linear_path; its band holds 2 d^2 _CHUNK floats
 _CHUNK = 1024
+# steps per piece of the attack-free stream; a multiple of _CHUNK, so the
+# pieces keep _linear_path's grid of banded solves
+_STREAM = 64 * _CHUNK
 (_TBTRS,) = scipy.linalg.get_lapack_funcs(("tbtrs",), dtype=np.float64)
 
 
@@ -253,15 +256,38 @@ class NoiseModel:
         return self.covariance.shape[0]
 
     def sample(self, size: int) -> np.ndarray:
-        """Draw `size` iid vectors as rows, from a fresh stream at the seed."""
+        """Draw `size` iid vectors as rows, from a fresh stream at the seed:
+        rows of standard normals times a factor of the covariance, each
+        scaled in the Laplacian family by the square root of an
+        exponential drawn after every normal.  The rows come in the
+        bounded pieces of the attack-free stream, joined, with the bits
+        of one whole draw."""
         if size < 1:
             raise ValueError("sample size must be positive")
-        rng = np.random.Generator(np.random.Philox(self.seed))
+        return np.concatenate(list(self._pieces(size)))
+
+    def _pieces(self, size: int):
+        """The rows of `sample(size)`, one array per range of
+        `_stream_rows(size)`.  Philox is counter-based, so its draws come
+        out the same in pieces (Salmon et al., SC 2011).  The Laplacian
+        exponentials follow all the normals in the stream: over more than
+        one piece, a first pass runs the stream past the normals into one
+        buffer, and a second stream at the seed replays them."""
+        rows = _stream_rows(size)
         factor = _psd_factor(self.covariance)
-        draws = rng.standard_normal((size, self.dim)) @ factor.T
-        if self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
-            draws *= np.sqrt(rng.exponential(1.0, size=size))[:, None]
-        return draws
+        rng = np.random.Generator(np.random.Philox(self.seed))
+        normals = rng
+        laplacian = self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN
+        if laplacian and len(rows) > 1:
+            buffer = np.empty((max(stop - start for start, stop in rows), self.dim))
+            for start, stop in rows:
+                rng.standard_normal(out=buffer[: stop - start])
+            normals = np.random.Generator(np.random.Philox(self.seed))
+        for start, stop in rows:
+            draws = normals.standard_normal((stop - start, self.dim)) @ factor.T
+            if laplacian:
+                draws *= np.sqrt(rng.exponential(1.0, size=stop - start))[:, None]
+            yield draws
 
 
 @dataclass(frozen=True)
@@ -299,10 +325,22 @@ class ResidualTrace:
         return self.q_values.shape[0]
 
 
-def _linear_path(M: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Path z[t+1] = M z[t] + u[t] from z[0] = 0, one row per step t: a unit
-    lower-triangular system with 2 d - 1 subdiagonals (d = len(z)), solved
-    by LAPACK tbtrs _CHUNK steps at a time from the last state before."""
+def _stream_rows(total: int) -> list[tuple[int, int]]:
+    """Row ranges [start, stop) of the attack-free stream: _STREAM rows
+    each, and a rest shorter than _CHUNK joins the range before it.  numpy
+    computes a product of one or two rows on other paths than a long one,
+    with other bits, so no range is that short unless the run is."""
+    starts = list(range(0, total, _STREAM))
+    if len(starts) > 1 and total - starts[-1] < _CHUNK:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [total]))
+
+
+def _linear_path(M: np.ndarray, u: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """States z[0..L] of z[t+1] = M z[t] + u[t] from z[0] = z0, for the L
+    rows of u: a unit lower-triangular system with 2 d - 1 subdiagonals
+    (d = len(z)), solved by LAPACK tbtrs _CHUNK steps at a time from the
+    last state before."""
     d = M.shape[0]
     # band column j of a step: the unit diagonal and, d - j rows down, -M[:, j]
     block = np.zeros((2 * d, d))
@@ -310,15 +348,67 @@ def _linear_path(M: np.ndarray, u: np.ndarray) -> np.ndarray:
     for j in range(d):
         block[d - j : 2 * d - j, j] = -M[:, j]
     band = np.asfortranarray(np.tile(block, _CHUNK))
-    z = np.zeros_like(u)
-    z[1:] = u[:-1]
-    for start in range(0, u.shape[0] - 1, _CHUNK):
+    z = np.empty((u.shape[0] + 1, d))
+    z[0] = z0
+    z[1:] = u
+    for start in range(0, u.shape[0], _CHUNK):
         chunk = z[start + 1 : start + 1 + _CHUNK]
         chunk[0] += M @ z[start]
         rhs = chunk.reshape(-1, 1)
         sol, _ = _TBTRS(band[:, : rhs.shape[0]], rhs, uplo="L", diag="U")
         chunk[:] = sol.reshape(chunk.shape)
     return z
+
+
+def _check_states(x: np.ndarray, start: int) -> None:
+    """Raise ArithmeticError at the first state whose norm exceeds 1e12 or
+    is not finite; row i of x is step start + i."""
+    with np.errstate(over="ignore"):  # a diverged path may overflow to inf
+        diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
+    if diverged.any():
+        raise ArithmeticError(f"state diverged at step {start + diverged.argmax()}")
+
+
+def _trace(sys: LtiSystem, r: np.ndarray, x, skip: int) -> ResidualTrace:
+    """The trace of residuals r, their q = r' sigma_r^{-1} r and, unless
+    None, states x, all without their first `skip` rows."""
+    q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
+    return ResidualTrace(r[skip:], q[skip:], None if x is None else x[skip:])
+
+
+def _attack_free_stream(
+    sys: LtiSystem,
+    noise_w: NoiseModel,
+    noise_v: NoiseModel,
+    T: int,
+    burn_in: int,
+    keep_states: bool = False,
+):
+    """`simulate`'s attack-free run, on arguments that `simulate` accepts,
+    yielded as one ResidualTrace per range of `_stream_rows` that holds
+    recorded steps.  Each range draws its noise and carries every path on
+    from the last state before, so a caller that reduces the pieces holds
+    about _STREAM steps at a time, and the joined pieces are the bits of
+    one whole-run computation."""
+    total = burn_in + T
+    m_err = sys.A - sys.L @ sys.C
+    bk = sys.B @ sys.K
+    m_plant = sys.A + bk
+    e0 = x0 = np.zeros(sys.n)
+    pieces = zip(
+        _stream_rows(total), noise_w._pieces(total), noise_v._pieces(total)
+    )
+    for (start, stop), w, v in pieces:
+        e = _linear_path(m_err, w - v @ sys.L.T, e0)
+        e0, e = e[-1], e[:-1]
+        x = None
+        if keep_states:
+            x = _linear_path(m_plant, w - e @ bk.T, x0)
+            x0, x = x[-1], x[:-1]
+            _check_states(x, start)
+        skip = max(burn_in - start, 0)
+        if skip < stop - start:
+            yield _trace(sys, e @ sys.C.T + v, x, skip)
 
 
 def simulate(
@@ -334,11 +424,14 @@ def simulate(
     record the last T.
 
     The loop is a cascade of n-state paths, each driven by the one
-    before, and every path is one `_linear_path` call.  Attack-free, the
-    estimation error follows e[t+1] = (A - L C) e[t] + w[t] - L v[t]; the
-    residual is r = C e + v, and with `keep_states` the plant follows as
-    x[t+1] = (A + B K) x[t] + w[t] - B K e[t].  Under an attack the
-    pinned residuals r drive the estimate,
+    before, and every path is computed by `_linear_path`.  Attack-free,
+    the estimation error follows e[t+1] = (A - L C) e[t] + w[t] - L v[t];
+    the residual is r = C e + v, and with `keep_states` the plant follows
+    as x[t+1] = (A + B K) x[t] + w[t] - B K e[t].  The attack-free run
+    goes in bounded pieces of 65 536 steps that carry each path's state
+    on, the pieces the CLI reduces to power sums and alarm counts without
+    joining them; here they are joined.  Under an attack the pinned
+    residuals r drive the estimate,
     xhat[t+1] = (A + B K) xhat[t] + L r[t], and the estimate drives the
     plant, x[t+1] = A x[t] + w[t] + B K xhat[t].
     Where the plant path is computed, raises ArithmeticError at its first
@@ -350,30 +443,33 @@ def simulate(
         raise ValueError("burn-in must be nonnegative")
     if noise_w.dim != sys.n or noise_v.dim != sys.p:
         raise ValueError("noise dimensions do not match the system")
-    total = burn_in + T
-    w = noise_w.sample(total)
-    bk = sys.B @ sys.K
     if attack is None:
-        v = noise_v.sample(total)
-        e = _linear_path(sys.A - sys.L @ sys.C, w - v @ sys.L.T)
-        r = e @ sys.C.T + v
-        x = _linear_path(sys.A + bk, w - e @ bk.T) if keep_states else None
-    else:
-        r = attack.residuals(sys, total)
-        xhat = _linear_path(sys.A + bk, r @ sys.L.T)
-        x = _linear_path(sys.A, w + xhat @ bk.T)
-    if x is not None:
-        with np.errstate(over="ignore"):  # a diverged path may overflow to inf
-            diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
-        if diverged.any():
-            raise ArithmeticError(f"state diverged at step {diverged.argmax()}")
-    q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
-    return ResidualTrace(r[burn_in:], q[burn_in:], x[burn_in:] if keep_states else None)
+        parts = list(
+            _attack_free_stream(sys, noise_w, noise_v, T, burn_in, keep_states)
+        )
+        return ResidualTrace(
+            np.concatenate([part.residuals for part in parts]),
+            np.concatenate([part.q_values for part in parts]),
+            np.concatenate([part.states for part in parts]) if keep_states else None,
+        )
+    total = burn_in + T
+    zero = np.zeros(sys.n)
+    bk = sys.B @ sys.K
+    r = attack.residuals(sys, total)
+    xhat = _linear_path(sys.A + bk, (r @ sys.L.T)[:-1], zero)
+    x = _linear_path(sys.A, (noise_w.sample(total) + xhat @ bk.T)[:-1], zero)
+    _check_states(x, 0)
+    return _trace(sys, r, x if keep_states else None, burn_in)
+
+
+def _alarm_count(trace: ResidualTrace, alpha: float) -> int:
+    """Steps of the trace with q > alpha (strict, per the alarm rule)."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
+    return int(np.count_nonzero(trace.q_values > alpha))
 
 
 def empirical_false_alarm_rate(trace: ResidualTrace, alpha: float) -> float:
     """Fraction of steps with q > alpha (strict, per the alarm rule).
     Meaningful as a false-alarm rate only on attack-free traces."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError("threshold must be finite and nonnegative")
-    return float(np.mean(trace.q_values > alpha))
+    return _alarm_count(trace, alpha) / trace.length

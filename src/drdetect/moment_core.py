@@ -115,44 +115,72 @@ def is_feasible(seq: MomentSequence) -> bool:
     return True
 
 
-# values per bincount pass in _exact_sum; keeps every bin sum below 2^53
-_SUM_CHUNK = 1 << 26
+# samples per _PowerSums.add call in estimate_moments
+_PIECE = 1 << 16
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of nonnegative floats, the same bits as
-    Shewchuk's fsum; a NaN or inf entry makes the sum NaN or inf.
+class _PowerSums:
+    """Exact sums of x, x^2, ..., x^k over nonnegative samples fed in
+    pieces.
 
-    Each value is m 2^(e-53) with a 53-bit integer m (np.frexp).  m splits
+    Each power is m 2^(e-53) with a 53-bit integer m (np.frexp).  m splits
     into a 27-bit high and a 26-bit low part, and np.bincount sums each
-    part per exponent e, exactly in float64 for up to _SUM_CHUNK values.
-    The per-exponent sums add up exactly as a Python int, and Python's
-    correctly rounded int division turns that into the float.  Raises
-    OverflowError when the rounded sum exceeds the float range.
+    part per exponent e, exactly in float64 for up to 2^26 values per
+    piece.  The per-exponent sums add up exactly as a Python int, and each
+    total carries over the pieces as an exact n 2^s.  So the sums depend
+    neither on the order of the samples nor on how they are split
+    (Shewchuk, DCG 1997), and `sums` rounds each once, to the bits of
+    Shewchuk's fsum.
     """
-    if not np.isfinite(values).all():
-        return float(values.sum())
-    mant, exp = np.frexp(values)
-    mant = (mant * 2.0**53).astype(np.int64)
-    low = int(exp.min())
-    shift = exp - low
-    total = 0
-    for start in range(0, values.size, _SUM_CHUNK):
-        part = slice(start, start + _SUM_CHUNK)
-        high = np.bincount(shift[part], weights=mant[part] >> 26)
-        rest = np.bincount(shift[part], weights=mant[part] & ((1 << 26) - 1))
-        for i in np.flatnonzero(high + rest):
-            total += ((int(high[i]) << 26) + int(rest[i])) << int(i)
-    scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+    def __init__(self, k: int) -> None:
+        self.count = 0
+        self._totals = [(0, 0)] * k  # (n, s): the sum of x^(r+1) is n 2^s
+
+    def add(self, x: np.ndarray) -> None:
+        """Add the powers of the samples in x, at most 2^26 of them.
+        Raises ValueError on a negative sample or a power that is not
+        finite."""
+        if np.any(x < 0):
+            raise ValueError("negative sample: the detection measure is nonnegative")
+        power = np.ones_like(x)
+        for r, (total, scale) in enumerate(self._totals):
+            power = power * x
+            if not np.isfinite(power).all():
+                raise ValueError("all moments must be finite")
+            mant, exp = np.frexp(power)
+            mant = (mant * 2.0**53).astype(np.int64)
+            low = int(exp.min())
+            shift = exp - low
+            high = np.bincount(shift, weights=mant >> 26)
+            rest = np.bincount(shift, weights=mant & ((1 << 26) - 1))
+            piece = 0
+            for i in np.flatnonzero(high + rest):
+                piece += ((int(high[i]) << 26) + int(rest[i])) << int(i)
+            low -= 53
+            common = min(scale, low)
+            total = (total << (scale - common)) + (piece << (low - common))
+            self._totals[r] = (total, common)
+        self.count += x.size
+
+    def sums(self) -> list[float]:
+        """The correctly rounded sums of x, ..., x^k.  Raises
+        OverflowError when one exceeds the float range."""
+        return [float(n << s) if s >= 0 else n / (1 << -s) for n, s in self._totals]
+
+    def moments(self) -> MomentSequence:
+        """Raw moments M^r = (sum of x^r) / count for r = 0..k."""
+        return MomentSequence((1.0, *(total / self.count for total in self.sums())))
 
 
 def estimate_moments(samples, k: int) -> MomentSequence:
     """Empirical raw moments M^r = mean(x^r) for r = 0..k.
 
-    Each sum of powers is correctly rounded (`_exact_sum`), then divided
-    by the sample count: fourth moments of heavy-tailed samples lose
-    digits under naive left-to-right addition.
+    Each sum of powers is exact and rounded once (`_PowerSums`), then
+    divided by the sample count: fourth moments of heavy-tailed samples
+    lose digits under naive left-to-right addition.  The samples go
+    through in bounded pieces of 65 536, so the powers take little memory
+    beside the samples themselves.
     """
     if k < 1:
         raise ValueError("moment order must be at least 1")
@@ -161,14 +189,10 @@ def estimate_moments(samples, k: int) -> MomentSequence:
         raise ValueError("samples must be one-dimensional")
     if x.size == 0:
         raise ValueError("empty sample set")
-    if np.any(x < 0):
-        raise ValueError("negative sample: the detection measure is nonnegative")
-    moments = [1.0]
-    power = np.ones_like(x)
-    for _ in range(k):
-        power = power * x
-        moments.append(_exact_sum(power) / x.size)
-    return MomentSequence(tuple(moments))
+    sums = _PowerSums(k)
+    for start in range(0, x.size, _PIECE):
+        sums.add(x[start : start + _PIECE])
+    return sums.moments()
 
 
 def chi_squared_moments(p: int, k: int) -> MomentSequence:

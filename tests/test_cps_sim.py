@@ -9,9 +9,13 @@ from drdetect import (
     NoiseModel,
     benchmark_system,
     empirical_false_alarm_rate,
+    estimate_moments,
     simulate,
     solve_dare,
 )
+from drdetect import cps_sim
+from drdetect.cps_sim import _alarm_count, _attack_free_stream
+from drdetect.moment_core import _PowerSums
 
 
 def _simple_system(**overrides):
@@ -172,6 +176,21 @@ def test_noise_model_rejects_a_bad_seed():
     assert NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_sample_draws_like_one_whole_array(family):
+    # the normals of all rows, times the factor, then the exponentials:
+    # one row, two rows, a rest of one or two rows, and three pieces
+    cov = benchmark_system().sigma_w
+    factor = np.linalg.cholesky(cov)
+    for n in (1, 2, 65_537, 65_538, 140_000):
+        rng = np.random.Generator(np.random.Philox(17))
+        want = rng.standard_normal((n, 2)) @ factor.T
+        if family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
+            want *= np.sqrt(rng.exponential(1.0, n))[:, None]
+        got = NoiseModel(family, cov, 17).sample(n)
+        assert got.tobytes() == want.tobytes(), n
+
+
 def test_laplacian_matches_covariance_with_heavy_tails():
     cov = np.array([[1.0, 0.3], [0.3, 2.0]])
     model = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, cov, 5)
@@ -262,6 +281,45 @@ def test_simulate_matches_reference_loop(system, policy, family):
     _assert_close_to(trace.states, states)
     _assert_close_to(trace.residuals, residuals)
     _assert_close_to(trace.q_values, q)
+
+
+_ALPHAS = (0.5, 5.991464547107979, 9.1818473667080447, 40.0)
+
+
+@pytest.mark.parametrize("total", [2 * 65_536 + 1, 2 * 65_536 + 2], ids=["rest-1", "rest-2"])
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_attack_free_stream_keeps_the_whole_run_bits(monkeypatch, family, total):
+    # pieces of 1024, 7 * 1024 and 65 536 steps, whose grids leave a rest
+    # of 1 or 2 steps at 1024 and 65 536, against one piece of at least the
+    # total, the whole-run computation: the same moments, alarm counts,
+    # residuals, q and states, bit for bit.  A rest that short joins the
+    # piece before, since numpy computes a product of one or two rows on
+    # other paths, whose bits differ only on some rows
+    sys_ = benchmark_system()
+    w = NoiseModel(family, sys_.sigma_w, 61)
+    v = NoiseModel(family, sys_.sigma_v, 62)
+    T = total - 1000
+    runs = []
+    for size in (1 << 20, 1024, 7 * 1024, 65_536):
+        monkeypatch.setattr(cps_sim, "_STREAM", size)
+        rows = cps_sim._stream_rows(total)
+        assert min(stop - start for start, stop in rows) >= cps_sim._CHUNK
+        trace = simulate(sys_, w, v, T, keep_states=True)
+        sums = _PowerSums(4)
+        alarms = np.zeros(len(_ALPHAS), dtype=int)
+        for piece in _attack_free_stream(sys_, w, v, T, 1000):
+            sums.add(piece.q_values)
+            alarms += [_alarm_count(piece, alpha) for alpha in _ALPHAS]
+        runs.append((trace, sums.moments().moments, alarms.tolist()))
+    whole, moments, alarms = runs[0]
+    assert moments == estimate_moments(whole.q_values, 4).moments
+    assert alarms == [np.count_nonzero(whole.q_values > alpha) for alpha in _ALPHAS]
+    for trace, got_moments, got_alarms in runs[1:]:
+        for name in ("residuals", "q_values", "states"):
+            got, want = getattr(trace, name), getattr(whole, name)
+            assert got.tobytes() == want.tobytes(), name
+        assert got_moments == moments
+        assert got_alarms == alarms
 
 
 def test_simulate_single_step():

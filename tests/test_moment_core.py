@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drdetect import MomentSequence, chi_squared_moments, estimate_moments, is_feasible
-from drdetect import moment_core
-from drdetect.moment_core import _exact_sum, hankel_pair
+from drdetect.moment_core import _PowerSums, hankel_pair
 
 from conftest import atomic_moments
+
+
+def _exact_sum(values):
+    sums = _PowerSums(1)
+    sums.add(values)
+    return sums.sums()[0]
 
 
 def test_point_mass_is_feasible():
@@ -201,14 +206,19 @@ def test_exact_sum_rounds_ties_like_fsum(base, pieces, nudge):
     assert _exact_sum(np.array(values)).hex() == math.fsum(values).hex()
 
 
-def test_exact_sum_across_chunks(monkeypatch):
+def test_exact_sum_across_chunks():
+    # the exact totals carried over 64-value pieces round to fsum's bits,
+    # power by power, and give estimate_moments' moments
     rng = np.random.default_rng(5)
     values = rng.exponential(size=1001) ** 4 * 10.0 ** rng.integers(-30, 30, 1001)
-    want = math.fsum(values)
-    reference = estimate_moments(values, 4)
-    monkeypatch.setattr(moment_core, "_SUM_CHUNK", 64)
-    assert _exact_sum(values).hex() == want.hex()
-    assert estimate_moments(values, 4).moments == reference.moments
+    sums = _PowerSums(4)
+    for start in range(0, values.size, 64):
+        sums.add(values[start : start + 64])
+    power = np.ones_like(values)
+    for got in sums.sums():
+        power = power * values
+        assert got.hex() == math.fsum(power).hex()
+    assert sums.moments().moments == estimate_moments(values, 4).moments
 
 
 def test_estimate_moments_errors_on_non_finite_sums():
