@@ -1,0 +1,72 @@
+"""scipy's compiled LAPACK wrappers and ``gammaincinv``, loaded without
+scipy's Python packages.
+
+``import scipy.linalg`` costs about 0.25 s and ``import scipy.special``
+about 0.08 s more, for four LAPACK wrappers and one ufunc.  This module
+loads the two extension modules that hold them, ``scipy/linalg/_flapack``
+and ``scipy/special/_special_ufuncs``, from scipy's install directory,
+which runs no scipy code.  The routines are the objects that
+``scipy.linalg.get_lapack_funcs(..., dtype=np.float64)`` and
+``scipy.special.gammaincinv`` return, so every result keeps its bits.
+"""
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import numpy as np
+
+_LAPACK = ("trtrs", "getrf", "getrs", "tbtrs")
+
+
+def _locate(name: str):
+    """Spec of scipy's extension module `name` (dotted), or None when
+    scipy or the file is missing."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], name.split(".")[1]),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    return finder.find_spec(name)
+
+
+def _load(name: str):
+    """Extension module `name`, from sys.modules when scipy loaded it
+    already; None when no file is found."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = _locate(name)
+    if spec is None:
+        return None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules; left there, a
+    # later `import scipy.linalg` finds it and never sets the attribute
+    # `scipy.linalg._flapack` that get_lapack_funcs reads
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
+
+
+def _bind():
+    """float64 trtrs, getrf, getrs and tbtrs, and gammaincinv."""
+    flapack = _load("scipy.linalg._flapack")
+    special = _load("scipy.special._special_ufuncs")
+    try:
+        lapack = tuple(getattr(flapack, "d" + name) for name in _LAPACK)
+        return (*lapack, special.gammaincinv)
+    except AttributeError:
+        # a file or a name is missing (None has no routines either), as in
+        # a scipy from before _special_ufuncs: the same routines, imported
+        import scipy.linalg
+        import scipy.special
+
+        lapack = scipy.linalg.get_lapack_funcs(_LAPACK, dtype=np.float64)
+        return (*lapack, scipy.special.gammaincinv)
+
+
+trtrs, getrf, getrs, tbtrs, gammaincinv = _bind()

@@ -16,7 +16,9 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
+
+# float64 banded triangular solve, scipy's own wrapper loaded by _scipy_ext
+from ._scipy_ext import tbtrs as _TBTRS
 
 if TYPE_CHECKING:
     from .attack_reach import AttackPolicy
@@ -37,7 +39,6 @@ _CHUNK = 1024
 # steps per piece of the attack-free stream; a multiple of _CHUNK, so the
 # pieces keep _linear_path's grid of banded solves
 _STREAM = 64 * _CHUNK
-(_TBTRS,) = scipy.linalg.get_lapack_funcs(("tbtrs",), dtype=np.float64)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

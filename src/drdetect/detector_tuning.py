@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+# scipy.special's own ufunc, loaded by _scipy_ext without scipy.special
+from ._scipy_ext import gammaincinv as _gammaincinv
 from .bound_engine import _law_ends, solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
@@ -65,12 +67,7 @@ def chi_squared_threshold(p: int, rate: float) -> float:
         raise ValueError("degrees of freedom must be at least 1")
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0, 1)")
-    # for this call only: 0.08 s of import beside the scipy.linalg that
-    # cps_sim loads, 0.33 s beside numpy alone (medians, 2 vCPU); ROADMAP
-    # item 8b replaces it with a closed form
-    import scipy.special
-
-    return float(2.0 * scipy.special.gammaincinv(0.5 * p, 1.0 - rate))
+    return float(2.0 * _gammaincinv(0.5 * p, 1.0 - rate))
 
 
 def closed_form_threshold(

@@ -25,7 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+
+# float64 triangular solve and LU factorization and solve, scipy's own
+# wrappers loaded by _scipy_ext; getrf/getrs are the routines under scipy's
+# LU helpers, so the KKT solves round exactly as through those helpers
+from ._scipy_ext import getrf as _GETRF, getrs as _GETRS, trtrs as _TRTRS
 
 __all__ = [
     "Status",
@@ -43,12 +47,6 @@ _TOL = 1e-9
 _MAX_ITER = 100
 # iterations without halving the best score after which a run has stalled
 _STALL_ITERS = 20
-# triangular solve and LU factorization and solve for float64, bound once
-# instead of looked up per call; getrf/getrs are the routines under scipy's
-# LU helpers, so the KKT solves round exactly as through those helpers
-_TRTRS, _GETRF, _GETRS = scipy.linalg.get_lapack_funcs(
-    ("trtrs", "getrf", "getrs"), dtype=np.float64
-)
 
 
 class Status(enum.Enum):
