@@ -165,9 +165,13 @@ def reach_bound(
             for q in (w_bar * a_pow @ sys.sigma_w @ a_pow.T, alpha * h @ lsl @ h.T):
                 shapes.append(0.5 * (q + q.T))
         else:
-            term = math.sqrt(
-                max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys.sigma_w @ a_pow.T)[-1])
-            ) + math.sqrt(max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1]))
+            # one stacked call, each matrix's eigenvalues with its own bits
+            top_w, top_h = np.linalg.eigvalsh(
+                np.stack([a_pow @ sys.sigma_w @ a_pow.T, h @ lsl @ h.T])
+            )[:, -1]
+            term = math.sqrt(max(0.0, w_bar * top_w)) + math.sqrt(
+                max(0.0, alpha * top_h)
+            )
             truncation += term
             if term < 1e-16 * max(1.0, truncation):
                 break

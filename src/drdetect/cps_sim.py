@@ -372,9 +372,38 @@ def _check_states(x: np.ndarray, start: int) -> None:
 
 def _trace(sys: LtiSystem, r: np.ndarray, x, skip: int) -> ResidualTrace:
     """The trace of residuals r, their q = r' sigma_r^{-1} r and, unless
-    None, states x, all without their first `skip` rows."""
-    q = np.einsum("ij,jk,ik->i", r, sys.sigma_r_inv, r)
+    None, states x, all without their first `skip` rows.  q has the bits of
+    np.einsum("ij,jk,ik->i", r, sigma_r_inv, r) on C-ordered r: on three rows
+    or more einsum adds (r[:, j] S[j, k]) r[:, k] over j, then k, which is
+    done here on contiguous columns without its three-operand loop.  On
+    fewer rows einsum orders the sum another way (per-j partial sums over k
+    when p = 2), so those go through einsum itself."""
+    S = sys.sigma_r_inv
+    if r.shape[0] < 3:
+        q = np.einsum("ij,jk,ik->i", r, S, r)
+    else:
+        cols = np.ascontiguousarray(r.T)
+        q = np.zeros(r.shape[0])
+        for j, rj in enumerate(cols):
+            for k, rk in enumerate(cols):
+                q += (rj * S[j, k]) * rk
     return ResidualTrace(r[skip:], q[skip:], None if x is None else x[skip:])
+
+
+def _drawn_ahead(items):
+    """The items of the iterator `items`, each drawn on one helper thread
+    while the caller works on the item before.  An error raised by
+    `items` reaches the caller with its own type.  The helper ends when
+    `items` is exhausted or this generator is closed, waiting for the one
+    draw in flight."""
+    # loaded with the first stream, not with the package
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(next, items, None)
+        while (item := ahead.result()) is not None:
+            ahead = helper.submit(next, items, None)
+            yield item
 
 
 def _attack_free_stream(
@@ -390,16 +419,20 @@ def _attack_free_stream(
     recorded steps.  Each range draws its noise and carries every path on
     from the last state before, so a caller that reduces the pieces holds
     about _STREAM steps at a time, and the joined pieces are the bits of
-    one whole-run computation."""
+    one whole-run computation.  The (w, v) pieces of both noise models are
+    drawn one piece ahead on one helper thread (`_drawn_ahead`; numpy's
+    Philox fills release the GIL), while this thread runs the paths, the
+    residual, q and the caller's work on the piece before.  The helper
+    alone creates and advances the two streams, in the order of a serial
+    run, so every draw keeps its bits; it has ended when the stream is
+    exhausted, closed or raises."""
     total = burn_in + T
     m_err = sys.A - sys.L @ sys.C
     bk = sys.B @ sys.K
     m_plant = sys.A + bk
     e0 = x0 = np.zeros(sys.n)
-    pieces = zip(
-        _stream_rows(total), noise_w._pieces(total), noise_v._pieces(total)
-    )
-    for (start, stop), w, v in pieces:
+    draws = _drawn_ahead(zip(noise_w._pieces(total), noise_v._pieces(total)))
+    for (start, stop), (w, v) in zip(_stream_rows(total), draws):
         e = _linear_path(m_err, w - v @ sys.L.T, e0)
         e0, e = e[-1], e[:-1]
         x = None
@@ -431,8 +464,10 @@ def simulate(
     as x[t+1] = (A + B K) x[t] + w[t] - B K e[t].  The attack-free run
     goes in bounded pieces of 65 536 steps that carry each path's state
     on, the pieces the CLI reduces to power sums and alarm counts without
-    joining them; here they are joined.  Under an attack the pinned
-    residuals r drive the estimate,
+    joining them; here they are joined.  One helper thread draws each
+    piece's noise while the piece before runs, with the bits of a serial
+    draw, and it has ended when `simulate` returns.  Under an attack the
+    pinned residuals r drive the estimate,
     xhat[t+1] = (A + B K) xhat[t] + L r[t], and the estimate drives the
     plant, x[t+1] = A x[t] + w[t] + B K xhat[t].
     Where the plant path is computed, raises ArithmeticError at its first

@@ -37,6 +37,30 @@ def _flat_system():
     return _identity_system(sigma_w=[[1.0, 0.0], [0.0, 0.0]])
 
 
+def _per_matrix_truncation(sys_, w_bar, alpha, t):
+    """reach_bound's truncation tail (i >= t-1), with one eigvalsh call per
+    matrix."""
+    a_cl = sys_.A + sys_.B @ sys_.K
+    lsl = sys_.L @ sys_.sigma_r @ sys_.L.T
+    a_pow = np.eye(sys_.n)
+    acl_pow = np.eye(sys_.n)
+    for _ in range(t - 1):
+        a_pow = sys_.A @ a_pow
+        acl_pow = a_cl @ acl_pow
+    truncation = 0.0
+    for _ in range(10_000):
+        h = acl_pow - a_pow
+        term = math.sqrt(
+            max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys_.sigma_w @ a_pow.T)[-1])
+        ) + math.sqrt(max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1]))
+        truncation += term
+        if term < 1e-16 * max(1.0, truncation):
+            return truncation
+        a_pow = sys_.A @ a_pow
+        acl_pow = a_cl @ acl_pow
+    return math.inf
+
+
 def _reference_reach(sys_, w_bar, alpha, t, directions):
     """reach_bound one direction and one summand at a time: the shape
     matrices, the tail and the per-direction sums in series order, with
@@ -52,19 +76,6 @@ def _reference_reach(sys_, w_bar, alpha, t, directions):
             shapes.append(0.5 * (q + q.T))
         a_pow = sys_.A @ a_pow
         acl_pow = a_cl @ acl_pow
-    truncation = 0.0
-    for _ in range(10_000):
-        h = acl_pow - a_pow
-        term = math.sqrt(
-            max(0.0, w_bar * np.linalg.eigvalsh(a_pow @ sys_.sigma_w @ a_pow.T)[-1])
-        ) + math.sqrt(max(0.0, alpha * np.linalg.eigvalsh(h @ lsl @ h.T)[-1]))
-        truncation += term
-        if term < 1e-16 * max(1.0, truncation):
-            break
-        a_pow = sys_.A @ a_pow
-        acl_pow = a_cl @ acl_pow
-    else:
-        truncation = math.inf
     points = np.zeros((len(directions), sys_.n))
     support = np.zeros(len(directions))
     for j, d in enumerate(directions):
@@ -77,7 +88,7 @@ def _reference_reach(sys_, w_bar, alpha, t, directions):
                 point += (q @ d) / math.sqrt(val)
         points[j] = point
         support[j] = total
-    return points, support, truncation
+    return points, support, _per_matrix_truncation(sys_, w_bar, alpha, t)
 
 
 def _max_vertex_miss(rb):
@@ -319,6 +330,16 @@ def test_reach_bound_horizon_truncation_decays():
     assert short.truncation_error > long.truncation_error
     assert long.truncation_error <= 1e-8
     assert abs(long.area - short.area) / long.area <= 1e-3
+
+
+@pytest.mark.parametrize("w_bar, alpha", [(40.0, 9.1315), (80.0, 40.0), (0.0, 5.9915), (1.0, 0.0)])
+def test_truncation_error_keeps_the_per_matrix_bits(w_bar, alpha):
+    # reach_bound takes both tail matrices of a term through one stacked
+    # eigvalsh; the sum keeps the bits of one call per matrix
+    sys_ = benchmark_system()
+    for t in (2, 3, 10, 50, 150, 399):
+        got = reach_bound(sys_, w_bar, alpha, t, 16).truncation_error
+        assert got.hex() == _per_matrix_truncation(sys_, w_bar, alpha, t).hex(), t
 
 
 def test_boundary_is_convex_polygon():

@@ -1,3 +1,7 @@
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -320,6 +324,135 @@ def test_attack_free_stream_keeps_the_whole_run_bits(monkeypatch, family, total)
             assert got.tobytes() == want.tobytes(), name
         assert got_moments == moments
         assert got_alarms == alarms
+
+
+def _stream_record(sys_, w, v, T):
+    """Everything a caller takes from the attack-free stream, as bytes:
+    the joined residuals, q and states, the power sums and alarm counts
+    over the pieces, and how many pieces there were."""
+    trace = simulate(sys_, w, v, T, keep_states=True)
+    sums = _PowerSums(4)
+    alarms = []
+    pieces = 0
+    for piece in _attack_free_stream(sys_, w, v, T, 1000):
+        sums.add(piece.q_values)
+        alarms.append([_alarm_count(piece, alpha) for alpha in _ALPHAS])
+        pieces += 1
+    return {
+        "residuals": trace.residuals.tobytes(),
+        "q_values": trace.q_values.tobytes(),
+        "states": trace.states.tobytes(),
+        "moments": np.array(sums.moments().moments).tobytes(),
+        "alarms": alarms,
+        "pieces": pieces,
+    }
+
+
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_helper_thread_changes_no_bit(monkeypatch, family):
+    # the noise drawn one piece ahead on the helper thread, with the
+    # interpreter switching threads as often as it can, against the same
+    # pieces drawn in line by a plain generator: two pieces, the second of
+    # 65 537 rows, and every record of the run byte for byte
+    sys_ = benchmark_system()
+    w = NoiseModel(family, sys_.sigma_w, 71)
+    v = NoiseModel(family, sys_.sigma_v, 72)
+    T = 2 * 65_536 + 1 - 1000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _stream_record(sys_, w, v, T)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(cps_sim, "_drawn_ahead", lambda items: (item for item in items))
+    inline = _stream_record(sys_, w, v, T)
+    assert threaded["pieces"] == 2
+    assert threaded == inline
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 1024, 65_543])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_q_equals_einsum(p, rows):
+    # heavy-tailed rows (Student t with 2 degrees of freedom, each row
+    # scaled by a lognormal) through _trace, with einsum as the oracle;
+    # fewer than three rows go through einsum itself, three or more through
+    # the column sums; at p = 2 einsum orders the sum another way on one or
+    # two rows, which a fifth to two fifths of such draws show
+    rng = np.random.default_rng(100 * p + rows % 97)
+    a = rng.standard_normal((p, p))
+    sigma_r_inv = np.linalg.inv(a @ a.T + p * np.eye(p))
+    sys_ = types.SimpleNamespace(sigma_r_inv=sigma_r_inv)
+    for _ in range(max(3, 200 // rows)):
+        r = rng.standard_t(2, size=(rows, p)) * np.exp(rng.normal(0.0, 3.0, (rows, 1)))
+        want = np.einsum("ij,jk,ik->i", r, sigma_r_inv, r)
+        assert cps_sim._trace(sys_, r, None, 0).q_values.tobytes() == want.tobytes()
+
+
+class _DrawError(Exception):
+    pass
+
+
+def _stream_args():
+    """A laplacian stream of three pieces, after 1000 burn-in steps."""
+    sys_ = benchmark_system()
+    w = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, sys_.sigma_w, 81)
+    v = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, sys_.sigma_v, 82)
+    return sys_, w, v, 3 * 65_536 - 1000, 1000
+
+
+def test_helper_error_reaches_the_caller(monkeypatch):
+    # the measurement noise fails on its second piece: the error comes out
+    # of the stream with its own type, after the first piece, and the
+    # helper is gone
+    draw = NoiseModel._pieces
+
+    def failing(self, size):
+        pieces = draw(self, size)
+        yield next(pieces)
+        if self.seed == 82:
+            raise _DrawError("noise draw failed")
+        yield from pieces
+
+    monkeypatch.setattr(NoiseModel, "_pieces", failing)
+    baseline = threading.active_count()
+    got = []
+    with pytest.raises(_DrawError, match="noise draw failed"):
+        for piece in _attack_free_stream(*_stream_args()):
+            got.append(piece.length)
+    assert got == [65_536 - 1000]
+    assert threading.active_count() == baseline
+
+
+def test_closed_stream_leaves_no_thread():
+    baseline = threading.active_count()
+    stream = _attack_free_stream(*_stream_args())
+    next(stream)
+    assert threading.active_count() == baseline + 1
+    stream.close()
+    assert threading.active_count() == baseline
+
+
+def test_stream_raising_mid_run_leaves_no_thread(monkeypatch):
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="consumer failed"):
+        for i, piece in enumerate(_attack_free_stream(*_stream_args())):
+            assert threading.active_count() == baseline + 1
+            if i == 1:
+                raise ValueError("consumer failed")
+    assert threading.active_count() == baseline
+    # the same when the stream's own work on a piece raises
+    check = cps_sim._check_states
+
+    def failing_check(x, start):
+        check(x, start)
+        if start > 0:
+            raise ArithmeticError("state check failed")
+
+    monkeypatch.setattr(cps_sim, "_check_states", failing_check)
+    with pytest.raises(ArithmeticError, match="state check failed"):
+        for piece in _attack_free_stream(*_stream_args(), keep_states=True):
+            pass
+    assert threading.active_count() == baseline
 
 
 def test_simulate_single_step():
