@@ -65,6 +65,8 @@ class AttackPolicy:
     def residuals(self, sys: LtiSystem, steps: int) -> np.ndarray:
         """The pinned residuals sigma_r^{1/2} delta_bar[t] for t < steps,
         one row per step, with |delta_bar[t]|^2 = alpha."""
+        if (size := self.direction.size) != sys.p:
+            raise ValueError(f"attack direction has {size} entries, not p = {sys.p}")
         d = np.tile(self.direction, (steps, 1))
         if self.rotate and d.shape[1] >= 2:
             angle = 2.0 * np.pi * np.arange(steps) / _ROTATION_PERIOD
@@ -109,10 +111,6 @@ class ReachBound:
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
 
-    @property
-    def n_dirs(self) -> int:
-        return self.directions.shape[0]
-
 
 def _directions(n: int, n_dirs: int) -> np.ndarray:
     if n == 2:
@@ -136,15 +134,15 @@ def reach_bound(
     process disturbance and E(alpha H_i L sigma_r L' H_i') for the
     attack channel, with H_i = (A + B K)^i - A^i (the i = 0 attack term
     vanishes), where E(Q) = {Q^{1/2} u : |u| <= 1} has support function
-    sqrt(l' Q l).  One loop over i builds the summands' shape matrices
-    and then sums the tail of the series (i >= t-1), from the same matrix
-    powers, into a uniform bound on the support-function truncation
-    error; the bound is inf when the tail has not converged after 10000
-    terms.  Support functions add under Minkowski sums, so one pass per
-    summand, in series order, adds its support value for all directions
-    at once.  For planar systems the boundary is the circumscribed
-    polygon: vertex i solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1
-    mod n_dirs), one stacked 2 x 2 solve, and the area is its shoelace.
+    sqrt(l' Q l).  Support functions add under Minkowski sums, so one
+    loop over i adds each summand's support value for all directions as
+    its shape matrix is made, in series order, and then sums the tail of
+    the series (i >= t-1), from the same matrix powers, into a uniform
+    bound on the support-function truncation error; the bound is inf when
+    the tail has not converged after 10000 terms.  For planar systems the
+    boundary is the circumscribed polygon: vertex i solves <u_i, x> = h_i,
+    <u_{i+1}, x> = h_{i+1} (i + 1 mod n_dirs), one stacked 2 x 2 solve,
+    and the area is its shoelace.
     """
     if t < 2:
         raise ValueError("horizon must be at least 2")
@@ -155,7 +153,8 @@ def reach_bound(
     A = sys.A
     a_cl = sys.A + sys.B @ sys.K
     lsl = sys.L @ sys.sigma_r @ sys.L.T
-    shapes: list[np.ndarray] = []
+    dirs = _directions(sys.n, n_dirs)
+    support = np.zeros(n_dirs)
     truncation = 0.0
     a_pow = np.eye(sys.n)
     acl_pow = np.eye(sys.n)
@@ -163,7 +162,10 @@ def reach_bound(
         h = acl_pow - a_pow
         if i < t - 1:
             for q in (w_bar * a_pow @ sys.sigma_w @ a_pow.T, alpha * h @ lsl @ h.T):
-                shapes.append(0.5 * (q + q.T))
+                q = 0.5 * (q + q.T)
+                # this matmul form gives the bits of d @ q @ d per row
+                val = np.matmul((dirs @ q)[:, None, :], dirs[:, :, None])[:, 0, 0]
+                support += np.sqrt(np.maximum(0.0, val))
         else:
             # one stacked call, each matrix's eigenvalues with its own bits
             top_w, top_h = np.linalg.eigvalsh(
@@ -181,12 +183,6 @@ def reach_bound(
         # a partial sum of a tail that has not converged bounds nothing
         truncation = math.inf
 
-    dirs = _directions(sys.n, n_dirs)
-    support = np.zeros(n_dirs)
-    for q in shapes:
-        # this matmul form gives the bits of d @ q @ d per row
-        val = np.matmul((dirs @ q)[:, None, :], dirs[:, :, None])[:, 0, 0]
-        support += np.sqrt(np.maximum(0.0, val))
     boundary = area = None
     if sys.n == 2:
         lines = np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1)

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from . import ipm
-from .ipm import Status, svec_dim
+from .ipm import Status, svec, svec_dim
 from .moment_core import MomentSequence, _hankel_matrix, is_feasible
 
 __all__ = [
@@ -142,9 +142,9 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     """
     k = moments.order
     size = k + 1
-    # row t in svec coordinates of the functional X -> sum_{i+j=t} X_ij
-    rows, cols, scale = ipm._svec_index(size)
-    anti = np.where(rows + cols == np.arange(2 * k + 1)[:, None], scale, 0.0)
+    # row t in svec coordinates of X -> sum_{i+j=t} X_ij: svec of the mask i + j = t
+    i = np.arange(size)
+    anti = svec((np.add.outer(i, i) == np.arange(2 * k + 1)[:, None, None]) * 1.0)
     odd, even = anti[1::2], anti[::2]
     x_even = [[-comb(r, l) for r in range(size)] for l in range(size)]
     z_even = [

@@ -52,6 +52,16 @@ _BOUNDARY_HEADER = "theta,x1,x2"
 # progress text, at INFO; `main` sends it to stdout
 _logger = logging.getLogger(__name__)
 
+# the keys from_dict reads, at the top level (None) and in each block
+_KEYS = {
+    None: "system detector noise sim reach output_dir",
+    "system": "A B C K sigma_w sigma_v",
+    "detector": "target_rate orders epsilon moment_source empirical_samples",
+    "noise": "family seed",
+    "sim": "samples burn_in",
+    "reach": "horizon n_dirs noise_rate",
+}
+
 
 def _integer(value, field: str) -> int:
     """An integral JSON number as an int: 1e6 gives 1000000, 1.5 an error."""
@@ -89,8 +99,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 0 < self.target_rate <= 0.5:
             raise ValueError("target rate must be in (0, 0.5]")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not self.orders or any(k < 1 for k in self.orders):
             raise ValueError("moment orders must all be >= 1")
         if self.moment_source not in (ANALYTIC_CHI_SQUARED, EMPIRICAL):
@@ -108,6 +118,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        for block, known in _KEYS.items():
+            keys = raw if block is None else raw.get(block, {})
+            if unknown := sorted(set(keys) - set(known.split())):
+                where = "the config" if block is None else f"block {block!r}"
+                raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
         system_block = raw["system"]
         system = LtiSystem.from_matrices(
             A=system_block["A"],

@@ -208,10 +208,6 @@ class LtiSystem:
         return self.A.shape[0]
 
     @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    @property
     def p(self) -> int:
         return self.C.shape[0]
 

@@ -43,7 +43,6 @@ class ThresholdResult:
     target_rate: float
     achieved_worst_case: float
     epsilon: float = 0.0
-    bracket_degenerate: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
@@ -144,7 +143,7 @@ def tune_threshold_sdp(
     target, the lower-order guarantee stands in for it, since every
     certificate for fewer moments is one for k moments too.  Results are
     memoized per moment sequence.  If the bound at the lower end already
-    meets the target, that end is returned with `bracket_degenerate` set.
+    meets the target, that end is returned.
 
     At the lower end and at each midpoint the SDP is solved only where the
     Gauss-Radau law through the point cannot settle the branch.  If an
@@ -163,8 +162,8 @@ def tune_threshold_sdp(
         raise ValueError("bisection needs a sequence of order >= 2")
     if not 0 < rate <= 0.5:
         raise ValueError("target rate must be in (0, 0.5]")
-    if not epsilon > 0:
-        raise ValueError("bisection tolerance must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("bisection tolerance must be positive and finite")
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
     if not moments.moments[1] > 0:
@@ -234,5 +233,4 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
         target_rate=rate,
         achieved_worst_case=achieved,
         epsilon=epsilon,
-        bracket_degenerate=not above,
     )

@@ -178,16 +178,10 @@ class ConicProblem:
         object.__setattr__(self, "a_blocks", a_blocks)
         object.__setattr__(self, "b", b)
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        nb, _, d = self.a_blocks.shape
-        return (_svec_order(d),) * nb
-
 
 @dataclass
 class ConicSolution:
     x_free: np.ndarray
-    dual: np.ndarray
     gap: float
     iterations: int
     status: Status
@@ -281,8 +275,8 @@ def solve(prob: ConicProblem) -> ConicSolution:
     f = prob.c_free.shape[0]
     a_mats = prob.a_blocks
     a_mats_t = _t(a_mats)
-    sizes = prob.block_sizes
-    nb, n, n_tot = len(sizes), sizes[0], sum(sizes)
+    nb, n = a_mats.shape[0], _svec_order(a_mats.shape[2])
+    n_tot = nb * n
     c_norm = 1.0 + math.sqrt(float(np.dot(prob.c_free, prob.c_free)))
     b_norm = 1.0 + float(np.linalg.norm(prob.b))
 
@@ -326,7 +320,7 @@ def solve(prob: ConicProblem) -> ConicSolution:
         score = max(res_p, res_d, rel_gap)
         if score < best_score:
             best_score = score
-            best = (u, lam, gap)
+            best = (u, gap)
         if res_p <= _TOL and res_d <= _TOL and rel_gap <= _TOL:
             status = Status.OPTIMAL
             break
@@ -413,7 +407,5 @@ def solve(prob: ConicProblem) -> ConicSolution:
             break
 
     if status is not Status.OPTIMAL and best is not None:
-        u, lam, gap = best
-    return ConicSolution(
-        x_free=u, dual=lam, gap=gap, iterations=iterations, status=status
-    )
+        u, gap = best
+    return ConicSolution(x_free=u, gap=gap, iterations=iterations, status=status)

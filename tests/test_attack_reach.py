@@ -254,6 +254,19 @@ def test_attack_policy_validation():
             AttackPolicy(alpha=alpha, direction=np.array(direction))
 
 
+@pytest.mark.parametrize("direction", [[1.0], [1.0, 0.0, 0.0]])
+def test_attack_direction_of_the_wrong_length(direction):
+    sys_ = benchmark_system()
+    policy = AttackPolicy(alpha=1.0, direction=np.array(direction))
+    message = f"has {len(direction)} entries, not p = 2"
+    with pytest.raises(ValueError, match=message):
+        policy.residuals(sys_, 10)
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 1)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 2)
+    with pytest.raises(ValueError, match=message):
+        simulate(sys_, w, v, 10, attack=policy)
+
+
 def test_simulated_attack_never_alarms():
     sys_ = benchmark_system()
     w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 61)

@@ -117,8 +117,7 @@ def test_negative_leading_coefficient_falls_back_to_one(monkeypatch):
     def falling(problem):
         y = np.zeros(problem.c_free.shape[0])
         y[-1] = -1.0
-        dual = np.zeros(problem.b.shape[0])
-        return ipm.ConicSolution(y, dual, 0.0, 1, Status.OPTIMAL)
+        return ipm.ConicSolution(y, 0.0, 1, Status.OPTIMAL)
 
     monkeypatch.setattr(ipm, "solve", falling)
     sol = solve_sdp(CHI2, 9.0)
@@ -245,9 +244,9 @@ def test_build_sdp_row_structure_k1():
     # moments of q/4
     prob = build_sdp(MomentSequence((1.0, 2.0)).scaled(0.25))
     np.testing.assert_array_equal(prob.c_free, [1.0, 0.5])
-    # 4k + 2 rows and blocks of size k + 1 at k = 1
+    # 4k + 2 rows and two blocks of size k + 1 at k = 1, svec width 3
     assert prob.b.shape == (6,)
-    assert prob.block_sizes == (2, 2)
+    assert prob.a_blocks.shape == (2, 6, 3)
     # the known Markov certificate p(q) = q, y = (0, 1), with
     # X = diag(0, 1), Z = diag(0, 1) satisfies every row
     y = np.array([0.0, 1.0])
@@ -270,10 +269,11 @@ def test_build_sdp_constant_one_certificate_k2():
     assert float(np.dot(y, prob.c_free)) == 1.0
 
 
-def test_build_sdp_block_sizes_k4():
+def test_build_sdp_block_shapes_k4():
     prob = build_sdp(CHI2.scaled(1.0 / 9.0))
-    assert prob.block_sizes == (5, 5)
     assert prob.b.shape == (18,)  # 4k + 2 rows
+    # two 5 x 5 blocks, svec width 15
+    assert prob.a_blocks.shape == (2, 18, 15)
     # in threshold units the rows are integers that depend on k alone
     np.testing.assert_array_equal(prob.a_free, np.round(prob.a_free))
     other = build_sdp(chi_squared_moments(5, 4))

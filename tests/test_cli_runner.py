@@ -83,6 +83,9 @@ def test_config_orders_sorted_and_deduped():
         {"sim_samples": 0},
         {"burn_in": -1},
         {"epsilon": float("nan")},
+        # JSON 1e999 reads as inf, which would skip every bisection step
+        {"epsilon": float("inf")},
+        {"detector": {"epsilon": float("inf")}},
         {"seed": -1},
         {"seed": 1.5},
         # a block of the JSON file: from_dict must not truncate a number
@@ -108,6 +111,17 @@ def _raw_config(blocks):
     for name, block in blocks.items():
         raw[name].update(block)
     return raw
+
+
+@pytest.mark.parametrize(
+    "block", [None, "system", "detector", "noise", "sim", "reach"]
+)
+def test_config_rejects_unknown_keys(block):
+    # a misspelled key would otherwise be dropped and its default used
+    raw = json.loads((CONFIG_DIR / "benchmark2d_gaussian.json").read_text())
+    (raw if block is None else raw[block])["epsilion"] = 1e-2
+    with pytest.raises(ValueError, match="unknown key.*epsilion"):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_rejects_unknown_noise_family():
@@ -200,7 +214,7 @@ def test_run_reach_report():
     assert len(bounds) == 4
     assert report.area_ordered and report.support_ordered
     assert report.alphas[0] == max(report.alphas)
-    assert all(rb.n_dirs == 64 for rb in bounds)
+    assert all(rb.directions.shape[0] == 64 for rb in bounds)
 
 
 def _write_small_config(tmp_path):

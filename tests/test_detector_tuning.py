@@ -83,7 +83,8 @@ def test_tune_k4_reference():
     res = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4)
     assert res.alpha == pytest.approx(9.1315, abs=0.06)
     assert res.achieved_worst_case <= 0.05 + 1e-6
-    assert not res.bracket_degenerate
+    # the bound at the mean lies above the rate, so bisection left it
+    assert res.alpha > CHI2.mean
 
 
 def test_tune_guarantee_direction():
@@ -260,14 +261,13 @@ def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
     assert optimal >= 150
 
 
-def test_bracket_degenerate_flag():
+def test_lower_end_returned_when_its_bound_meets_the_rate():
     # 0.9 w.p. 0.98 and 3.0 w.p. 0.02: the worst case at the mean is the
     # mass of the upper atom, already below the rate, so the lower end of
     # the default bracket is returned
     atoms, weights = np.array([0.9, 3.0]), np.array([0.98, 0.02])
     m = MomentSequence(tuple(float(np.sum(weights * atoms**r)) for r in range(5)))
     res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
-    assert res.bracket_degenerate
     assert res.alpha == m.mean == pytest.approx(0.942)
     assert res.achieved_worst_case == pytest.approx(0.02, abs=1e-6)
     assert solve_sdp(m, m.mean).status is Status.OPTIMAL
@@ -276,7 +276,8 @@ def test_bracket_degenerate_flag():
 def test_rate_domain():
     with pytest.raises(ValueError):
         tune_threshold_sdp(CHI2, 0.7, epsilon=1e-4)
-    for epsilon in (0.0, math.nan):
+    # an infinite tolerance would skip every bisection step
+    for epsilon in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             tune_threshold_sdp(CHI2, 0.05, epsilon=epsilon)
     with pytest.raises(ValueError):

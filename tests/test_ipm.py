@@ -390,9 +390,8 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="same size"):
         # a 2x2 block next to a 3x3 block
         _trace_problem(a_blocks=(np.zeros((1, 3)), np.zeros((1, 6))))
-    assert _trace_problem().block_sizes == (2,)
+    assert _trace_problem().a_blocks.shape == (1, 1, 3)
     stacked = _trace_problem(a_blocks=(np.zeros((1, 3)),) * 2)
-    assert stacked.block_sizes == (2, 2)
     assert stacked.a_blocks.shape == (2, 1, 3)
     assert not stacked.a_blocks.flags.writeable
     # non-finite data is rejected when the problem is built
