@@ -79,8 +79,8 @@ class AttackPolicy:
 
 def noise_threshold(n: int, rate: float) -> float:
     """Disturbance energy level w_bar = n/rate such that
-    P(w' sigma_w^{-1} w > w_bar) <= rate, from the n-dimensional
-    two-moment bound."""
+    P(w' sigma_w^{-1} w > w_bar) <= rate, from Markov's one-moment bound
+    on E[w' sigma_w^{-1} w] = n."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0 < rate < 1:

@@ -123,15 +123,10 @@ class ExperimentConfig:
             if unknown := sorted(set(keys) - set(known.split())):
                 where = "the config" if block is None else f"block {block!r}"
                 raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-        system_block = raw["system"]
-        system = LtiSystem.from_matrices(
-            A=system_block["A"],
-            B=system_block["B"],
-            C=system_block["C"],
-            K=system_block["K"],
-            sigma_w=system_block["sigma_w"],
-            sigma_v=system_block["sigma_v"],
-        )
+        system_block = raw.get("system", {})
+        if missing := sorted(set(_KEYS["system"].split()) - set(system_block)):
+            raise ValueError(f"missing key(s) in block 'system': {', '.join(missing)}")
+        system = LtiSystem.from_matrices(**system_block)
         detector = raw.get("detector", {})
         noise = raw.get("noise", {})
         sim = raw.get("sim", {})
@@ -197,7 +192,8 @@ def resolve_moments(config: ExperimentConfig) -> MomentSequence:
 def run_tune(config: ExperimentConfig) -> list[ThresholdResult]:
     """One threshold per configured moment order plus the chi-squared
     reference row (whose k column records the degrees of freedom).
-    Per-order failures are reported and skipped; the run continues.
+    Per-order failures are reported on stderr and skipped; the run
+    continues, and `main` exits 1.
     """
     rows: list[ThresholdResult] = []
     p = config.system.p
@@ -325,6 +321,9 @@ def _write_reach(
 
 
 def main(argv: list[str] | None = None) -> int:
+    """The ``drdetect`` command.  Returns 0 on success; 1 when an order
+    failed to tune or the reach ordering is violated, with the other rows
+    written; 2 on bad input, in one stderr line before any work."""
     parser = argparse.ArgumentParser(
         prog="drdetect",
         description=(
@@ -347,11 +346,15 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--quiet", action="store_true", help="suppress progress")
     args = parser.parse_args(argv)
 
-    config = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.command in ("reach", "all") and config.system.n != 2:
-        raise ValueError("boundary CSV export is for planar systems")
+    try:
+        config = ExperimentConfig.from_json(args.config)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if args.command in ("reach", "all") and config.system.n != 2:
+            raise ValueError("boundary CSV export is for planar systems")
+    except (ValueError, OSError) as exc:
+        print(f"drdetect: error: {exc}", file=_sys.stderr)
+        return 2
     out = Path(args.out if args.out is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -361,7 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         thresholds = run_tune(config)
         written = [_write_thresholds(out, thresholds)]
-        exit_code = 0
+        # an order that failed to tune was reported and left out
+        exit_code = 0 if len(thresholds) == len(config.orders) + 1 else 1
         if args.command in ("far", "all"):
             far_rows = run_far(config, thresholds)
             written.append(_write_far(out, far_rows, config.sim_samples))

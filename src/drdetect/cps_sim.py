@@ -253,37 +253,31 @@ class NoiseModel:
         return self.covariance.shape[0]
 
     def sample(self, size: int) -> np.ndarray:
-        """Draw `size` iid vectors as rows, from a fresh stream at the seed:
-        rows of standard normals times a factor of the covariance, each
-        scaled in the Laplacian family by the square root of an
-        exponential drawn after every normal.  The rows come in the
-        bounded pieces of the attack-free stream, joined, with the bits
-        of one whole draw."""
+        """Draw `size` iid vectors as rows: standard normals from
+        Philox(seed) times a factor of the covariance, each row scaled in
+        the Laplacian family by the square root of an exponential from the
+        stream of the seed's child.  Row t depends on t alone, so
+        `sample(n)` is the head of `sample(N)`.  The rows come in the
+        attack-free stream's pieces, joined."""
         if size < 1:
             raise ValueError("sample size must be positive")
         return np.concatenate(list(self._pieces(size)))
 
     def _pieces(self, size: int):
-        """The rows of `sample(size)`, one array per range of
-        `_stream_rows(size)`.  Philox is counter-based, so its draws come
-        out the same in pieces (Salmon et al., SC 2011).  The Laplacian
-        exponentials follow all the normals in the stream: over more than
-        one piece, a first pass runs the stream past the normals into one
-        buffer, and a second stream at the seed replays them."""
-        rows = _stream_rows(size)
+        """The rows of `sample(size)`, one array per `_stream_rows` range,
+        in one pass.  Philox streams under distinct keys are independent
+        and draw the same in pieces (Salmon et al., SC 2011); the scales
+        are keyed by the seed's child, since seed + j is another model's."""
         factor = _psd_factor(self.covariance)
-        rng = np.random.Generator(np.random.Philox(self.seed))
-        normals = rng
-        laplacian = self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN
-        if laplacian and len(rows) > 1:
-            buffer = np.empty((max(stop - start for start, stop in rows), self.dim))
-            for start, stop in rows:
-                rng.standard_normal(out=buffer[: stop - start])
-            normals = np.random.Generator(np.random.Philox(self.seed))
-        for start, stop in rows:
+        normals = np.random.Generator(np.random.Philox(self.seed))
+        scales = None
+        if self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
+            child = np.random.SeedSequence(self.seed).spawn(1)[0]
+            scales = np.random.Generator(np.random.Philox(child))
+        for start, stop in _stream_rows(size):
             draws = normals.standard_normal((stop - start, self.dim)) @ factor.T
-            if laplacian:
-                draws *= np.sqrt(rng.exponential(1.0, size=stop - start))[:, None]
+            if scales is not None:
+                draws *= np.sqrt(scales.exponential(1.0, size=stop - start))[:, None]
             yield draws
 
 
@@ -388,10 +382,11 @@ def _trace(sys: LtiSystem, r: np.ndarray, x, skip: int) -> ResidualTrace:
 
 def _drawn_ahead(items):
     """The items of the iterator `items`, each drawn on one helper thread
-    while the caller works on the item before.  An error raised by
-    `items` reaches the caller with its own type.  The helper ends when
-    `items` is exhausted or this generator is closed, waiting for the one
-    draw in flight."""
+    while the caller works on the item before.  In the attack-free stream
+    each draw advances up to four generators: each model's normals and
+    Laplacian scales.  An error raised by `items` reaches the caller with
+    its own type.  The helper ends when `items` is exhausted or this
+    generator is closed, waiting for the one draw in flight."""
     # loaded with the first stream, not with the package
     from concurrent.futures import ThreadPoolExecutor
 
@@ -419,9 +414,9 @@ def _attack_free_stream(
     drawn one piece ahead on one helper thread (`_drawn_ahead`; numpy's
     Philox fills release the GIL), while this thread runs the paths, the
     residual, q and the caller's work on the piece before.  The helper
-    alone creates and advances the two streams, in the order of a serial
-    run, so every draw keeps its bits; it has ended when the stream is
-    exhausted, closed or raises."""
+    alone creates and advances the models' generators, in the order of a
+    serial run, so every draw keeps its bits; it has ended when the stream
+    is exhausted, closed or raises."""
     total = burn_in + T
     m_err = sys.A - sys.L @ sys.C
     bk = sys.B @ sys.K

@@ -14,7 +14,7 @@ from drdetect import (
     run_reach,
     run_tune,
 )
-from drdetect import detector_tuning
+from drdetect import cli_runner, detector_tuning
 from drdetect.cli_runner import (
     ANALYTIC_CHI_SQUARED,
     EMPIRICAL,
@@ -341,16 +341,22 @@ def test_main_prints_one_line_per_file_unless_quiet(tmp_path, capsys):
         assert captured.err == ""
 
 
-def test_main_rejects_a_negative_seed_before_any_work(tmp_path):
+def _assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("drdetect: error: "), err
+    assert text in err
+
+
+def test_main_rejects_a_negative_seed_before_any_work(tmp_path, capsys):
     config_path = _write_small_config(tmp_path)
     out = tmp_path / "out"
     argv = ["all", "--config", str(config_path), "--out", str(out), "--quiet"]
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        main(argv + ["--seed", "-3"])
+    assert main(argv + ["--seed", "-3"]) == 2
+    _assert_one_error_line(capsys, "seed must be a nonnegative integer")
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_main_rejects_reach_on_a_non_planar_system_before_any_work(tmp_path):
+def test_main_rejects_reach_on_a_non_planar_system_before_any_work(tmp_path, capsys):
     # the boundary files are planar; a 3-state system used to write
     # thresholds.csv and every reach bound before failing
     eye = np.eye(3).tolist()
@@ -364,9 +370,73 @@ def test_main_rejects_reach_on_a_non_planar_system_before_any_work(tmp_path):
     for command in ("reach", "all"):
         out = tmp_path / command
         argv = [command, "--config", str(config_path), "--out", str(out), "--quiet"]
-        with pytest.raises(ValueError, match="planar"):
-            main(argv)
+        assert main(argv) == 2
+        _assert_one_error_line(capsys, "planar")
         assert not out.exists() or not any(out.iterdir())
+
+
+def _without_system_key(raw):
+    del raw["system"]["K"]
+
+
+def _with_misspelled_key(raw):
+    raw["detector"]["epsilion"] = raw["detector"].pop("epsilon")
+
+
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        (_without_system_key, "missing key(s) in block 'system': K"),
+        (_with_misspelled_key, "unknown key(s) in block 'detector': epsilion"),
+        (None, "No such file or directory"),
+    ],
+    ids=["missing-key", "unknown-key", "missing-file"],
+)
+def test_main_reports_a_config_error_in_one_line(tmp_path, capsys, edit, text):
+    # one line and exit 2, not a traceback
+    config_path = _write_small_config(tmp_path)
+    if edit is None:
+        config_path = tmp_path / "absent.json"
+    else:
+        raw = json.loads(config_path.read_text())
+        edit(raw)
+        config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = ["tune", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, text)
+    assert not out.exists()
+
+
+def test_config_names_a_missing_system_key():
+    raw = _raw_config({})
+    del raw["system"]["sigma_v"], raw["system"]["A"]
+    with pytest.raises(ValueError, match="missing key.* block 'system': A, sigma_v$"):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match="missing key.*A, B, C, K, sigma_v, sigma_w"):
+        ExperimentConfig.from_dict({})
+
+
+def test_main_exits_1_when_an_order_fails_to_tune(tmp_path, capsys, monkeypatch):
+    # no checked-in input fails to tune; the rows that did tune are
+    # written and carried through, and the run fails
+    def fail(*args, **kwargs):
+        raise ArithmeticError("solver stalled")
+
+    monkeypatch.setattr(cli_runner, "tune_threshold_sdp", fail)
+    config_path = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["all", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "tuning failed at order 4: solver stalled\n"
+    rows = (out / "thresholds.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "chi_squared",
+        "closed_form_k1",
+        "closed_form_k2",
+    ]
+    assert len((out / "far.csv").read_text().splitlines()) == 4
+    assert len(list(out.glob("reach_*.csv"))) == 3
 
 
 def test_main_requires_config():

@@ -11,6 +11,7 @@ from drdetect import (
     LtiSystem,
     NoiseFamily,
     NoiseModel,
+    ResidualTrace,
     benchmark_system,
     empirical_false_alarm_rate,
     estimate_moments,
@@ -182,17 +183,56 @@ def test_noise_model_rejects_a_bad_seed():
 
 @pytest.mark.parametrize("family", list(NoiseFamily))
 def test_sample_draws_like_one_whole_array(family):
-    # the normals of all rows, times the factor, then the exponentials:
-    # one row, two rows, a rest of one or two rows, and three pieces
+    # the normals of all rows from Philox(seed), times the factor, and the
+    # exponentials of all rows from the stream of the seed's child: one
+    # row, two rows, a rest of one or two rows, and three pieces
     cov = benchmark_system().sigma_w
     factor = np.linalg.cholesky(cov)
+    child = np.random.SeedSequence(17).spawn(1)[0]
     for n in (1, 2, 65_537, 65_538, 140_000):
-        rng = np.random.Generator(np.random.Philox(17))
-        want = rng.standard_normal((n, 2)) @ factor.T
+        want = np.random.Generator(np.random.Philox(17)).standard_normal((n, 2))
+        want = want @ factor.T
         if family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
-            want *= np.sqrt(rng.exponential(1.0, n))[:, None]
+            scales = np.random.Generator(np.random.Philox(child))
+            want *= np.sqrt(scales.exponential(1.0, n))[:, None]
         got = NoiseModel(family, cov, 17).sample(n)
         assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_sample_is_a_prefix_of_a_longer_sample(family):
+    # row t depends on t alone, not on the run length: below a chunk, at
+    # a piece boundary, a rest of one row, and across pieces
+    cov = benchmark_system().sigma_w
+    whole = NoiseModel(family, cov, 17).sample(200_000)
+    for n in (1, 2, 1000, 65_536, 65_537, 140_000):
+        got = NoiseModel(family, cov, 17).sample(n)
+        assert got.tobytes() == whole[:n].tobytes(), n
+
+
+def test_laplacian_is_the_gaussian_draw_row_scaled():
+    cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+    n = 140_000
+    g = NoiseModel(NoiseFamily.GAUSSIAN, cov, 5).sample(n)
+    lap = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, cov, 5).sample(n)
+    child = np.random.SeedSequence(5).spawn(1)[0]
+    scale = np.random.Generator(np.random.Philox(child)).exponential(1.0, n)
+    assert lap.tobytes() == (g * np.sqrt(scale)[:, None]).tobytes()
+
+
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_simulate_is_a_prefix_of_a_longer_run(family):
+    # from step 0 and 3 steps on; on 1 or 2 rows q comes from einsum,
+    # whose sum has other bits on some draws
+    sys_ = benchmark_system()
+    w = NoiseModel(family, sys_.sigma_w, 61)
+    v = NoiseModel(family, sys_.sigma_v, 62)
+    whole = simulate(sys_, w, v, 140_000, burn_in=0, keep_states=True)
+    for n in (3, 1000, 65_537):
+        trace = simulate(sys_, w, v, n, burn_in=0, keep_states=True)
+        for name in ("residuals", "q_values", "states"):
+            got, want = getattr(trace, name), getattr(whole, name)[:n]
+            assert got.tobytes() == want.tobytes(), (n, name)
 
 
 def test_laplacian_matches_covariance_with_heavy_tails():
@@ -453,6 +493,15 @@ def test_stream_raising_mid_run_leaves_no_thread(monkeypatch):
         for piece in _attack_free_stream(*_stream_args(), keep_states=True):
             pass
     assert threading.active_count() == baseline
+
+
+def test_residual_trace_clips_rounding_below_zero():
+    # q a hair below 0 is rounding in r' S^-1 r and clips to 0; below the
+    # tolerance -1e-12 it is an error
+    r = np.zeros((1, 2))
+    assert ResidualTrace(r, np.array([-5e-13])).q_values.tolist() == [0.0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        ResidualTrace(r, np.array([-5e-12]))
 
 
 def test_simulate_single_step():

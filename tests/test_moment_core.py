@@ -25,6 +25,13 @@ def test_negative_variance_is_infeasible():
     assert not is_feasible(MomentSequence((1.0, 1.0, 0.5)))
 
 
+def test_feasibility_tolerance_on_the_odd_hankel_matrix():
+    # (M1, M2, M3) = (1, 1, 1 - d): the odd Hankel matrix [[1, 1], [1, 1 - d]]
+    # has least eigenvalue about -d / 2, against the tolerance -1e-9
+    assert not is_feasible(MomentSequence((1.0, 1.0, 1.0, 1.0 - 1e-8)))
+    assert is_feasible(MomentSequence((1.0, 1.0, 1.0, 1.0 - 1.5e-9)))
+
+
 def test_chi_squared_sequence_is_feasible():
     assert is_feasible(MomentSequence((1.0, 2.0, 8.0, 48.0, 384.0)))
 
