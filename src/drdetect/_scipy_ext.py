@@ -8,6 +8,18 @@ and ``scipy/special/_special_ufuncs``, from scipy's install directory,
 which runs no scipy code.  The routines are the objects that
 ``scipy.linalg.get_lapack_funcs(..., dtype=np.float64)`` and
 ``scipy.special.gammaincinv`` return, so every result keeps its bits.
+
+``_flapack`` links scipy's OpenBLAS, whose worker threads start when the
+library loads and spin while they wait for work.  Every call drdetect
+makes (triangular solves of at most 7 x 7, LU on KKT systems of under
+10 000 entries, banded solves with one right-hand side) stays below
+OpenBLAS's own single-thread cutoffs, so a worker only takes a core from
+the simulation's threads.  When none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` is set, ``_flapack`` loads
+with ``OPENBLAS_NUM_THREADS=1``, and the environment is restored right
+after.  So when drdetect is the first to load scipy's LAPACK, scipy's
+BLAS stays single-threaded for the process; setting any of the three
+opts out, and a library loaded before keeps its threads.
 """
 from __future__ import annotations
 
@@ -52,9 +64,22 @@ def _load(name: str):
     return module
 
 
+def _load_single_threaded(name: str):
+    """`_load(name)` with OPENBLAS_NUM_THREADS=1 in the environment that
+    the BLAS reads when it loads, unless the user set a thread count."""
+    threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if any(var in os.environ for var in threads):
+        return _load(name)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return _load(name)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def _bind():
     """float64 trtrs, getrf, getrs and tbtrs, and gammaincinv."""
-    flapack = _load("scipy.linalg._flapack")
+    flapack = _load_single_threaded("scipy.linalg._flapack")
     special = _load("scipy.special._special_ufuncs")
     try:
         lapack = tuple(getattr(flapack, "d" + name) for name in _LAPACK)

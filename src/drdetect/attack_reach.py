@@ -74,7 +74,7 @@ class AttackPolicy:
             d0, d1 = self.direction[0], self.direction[1]
             d[:, 0] = c * d0 - s * d1
             d[:, 1] = s * d0 + c * d1
-        return (math.sqrt(self.alpha) * d) @ sys.sigma_r_sqrt.T
+        return (math.sqrt(self.alpha) * d) @ np.ascontiguousarray(sys.sigma_r_sqrt.T)
 
 
 def noise_threshold(n: int, rate: float) -> float:

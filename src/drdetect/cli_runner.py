@@ -120,8 +120,10 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         for block, known in _KEYS.items():
             keys = raw if block is None else raw.get(block, {})
+            where = "the config" if block is None else f"block {block!r}"
+            if not isinstance(keys, dict):
+                raise ValueError(f"{where} must be a JSON object")
             if unknown := sorted(set(keys) - set(known.split())):
-                where = "the config" if block is None else f"block {block!r}"
                 raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
         system_block = raw.get("system", {})
         if missing := sorted(set(_KEYS["system"].split()) - set(system_block)):

@@ -268,14 +268,16 @@ class NoiseModel:
         in one pass.  Philox streams under distinct keys are independent
         and draw the same in pieces (Salmon et al., SC 2011); the scales
         are keyed by the seed's child, since seed + j is another model's."""
-        factor = _psd_factor(self.covariance)
+        # C-ordered: numpy multiplies a tall array by it about 3x faster
+        # than by the transposed view, with the same bits from two rows on
+        factor_t = np.ascontiguousarray(_psd_factor(self.covariance).T)
         normals = np.random.Generator(np.random.Philox(self.seed))
         scales = None
         if self.family is NoiseFamily.MULTIVARIATE_LAPLACIAN:
             child = np.random.SeedSequence(self.seed).spawn(1)[0]
             scales = np.random.Generator(np.random.Philox(child))
         for start, stop in _stream_rows(size):
-            draws = normals.standard_normal((stop - start, self.dim)) @ factor.T
+            draws = normals.standard_normal((stop - start, self.dim)) @ factor_t
             if scales is not None:
                 draws *= np.sqrt(scales.exponential(1.0, size=stop - start))[:, None]
             yield draws
@@ -421,19 +423,21 @@ def _attack_free_stream(
     m_err = sys.A - sys.L @ sys.C
     bk = sys.B @ sys.K
     m_plant = sys.A + bk
+    # C-ordered right operands of the tall products, as in `_pieces`
+    l_t, c_t, bk_t = (np.ascontiguousarray(m.T) for m in (sys.L, sys.C, bk))
     e0 = x0 = np.zeros(sys.n)
     draws = _drawn_ahead(zip(noise_w._pieces(total), noise_v._pieces(total)))
     for (start, stop), (w, v) in zip(_stream_rows(total), draws):
-        e = _linear_path(m_err, w - v @ sys.L.T, e0)
+        e = _linear_path(m_err, w - v @ l_t, e0)
         e0, e = e[-1], e[:-1]
         x = None
         if keep_states:
-            x = _linear_path(m_plant, w - e @ bk.T, x0)
+            x = _linear_path(m_plant, w - e @ bk_t, x0)
             x0, x = x[-1], x[:-1]
             _check_states(x, start)
         skip = max(burn_in - start, 0)
         if skip < stop - start:
-            yield _trace(sys, e @ sys.C.T + v, x, skip)
+            yield _trace(sys, e @ c_t + v, x, skip)
 
 
 def simulate(
@@ -482,9 +486,10 @@ def simulate(
     total = burn_in + T
     zero = np.zeros(sys.n)
     bk = sys.B @ sys.K
+    l_t, bk_t = np.ascontiguousarray(sys.L.T), np.ascontiguousarray(bk.T)
     r = attack.residuals(sys, total)
-    xhat = _linear_path(sys.A + bk, (r @ sys.L.T)[:-1], zero)
-    x = _linear_path(sys.A, (noise_w.sample(total) + xhat @ bk.T)[:-1], zero)
+    xhat = _linear_path(sys.A + bk, (r @ l_t)[:-1], zero)
+    x = _linear_path(sys.A, (noise_w.sample(total) + xhat @ bk_t)[:-1], zero)
     _check_states(x, 0)
     return _trace(sys, r, x if keep_states else None, burn_in)
 

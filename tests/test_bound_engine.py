@@ -493,3 +493,17 @@ def test_fallback_law_matches_the_moments():
     rule = bound_engine._radau_law(scaled, 4)
     assert bound_engine._far_atom_law(scaled, *rule) is None
     assert tail_lower_bound(m, 1e-51) == 0.0
+
+
+def test_law_tail_checks_every_moment_to_relative_1e10():
+    # nodes 0.5 and 2 with weights 3/4 and 1/4: every scaled moment below
+    # is exact in binary, so only the offset moves the fit
+    law = (np.array([0.5, 2.0]), np.array([0.75, 0.25]))
+    exact = np.array([1.0, 0.875, 1.1875, 2.09375])
+    assert bound_engine._tail(exact, law) == 0.25
+    for r in range(1, len(exact)):
+        off = exact.copy()
+        off[r] *= 1.0 + 3e-10
+        assert bound_engine._tail(off, law) == 0.0, r
+        off[r] = exact[r] * (1.0 + 3e-11)
+        assert bound_engine._tail(off, law) == 0.25, r

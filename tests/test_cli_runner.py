@@ -408,6 +408,28 @@ def test_main_reports_a_config_error_in_one_line(tmp_path, capsys, edit, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        ([], "the config must be a JSON object"),
+        (_raw_config({}) | {"detector": 5}, "block 'detector' must be a JSON object"),
+        (_raw_config({}) | {"system": []}, "block 'system' must be a JSON object"),
+    ],
+    ids=["list", "number-block", "list-block"],
+)
+def test_main_reports_a_config_that_is_no_object_in_one_line(
+    tmp_path, capsys, raw, text
+):
+    # a list or a number where an object belongs is a config error too
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = ["tune", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, text)
+    assert not out.exists()
+
+
 def test_config_names_a_missing_system_key():
     raw = _raw_config({})
     del raw["system"]["sigma_v"], raw["system"]["A"]

@@ -235,6 +235,26 @@ def test_simulate_is_a_prefix_of_a_longer_run(family):
             assert got.tobytes() == want.tobytes(), (n, name)
 
 
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_one_step_is_the_head_of_a_longer_run(family):
+    # numpy multiplies one row on another path than many; with C-ordered
+    # right operands both give the same bits on the benchmark's 2 x 2
+    # matrices.  q is left out: on one row it comes from einsum
+    sys_ = benchmark_system()
+    for seed in range(8):
+        w = NoiseModel(family, sys_.sigma_w, seed)
+        v = NoiseModel(family, sys_.sigma_v, seed + 1)
+        assert w.sample(1).tobytes() == w.sample(2000)[:1].tobytes(), seed
+        policy = AttackPolicy(9.0 + seed, [1.0, 0.3], rotate=seed % 2 == 1)
+        one, whole = (
+            simulate(sys_, w, v, n, attack=policy, burn_in=0, keep_states=True)
+            for n in (1, 2000)
+        )
+        for name in ("residuals", "states"):
+            got, want = getattr(one, name), getattr(whole, name)[:1]
+            assert got.tobytes() == want.tobytes(), (seed, name)
+
+
 def test_laplacian_matches_covariance_with_heavy_tails():
     cov = np.array([[1.0, 0.3], [0.3, 2.0]])
     model = NoiseModel(NoiseFamily.MULTIVARIATE_LAPLACIAN, cov, 5)

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAPACK = ("trtrs", "getrf", "getrs", "tbtrs")
 MODULES = ("scipy.linalg._flapack", "scipy.special._special_ufuncs")
 RATES = (0.01, 0.05, 0.2)
+THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _public():
@@ -37,6 +38,45 @@ def test_routines_are_scipys_own():
             assert chi_squared_threshold(p, rate) == expected
 
 
+def _run(code, **env_vars):
+    """Run `code` in a fresh interpreter that imports drdetect from src/,
+    with `env_vars` set and no BLAS thread variable besides; its stdout as
+    JSON."""
+    env = {k: v for k, v in os.environ.items() if k not in THREADS}
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=env | env_vars,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread")
+def test_scipy_blas_loads_single_threaded_unless_a_count_is_set():
+    # dlsym on _flapack's handle searches the libraries it links, which
+    # is scipy's own OpenBLAS where scipy bundles one
+    code = (
+        "import ctypes, json, os\n"
+        "from drdetect import _scipy_ext\n"
+        "lib = ctypes.CDLL(_scipy_ext._locate('scipy.linalg._flapack').origin)\n"
+        "get = getattr(lib, 'scipy_openblas_get_num_threads', None)\n"
+        "print(json.dumps([get and get(), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    threads, left = _run(code)
+    if threads is None:
+        pytest.skip("scipy links a BLAS other than its own OpenBLAS")
+    # the worker thread would spin beside the simulation's threads, and
+    # the variable is gone from the environment again
+    assert (threads, left) == (1, None)
+    assert _run(code, OPENBLAS_NUM_THREADS="2") == [min(2, os.cpu_count()), "2"]
+
+
 def test_import_loads_no_scipy_package():
     code = (
         "import json, sys\n"
@@ -47,19 +87,7 @@ def test_import_loads_no_scipy_package():
         "same = scipy.linalg._flapack is sys.modules['scipy.linalg._flapack']\n"
         "print(json.dumps([loaded, same]))\n"
     )
-    env = dict(os.environ)
-    paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    loaded, same = json.loads(done.stdout)
+    loaded, same = _run(code)
     assert loaded == []
     assert same
 
