@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from drdetect import (
     simulate,
     volume_comparison,
 )
+from drdetect.attack_reach import _BLOCK
 from drdetect.cli_runner import _write_reach
 
 
@@ -35,6 +37,41 @@ def _identity_system(sigma_w=((1.0, 0.0), (0.0, 1.0))):
 def _flat_system():
     # sigma_w = diag(1, 0) and a diagonal A: every summand is flat along x2
     return _identity_system(sigma_w=[[1.0, 0.0], [0.0, 0.0]])
+
+
+def _diagonal_plant(a):
+    """A = diag(a, 0.5) under the gain K = diag(-0.5, 0): A + B K and
+    A - L C are stable for any a in (0, 1.5), A itself for a < 1."""
+    return LtiSystem.from_matrices(
+        A=[[a, 0.0], [0.0, 0.5]],
+        B=[[1.0, 0.0], [0.0, 1.0]],
+        C=[[1.0, 0.0], [0.0, 1.0]],
+        K=[[-0.5, 0.0], [0.0, 0.0]],
+        sigma_w=[[0.01, 0.0], [0.0, 0.01]],
+        sigma_v=[[1.0, 0.0], [0.0, 1.0]],
+    )
+
+
+def _three_state_system():
+    # three states: reach_bound samples random directions, with no polygon
+    return LtiSystem.from_matrices(
+        A=[[0.9, 0.2, 0.0], [0.0, 0.7, 0.1], [0.05, 0.0, 0.8]],
+        B=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+        C=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        K=[[-0.3, 0.0, 0.0], [0.0, -0.2, -0.1]],
+        sigma_w=(0.1 * np.eye(3)).tolist(),
+        sigma_v=np.eye(2).tolist(),
+    )
+
+
+_SYSTEMS = {
+    "benchmark": benchmark_system,
+    "identity": _identity_system,
+    "flat": _flat_system,
+    # its tail runs over 600 terms, across ten blocks of powers
+    "slow": lambda: _diagonal_plant(0.95),
+    "three": _three_state_system,
+}
 
 
 def _per_matrix_truncation(sys_, w_bar, alpha, t):
@@ -126,18 +163,25 @@ def _assert_inside_polygon(rb, points):
         ("identity", 40.0, 9.1818, 50, 16),
         ("identity", 0.0, 0.0, 5, 32),
         ("flat", 1.0, 0.0, 10, 64),
+        # t - 1 summands at a block edge: B - 1, B, B + 1 and 2 B + 1
+        ("benchmark", 40.0, 9.1315, _BLOCK, 64),
+        ("benchmark", 80.0, 40.0, _BLOCK + 1, 32),
+        ("benchmark", 40.0, 0.0, _BLOCK + 2, 64),
+        ("benchmark", 40.0, 40.0, 2 * _BLOCK + 2, 32),
+        ("slow", 40.0, 9.0, _BLOCK + 2, 32),
+        ("three", 40.0, 9.1818, _BLOCK + 1, 64),
+        ("three", 80.0, 40.0, 2 * _BLOCK + 2, 32),
     ],
 )
 def test_reach_bound_matches_per_direction_reference(system, w_bar, alpha, t, n_dirs):
-    sys_ = {
-        "benchmark": benchmark_system,
-        "identity": _identity_system,
-        "flat": _flat_system,
-    }[system]()
+    sys_ = _SYSTEMS[system]()
     rb = reach_bound(sys_, w_bar, alpha, t, n_dirs)
     points, support, truncation = _reference_reach(sys_, w_bar, alpha, t, rb.directions)
     np.testing.assert_array_equal(rb.support_values, support)
     assert rb.truncation_error == truncation
+    if sys_.n != 2:
+        assert rb.boundary is None and rb.area is None
+        return
     # the exact points along the sampled directions and halfway between
     # them all lie in the circumscribed polygon; where the set is curved the
     # halfway points lie outside the polygon through the sampled points
@@ -171,23 +215,41 @@ def test_reach_bound_rejects_invalid_input():
     ):
         with pytest.raises(ValueError):
             reach_bound(sys_, w_bar, alpha, t, n_dirs)
+    for t, n_dirs, name in ((50.0, 256, "horizon"), (50, 256.5, "n_dirs"), (50, 256.0, "n_dirs")):
+        with pytest.raises(ValueError, match=name):
+            reach_bound(sys_, 1.0, 1.0, t, n_dirs)
+    rb = reach_bound(sys_, 1.0, 1.0, np.int64(3), np.int32(16))
+    assert rb.horizon == 3 and rb.support_values.shape == (16,)
 
 
 def test_reach_bound_tail_without_a_finite_bound_is_inf():
     # A has an eigenvalue 0.9999: after 10000 tail terms the partial sum
     # (5863.6) is still far below the tail itself (over 9275 at 200000
     # terms), so there is no finite truncation bound to report
-    sys_ = LtiSystem.from_matrices(
-        A=[[0.9999, 0.0], [0.0, 0.5]],
-        B=[[1.0, 0.0], [0.0, 1.0]],
-        C=[[1.0, 0.0], [0.0, 1.0]],
-        K=[[-0.5, 0.0], [0.0, 0.0]],
-        sigma_w=[[0.01, 0.0], [0.0, 0.01]],
-        sigma_v=[[1.0, 0.0], [0.0, 1.0]],
-    )
-    rb = reach_bound(sys_, w_bar=40.0, alpha=9.0, t=50)
+    rb = reach_bound(_diagonal_plant(0.9999), w_bar=40.0, alpha=9.0, t=50)
     assert rb.truncation_error == math.inf
     assert np.all(np.isfinite(rb.support_values))
+
+
+def test_reach_bound_tail_that_overflows_is_inf():
+    # A = diag(1.2, 0.5) is unstable while A + B K and A - L C are stable:
+    # the series to t = 50 is finite, and the tail's shape matrices
+    # overflow near i = 1945, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rb = reach_bound(_diagonal_plant(1.2), w_bar=40.0, alpha=9.0, t=50, n_dirs=16)
+    assert rb.truncation_error == math.inf
+    assert np.all(np.isfinite(rb.support_values))
+
+
+@pytest.mark.parametrize("t", [3000, 5000])
+def test_reach_bound_support_that_overflows_raises(t):
+    # the shape matrix of step 1943 overflows; its support values were inf
+    # (t = 3000) or NaN (t = 5000), and the tail then read as 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ArithmeticError, match="at step 1943"):
+            reach_bound(_diagonal_plant(1.2), w_bar=40.0, alpha=9.0, t=t, n_dirs=16)
 
 
 def test_support_additivity_of_minkowski_sum():
@@ -350,7 +412,7 @@ def test_truncation_error_keeps_the_per_matrix_bits(w_bar, alpha):
     # reach_bound takes both tail matrices of a term through one stacked
     # eigvalsh; the sum keeps the bits of one call per matrix
     sys_ = benchmark_system()
-    for t in (2, 3, 10, 50, 150, 399):
+    for t in (2, 3, 10, 50, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 2, 150, 399):
         got = reach_bound(sys_, w_bar, alpha, t, 16).truncation_error
         assert got.hex() == _per_matrix_truncation(sys_, w_bar, alpha, t).hex(), t
 

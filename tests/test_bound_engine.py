@@ -507,3 +507,27 @@ def test_law_tail_checks_every_moment_to_relative_1e10():
         assert bound_engine._tail(off, law) == 0.0, r
         off[r] = exact[r] * (1.0 + 3e-11)
         assert bound_engine._tail(off, law) == 0.25, r
+
+
+# the law of order 2 in the test above, with M3 raised by d: the far atom at
+# 1e12 times the largest node (2) carries d and moves M2 by d / 2e12, which
+# the law's check holds to 1e-10 * M2, that is d up to 237.5
+_FAR_LAW = (np.array([0.5, 2.0]), np.array([0.75, 0.25]))
+_FAR_MOMENTS = np.array([1.0, 0.875, 1.1875, 2.09375])
+
+
+def test_far_atom_that_moves_a_lower_moment_past_1e10_gives_no_tail():
+    # d = 1000 moves M2 by relative 4.2e-10; an atom 10 times farther
+    # would move it by 4.2e-11 and pass
+    scaled = _FAR_MOMENTS + np.array([0.0, 0.0, 0.0, 1000.0])
+    law = bound_engine._far_atom_law(scaled, *_FAR_LAW)
+    assert law is not None
+    assert bound_engine._tail(scaled, law) == 0.0
+
+
+def test_far_atom_that_moves_a_lower_moment_within_1e10_keeps_the_tail():
+    # d = 100 moves M2 by relative 4.2e-11; an atom 10 times nearer would
+    # move it by 4.2e-10 and fail
+    scaled = _FAR_MOMENTS + np.array([0.0, 0.0, 0.0, 100.0])
+    law = bound_engine._far_atom_law(scaled, *_FAR_LAW)
+    assert bound_engine._tail(scaled, law) == 0.25
