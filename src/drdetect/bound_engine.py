@@ -16,7 +16,12 @@ the threshold, or the rule one order lower plus one far atom that
 carries the rest of the top moment.  The polynomial that interpolates
 the indicator at the nodes of the highest-order rule that exists,
 checked like the SDP's certificate, gives a certified upper bound
-without a solve; at the order-k rule both ends meet up to rounding.
+without a solve; at the order-k rule both ends meet up to rounding.  A
+sequence of few atoms lies on the boundary of the moment cone, where the
+Hankel matrix is singular, no order-k rule exists and the solver tends
+to stall; there the law with these moments is unique, is read off the
+Hankel matrix's leading block, and its tail is the tight bound, met by
+the polynomial that interpolates the indicator at its atoms.
 """
 from __future__ import annotations
 
@@ -243,21 +248,27 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
     counts in the tail.  It also adds d L^(r-k) to each lower moment s_r,
     which the check below rejects where that is not negligible.  Either
     law is accepted only when it reproduces every scaled moment to
-    relative 1e-10.
+    relative 1e-10.  Where neither gives a positive tail and the order-k
+    rule does not exist, the law is the unique one of a sequence on the
+    boundary of the moment cone (:func:`_boundary_law`), whose tail is
+    the tight bound itself.
     """
-    return _law_ends(moments, alpha, certify_up_to=-1.0)[0]
+    return _law_ends(moments, alpha, above=0.0)[0]
 
 
 def _law_ends(
-    moments: MomentSequence, alpha: float, certify_up_to: float = math.inf
+    moments: MomentSequence,
+    alpha: float,
+    below: float = -math.inf,
+    above: float = math.inf,
 ) -> tuple[float, float]:
-    """Both certified ends of the tight bound at alpha that the Gauss-Radau
-    rules give without a solve: the tail of :func:`tail_lower_bound`'s
-    law, and the mean of the polynomial certificate built on the nodes of
-    the highest-order rule that exists (:func:`_interpolant`), polished
-    by :func:`_polish`.  The upper end is 1.0 where no rule exists, and
-    where the tail exceeds `certify_up_to`: the certificate is not built
-    there.
+    """Both certified ends of the tight bound at alpha that explicit laws
+    give without a solve: the tail of :func:`tail_lower_bound`'s law, and
+    the mean of the polynomial certificate built on the nodes of the
+    highest-order Gauss-Radau rule that exists (:func:`_interpolant`),
+    polished by :func:`_polish`.  The upper end is 1.0 where no rule
+    exists, and where the tail exceeds `above`: the certificate is not
+    built there.
 
     The polish makes E[p] = sum y_r s_r an upper bound on every law with
     these moments whatever the accuracy of the rule.  Where the rule is
@@ -266,6 +277,15 @@ def _law_ends(
     Popescu 2005).  The far-atom law gives none, since its node at L
     cannot carry p' = 0 in floating point; the rule of order k-1 that it
     extends does.
+
+    Where the order-k rule does not exist and these ends leave the point
+    open (a tail at most `above`, a mean above `below`), the sequence may
+    lie on the boundary of the moment cone, where the law with these
+    moments is unique and has few atoms (Curto & Fialkow, Houston J.
+    Math. 1991).  Where :func:`_boundary_law` finds it, its tail and the
+    polished mean of the polynomial that interpolates the indicator at
+    its atoms and at 1 are both ends, and they meet up to rounding.  A
+    wrong rank, or a step of the rule that fails, leaves the ends above.
     """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
@@ -274,31 +294,49 @@ def _law_ends(
     scaled = np.array(moments.scaled(1.0 / alpha).moments)
     for order in range(k, 0, -1):
         law = _radau_law(scaled, order)
-        if law is None:
-            continue
+        if law is not None:
+            break
+    else:
+        order = 0
+    lower, upper = 0.0, 1.0
+    if order:
         if order == k:
             lower = _tail(scaled, law)
         elif order == k - 1:
             lower = _tail(scaled, _far_atom_law(scaled, *law))
-        else:
-            lower = 0.0
-        if lower > certify_up_to:
+        if lower > above:
             return lower, 1.0
-        return lower, _polish(_interpolant(law[0], order), scaled[: order + 1])[2]
-    return 0.0, 1.0
+        upper = _polish(_interpolant(law[0], order), scaled[: order + 1])[2]
+    if order == k or upper <= below:
+        return lower, upper
+    try:
+        law = _boundary_law(scaled, k)
+        if law is None:
+            return lower, upper
+        # the atoms and the threshold; for odd k the atom at 0 stays last
+        nodes = law[0] if (law[0] == 1.0).any() else np.append(1.0, law[0])
+        y = _interpolant(nodes, k)
+        return _tail(scaled, law), _polish(y, scaled[: len(y)])[2]
+    except (ValueError, ArithmeticError):
+        # a factorization that failed, or a certificate that is not finite
+        return lower, upper
 
 
 def _tail(scaled: np.ndarray, law) -> float:
     """Mass at or above 1 of a law given as (nodes, weights), or 0.0 where
     there is none or it misses a moment in scaled by more than relative
     1e-10."""
-    if law is None:
+    if law is None or not _fits(scaled, *law):
         return 0.0
     nodes, weights = law
-    fit = (weights * nodes ** np.arange(len(scaled))[:, None]).sum(axis=1)
-    if not (np.abs(fit - scaled) <= 1e-10 * scaled).all():
-        return 0.0
     return min(1.0, float(weights[nodes >= 1.0].sum()))
+
+
+def _fits(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the law (nodes, weights) reproduces every moment in scaled
+    to relative 1e-10."""
+    fit = (weights * nodes ** np.arange(len(scaled))[:, None]).sum(axis=1)
+    return bool((np.abs(fit - scaled) <= 1e-10 * scaled).all())
 
 
 def _radau_law(scaled: np.ndarray, k: int):
@@ -322,18 +360,11 @@ def _radau_law(scaled: np.ndarray, k: int):
     except np.linalg.LinAlgError:
         return None
     n = hankel.shape[0] - 1
-    # Jacobi matrix of the orthonormal polynomials, from hankel = R'R:
-    # a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and b_j =
-    # r_{jj}/r_{j-1,j-1}; its last diagonal entry is set below
-    pivots = np.diag(upper)
-    ratio = np.diag(upper, 1) / pivots[:-1]
-    a = np.append(ratio - np.append(0.0, ratio[:-1]), 1.0)
-    b = pivots[1:] / pivots[:-1]
-    jacobi = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    jacobi = _jacobi(upper)
     if n:
         # the entry that makes 1 an eigenvalue: (J_n - I) d = b_n^2 e_n
         rhs = np.zeros(n)
-        rhs[-1] = b[-1] ** 2
+        rhs[-1] = jacobi[n, n - 1] ** 2
         try:
             jacobi[n, n] = 1.0 + np.linalg.solve(jacobi[:n, :n] - np.eye(n), rhs)[-1]
         except np.linalg.LinAlgError:
@@ -341,15 +372,85 @@ def _radau_law(scaled: np.ndarray, k: int):
     nodes, vectors = np.linalg.eigh(jacobi)
     weights = hankel[0, 0] * vectors[0] ** 2
     nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
+    return _on_half_line(scaled, k, nodes, weights)
+
+
+def _jacobi(upper: np.ndarray) -> np.ndarray:
+    """Jacobi matrix of the orthonormal polynomials of a Hankel matrix,
+    from the first rows of its upper Cholesky factor R (Golub & Welsch,
+    Math. Comp. 1969): a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and
+    b_j = r_{jj}/r_{j-1,j-1}.  R with one column more than rows gives
+    every entry; a square R leaves the last diagonal entry at 1, for the
+    caller to set."""
+    pivots = np.diag(upper)
+    ratio = np.diag(upper, 1) / pivots[: upper.shape[1] - 1]
+    unset = np.ones(len(pivots) - len(ratio))
+    a = np.append(ratio - np.append(0.0, ratio[:-1]), unset)
+    b = pivots[1:] / pivots[:-1]
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+
+
+def _on_half_line(
+    scaled: np.ndarray, k: int, nodes: np.ndarray, weights: np.ndarray, clip=False
+):
+    """A rule (nodes, weights) of the Hankel matrix of order k as a law of
+    the moments scaled, or None where it leaves R+.  For odd k the rule
+    is that of q mu: each weight is divided by its node, which must be
+    positive, and the mass left over sits at 0, last.  `clip` counts a
+    negative mass left over as none, for the moment check to judge: a law
+    with no atom at 0 leaves a few ulps of either sign there."""
     if k % 2:
         if (nodes <= 0.0).any():
             return None
         weights = weights / nodes
         nodes = np.append(nodes, 0.0)
-        weights = np.append(weights, scaled[0] - weights.sum())
+        rest = scaled[0] - weights.sum()
+        weights = np.append(weights, max(0.0, rest) if clip else rest)
     if (nodes < 0.0).any() or (weights < 0.0).any():
         return None
     return nodes, weights
+
+
+def _rank(hankel: np.ndarray) -> int:
+    """Numerical rank of a positive semidefinite matrix: the steps that
+    Cholesky with diagonal pivoting takes before every diagonal entry left
+    is at most 1e-12 times the largest one."""
+    a = hankel.copy()
+    tol = 1e-12 * a.diagonal().max()
+    for r in range(len(a)):
+        j = r + int(np.argmax(a.diagonal()[r:]))
+        if not a[j, j] > tol:
+            return r
+        a[[r, j]] = a[[j, r]]
+        a[:, [r, j]] = a[:, [j, r]]
+        a[r:, r] /= math.sqrt(a[r, r])
+        a[r + 1 :, r + 1 :] -= np.outer(a[r + 1 :, r], a[r + 1 :, r])
+    return len(a)
+
+
+def _boundary_law(scaled: np.ndarray, k: int):
+    """The law of the moments scaled[0..k] on the boundary of the moment
+    cone, as nodes and weights in units of the threshold, or None where
+    the order-k Hankel matrix of :func:`_radau_law` is not singular or the
+    law found misses a moment by more than relative 1e-10.
+
+    On the boundary the Hankel matrix has numerical rank r (:func:`_rank`)
+    below its size, and its leading r x r block is that of the unique law
+    with these moments: r atoms, and for odd k the atom at 0 of
+    :func:`_radau_law` (Curto & Fialkow 1991).  The block and the column
+    after it give the r-node Gauss rule by Golub-Welsch.  A rank that is
+    wrong yields a rule that fails the moment check or leaves R+, or a
+    factorization that raises `LinAlgError`.
+    """
+    hankel = _hankel_matrix(tuple(scaled), k)
+    r = _rank(hankel)
+    if not 0 < r < len(hankel):
+        return None
+    lead = np.linalg.cholesky(hankel[:r, :r])
+    upper = np.linalg.solve(lead, hankel[:r, : r + 1])
+    nodes, vectors = np.linalg.eigh(_jacobi(upper))
+    law = _on_half_line(scaled, k, nodes, hankel[0, 0] * vectors[0] ** 2, clip=True)
+    return law if law is not None and _fits(scaled, *law) else None
 
 
 def _far_atom_law(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
@@ -371,27 +472,30 @@ def _far_atom_law(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
 
 
 def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
-    """Coefficients, in units of the threshold, of the polynomial p of
-    degree k that certifies the Gauss-Radau rule of order k with these
-    nodes (:func:`_radau_law`): p(1) = 1, p = [x >= 1] and p' = 0 at
-    every other positive node, and p = 0 at the atom at 0 that odd orders
-    add.  Every node but 1 and that atom counts twice, which makes k + 1
-    conditions.  p is built in Newton form over the nodes in ascending
-    order, whose divided differences stay accurate at the small nodes
-    that carry most of the mass; at a repeated node the first difference
-    is p' = 0."""
+    """Coefficients, in units of the threshold, of the polynomial p that
+    certifies a law with these nodes, among them 1: the Gauss-Radau rule
+    of order k (:func:`_radau_law`), or the boundary law of order k with
+    1 added (:func:`_boundary_law`).  p(1) = 1, p = [x >= 1] and p' = 0
+    at every other positive node, and p = 0 at the atom at 0 that odd
+    orders add, last.  Every node but 1 and that atom counts twice, and
+    p has degree one less than the count: k for the order-k rule, and
+    2r + (k mod 2) for r positive atoms of a boundary law not at 1.  p is
+    built in Newton form over the nodes in ascending order, whose divided
+    differences stay accurate at the small nodes that carry most of the
+    mass; at a repeated node the first difference is p' = 0."""
     single = nodes == 1.0
     if k % 2:
         single[-1] = True
     z = sorted(np.append(nodes, nodes[~single]).tolist())
+    degree = len(z) - 1
     diffs = [float(x >= 1.0) for x in z]
-    for level in range(1, k + 1):
-        for i in range(k, level - 1, -1):
+    for level in range(1, degree + 1):
+        for i in range(degree, level - 1, -1):
             step = z[i] - z[i - level]
             diffs[i] = (diffs[i] - diffs[i - 1]) / step if step > 0.0 else 0.0
     # Horner's rule on the Newton form: p <- p (x - z_j) + diffs_j
-    coeffs = [diffs[k]]
-    for j in range(k - 1, -1, -1):
+    coeffs = [diffs[degree]]
+    for j in range(degree - 1, -1, -1):
         shifted = [0.0] + coeffs
         coeffs = [lo - z[j] * hi for lo, hi in zip(shifted, coeffs + [0.0])]
         coeffs[0] += diffs[j]

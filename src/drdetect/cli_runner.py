@@ -324,8 +324,9 @@ def _write_reach(
 
 def main(argv: list[str] | None = None) -> int:
     """The ``drdetect`` command.  Returns 0 on success; 1 when an order
-    failed to tune or the reach ordering is violated, with the other rows
-    written; 2 on bad input, in one stderr line before any work."""
+    failed to tune, a reach bound diverged (one stderr line) or the reach
+    ordering is violated, with the other files written; 2 on bad input,
+    in one stderr line before any work."""
     parser = argparse.ArgumentParser(
         prog="drdetect",
         description=(
@@ -372,15 +373,21 @@ def main(argv: list[str] | None = None) -> int:
             far_rows = run_far(config, thresholds)
             written.append(_write_far(out, far_rows, config.sim_samples))
         if args.command in ("reach", "all"):
-            bounds, report = run_reach(config, thresholds)
-            written.extend(_write_reach(out, thresholds, bounds, report))
-            if not (report.area_ordered and report.support_ordered):
-                print(
-                    "reachable-set ordering violated: "
-                    f"max support violation {report.max_support_violation:.3g}",
-                    file=_sys.stderr,
-                )
+            try:
+                bounds, report = run_reach(config, thresholds)
+            except ArithmeticError as exc:
+                # a support function that diverged; the files above stay
+                print(f"drdetect: error: {exc}", file=_sys.stderr)
                 exit_code = 1
+            else:
+                written.extend(_write_reach(out, thresholds, bounds, report))
+                if not (report.area_ordered and report.support_ordered):
+                    print(
+                        "reachable-set ordering violated: "
+                        f"max support violation {report.max_support_violation:.3g}",
+                        file=_sys.stderr,
+                    )
+                    exit_code = 1
         for path in written:
             _logger.info("wrote %s", path)
         return exit_code

@@ -153,10 +153,14 @@ def tune_threshold_sdp(
     the polynomial that interpolates the indicator at the law's nodes,
     checked on the whole half-line, has a mean at most the rate minus
     `_SLACK`, every law lies below the rate, and the upper end comes down
-    without a solve.  The returned threshold is then solved once, so the
-    value returned is the objective of :func:`solve_sdp` there; where that
-    solve stalls above the rate plus `_SLACK`, the certificate that took
-    the upper end down stands in for it.
+    without a solve.  Where neither settles the point and no Gauss-Radau
+    rule of order k exists, a sequence of few atoms on the boundary of the
+    moment cone has one law, and its tail and its certificate's mean
+    settle the point in the same way; these are the points where solves
+    stall.  The returned threshold is then solved once, so the value
+    returned is the objective of :func:`solve_sdp` there; where that solve
+    stalls above the rate plus `_SLACK`, the certificate that took the
+    upper end down stands in for it.
     """
     if moments.order < 2:
         raise ValueError("bisection needs a sequence of order >= 2")
@@ -179,7 +183,7 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
     bound at alpha where it was solved and the certificate's E[p] where
     that settled the point below the rate; (True, None, None) where a law
     settled it above."""
-    lower, upper = _law_ends(moments, alpha, certify_up_to=rate + _SLACK)
+    lower, upper = _law_ends(moments, alpha, below=rate - _SLACK, above=rate + _SLACK)
     if lower > rate + _SLACK:
         # an explicit law puts more than the rate above alpha
         return True, None, None

@@ -94,6 +94,8 @@ TWO_ATOM = MomentSequence(
         3956.4755026157186,
     )
 )
+# three atoms, on the boundary of the moment cone at six moments
+THREE_ATOM = atomic_moments([0.6, 1.9, 3.4], [0.3, 0.45, 0.25], 6)
 
 
 @pytest.fixture

@@ -17,8 +17,9 @@ from drdetect import (
 )
 from drdetect import bound_engine, ipm
 from drdetect.ipm import Status, svec
+from drdetect.moment_core import _hankel_matrix
 
-from conftest import SEQ15, TWO_ATOM, atomic_moments, random_moments
+from conftest import SEQ15, THREE_ATOM, TWO_ATOM, atomic_moments, random_moments
 
 CHI2 = chi_squared_moments(2, 4)
 
@@ -392,21 +393,91 @@ def test_tail_lower_bound_is_markov_at_one_moment():
 
 
 def test_tail_lower_bound_on_the_two_atom_boundary():
+    # at each point both ends meet up to rounding, with no solve
+    def ends(moments, alpha):
+        lower, upper = bound_engine._law_ends(moments, alpha)
+        assert lower == tail_lower_bound(moments, alpha)
+        assert 0.0 <= lower <= upper <= lower + 2e-9, (moments, alpha)
+        return lower
+
     # the upper atom 4.44869396 lies below the threshold: the true tail is
     # 0, and the law found in rounding carries no more than 1e-8
-    assert 0.0 <= tail_lower_bound(TWO_ATOM.truncated(4), 4.45608) < 1e-8
-    # five moments of two atoms: the Hankel matrix is singular, no law
-    assert tail_lower_bound(TWO_ATOM.truncated(5), 4.45608) == 0.0
+    assert ends(TWO_ATOM.truncated(4), 4.45608) < 1e-8
+    # five moments of two atoms: the Hankel matrix is singular and no
+    # Gauss-Radau rule exists; the unique law, read off its leading block,
+    # has both atoms below the threshold
+    scaled = np.array(TWO_ATOM.truncated(5).scaled(1.0 / 4.45608).moments)
+    assert bound_engine._radau_law(scaled, 5) is None
+    assert ends(TWO_ATOM.truncated(5), 4.45608) == 0.0
     # the 1e-8 of the sandwich is needed: here a stalled solve's bound
     # lies below the law's tail
     law, sol = _sandwich(TWO_ATOM.truncated(4), 4.4551)
     assert sol.status is Status.NUMERICAL_TROUBLE
-    assert sol.objective < law
+    assert sol.objective < law == ends(TWO_ATOM.truncated(4), 4.4551)
     # a point mass at 1 has nothing above 2; its Hankel matrix is
-    # singular, so there is no law, and the sdp agrees
+    # singular, the law is that one atom, and the sdp agrees
     law, sol = _sandwich(MomentSequence((1.0, 1.0, 1.0)), 2.0)
-    assert law == 0.0
+    assert law == ends(MomentSequence((1.0, 1.0, 1.0)), 2.0) == 0.0
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "moments, atoms, weights",
+    [
+        (TWO_ATOM, [2.78569025, 4.44869396], [0.52100516, 0.47899484]),
+        (THREE_ATOM, [0.6, 1.9, 3.4], [0.3, 0.45, 0.25]),
+    ],
+    ids=["two", "three"],
+)
+def test_boundary_law_is_the_few_atom_law(moments, atoms, weights):
+    # from the order at which the Hankel matrix of bound_engine._radau_law
+    # is singular, the law read off its leading block is the atomic law
+    # itself; odd orders add an atom at 0 that carries no mass, and both
+    # ends give its tail at thresholds between and beyond the atoms
+    r = len(atoms)
+    checked = 0
+    for k in range(2 * r - 1, moments.order + 1):
+        for alpha in (0.5 * (atoms[0] + atoms[-1]), 1.01 * atoms[-1]):
+            scaled = np.array(moments.truncated(k).scaled(1.0 / alpha).moments)
+            hankel = _hankel_matrix(tuple(scaled), k)
+            if bound_engine._rank(hankel) == len(hankel):
+                continue
+            assert bound_engine._rank(hankel) == r
+            nodes, mass = bound_engine._boundary_law(scaled, k)
+            if k % 2:
+                assert nodes[-1] == 0.0 and abs(mass[-1]) <= 1e-12
+                nodes, mass = nodes[:-1], mass[:-1]
+            np.testing.assert_allclose(alpha * nodes, atoms, rtol=1e-7)
+            np.testing.assert_allclose(mass, weights, rtol=1e-7)
+            tail = sum(w for x, w in zip(atoms, weights) if x >= alpha)
+            lower, upper = bound_engine._law_ends(moments.truncated(k), alpha)
+            assert lower == pytest.approx(tail, rel=1e-7, abs=1e-9)
+            assert abs(upper - lower) <= 1e-8, (k, alpha)
+            checked += 1
+    # two atoms from k = 4 on, three at k = 6, at both thresholds
+    assert checked == (6 if r == 2 else 2)
+
+
+def test_rank_counts_the_pivots_above_1e12_of_the_largest():
+    for small, rank in ((5e-12, 2), (5e-13, 1), (0.0, 1), (-1e-17, 1)):
+        assert bound_engine._rank(np.diag([1.0, small])) == rank, small
+    # diagonal pivoting: the largest entry goes first, whatever its place
+    assert bound_engine._rank(np.diag([5e-13, 1.0, 0.5])) == 2
+    assert bound_engine._rank(np.zeros((2, 2))) == 0
+
+
+def test_boundary_law_with_no_mass_at_zero_at_an_odd_order():
+    # {0.5 w.p. 3/4, 2 w.p. 1/4} has no atom at 0; at odd k the mass that
+    # the law leaves there comes out of rounding a few ulps below 0, and
+    # counts as none
+    m = MomentSequence(tuple(0.75 * 0.5**r + 0.25 * 2.0**r for r in range(6)))
+    scaled = np.array(m.scaled(1.0 / 1.25).moments)
+    assert bound_engine._radau_law(scaled, 5) is None
+    nodes, weights = bound_engine._boundary_law(scaled, 5)
+    assert nodes[-1] == 0.0 and weights[-1] == 0.0
+    lower, upper = bound_engine._law_ends(m, 1.25)
+    assert lower == pytest.approx(0.25, abs=1e-15)
+    assert abs(upper - lower) <= 1e-12
 
 
 def test_certificate_meets_the_law_at_every_settled_point(settled_points):
@@ -476,7 +547,9 @@ def test_fallback_law_matches_the_moments():
                     law = bound_engine._far_atom_law(scaled, *rule)
                 tail, _ = _sandwich(m, alpha)
                 if law is None:
-                    assert tail == 0.0, (m, alpha)
+                    # no law an order down: the boundary law's tail, if any
+                    boundary = bound_engine._boundary_law(scaled, k)
+                    assert tail == bound_engine._tail(scaled, boundary), (m, alpha)
                     continue
                 nodes, weights = law
                 assert (nodes >= 0.0).all() and (weights >= 0.0).all(), (m, alpha)

@@ -461,6 +461,29 @@ def test_main_exits_1_when_an_order_fails_to_tune(tmp_path, capsys, monkeypatch)
     assert len(list(out.glob("reach_*.csv"))) == 3
 
 
+def test_main_exits_1_in_one_line_when_a_reach_bound_diverges(tmp_path, capsys):
+    # the open loop grows by 1.2 per step: over 3000 steps a support value
+    # overflows, and reach_bound raises; thresholds.csv stays written
+    raw = _raw_config(
+        {
+            "system": dict(
+                A=[[1.2, 0.0], [0.0, 0.5]],
+                B=np.eye(2).tolist(),
+                C=np.eye(2).tolist(),
+                K=[[-0.5, 0.0], [0.0, 0.0]],
+            ),
+            "reach": {"horizon": 3000},
+        }
+    )
+    config_path = tmp_path / "diverge.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = ["reach", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, "support function diverged")
+    assert sorted(p.name for p in out.iterdir()) == ["thresholds.csv"]
+
+
 def test_main_requires_config():
     with pytest.raises(SystemExit):
         main(["tune"])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from drdetect import (
     solve_sdp,
     tune_threshold_sdp,
 )
-from drdetect import detector_tuning
+from drdetect import ExperimentConfig, bound_engine, detector_tuning, run_tune
 from drdetect.cli_runner import _write_thresholds
 
-from conftest import SEQ15, TWO_ATOM, random_moments
+from conftest import SEQ15, THREE_ATOM, TWO_ATOM, random_moments
 
 CHI2 = chi_squared_moments(2, 4)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_chi_squared_threshold_values():
@@ -207,26 +209,30 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     assert log == [(3, res.alpha)]
     assert res.achieved_worst_case == solve_sdp(m, res.alpha).objective <= 0.05
     assert res.alpha < upper
-    # at k = 5 the last midpoint to come down is settled by the certificate,
-    # and the solve there stalls above the rate: the certificate's bound
-    # stands in for it
+    # at k = 4 the last midpoint to come down is settled by the certificate
+    # of the two-atom law on the boundary, and the solve there stalls above
+    # the rate: the certificate's bound stands in for it
     del log[:]
-    k5 = tune_threshold_sdp(TWO_ATOM.truncated(5), 0.2, epsilon=1e-4)
-    assert log[-1] == (5, k5.alpha)
-    assert (5, k5.alpha) not in log[:-1]
-    assert solve_sdp(TWO_ATOM.truncated(5), k5.alpha).objective > 0.2 + 1e-7
-    _, certified = detector_tuning._law_ends(TWO_ATOM.truncated(5), k5.alpha)
-    assert k5.achieved_worst_case == certified <= 0.2 - 1e-7
-    # at k = 6 no midpoint meets the rate: the bound at the k = 5 threshold
-    # is solved last, comes out above the rate, and the k = 5 guarantee
-    # stands in for it
-    del log[:]
-    res = tune_threshold_sdp(TWO_ATOM.truncated(6), 0.2, epsilon=1e-4)
-    assert log[-1] == (6, k5.alpha)
-    assert (6, k5.alpha) not in log[:-1]
-    assert solve_sdp(TWO_ATOM.truncated(6), k5.alpha).objective > 0.2 + 1e-7
-    assert res.alpha == k5.alpha
-    assert res.achieved_worst_case == k5.achieved_worst_case
+    k4 = tune_threshold_sdp(TWO_ATOM.truncated(4), 0.2, epsilon=1e-4)
+    assert log[-1] == (4, k4.alpha)
+    assert (4, k4.alpha) not in log[:-1]
+    assert solve_sdp(TWO_ATOM.truncated(4), k4.alpha).objective > 0.2 + 1e-7
+    above, bound, certified = detector_tuning._settle(
+        TWO_ATOM.truncated(4), k4.alpha, 0.2
+    )
+    assert not above and bound is None
+    assert k4.achieved_worst_case == certified <= 0.2 - 1e-7
+    # at k = 5 and 6 no midpoint meets the rate: the bound at the k = 4
+    # threshold is solved last, comes out above the rate, and the k = 4
+    # guarantee stands in for it
+    for k in (5, 6):
+        del log[:]
+        res = tune_threshold_sdp(TWO_ATOM.truncated(k), 0.2, epsilon=1e-4)
+        assert log[-1] == (k, k4.alpha)
+        assert (k, k4.alpha) not in log[:-1]
+        assert solve_sdp(TWO_ATOM.truncated(k), k4.alpha).objective > 0.2 + 1e-7
+        assert res.alpha == k4.alpha
+        assert res.achieved_worst_case == k4.achieved_worst_case
 
 
 def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
@@ -259,6 +265,84 @@ def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
             # below the tight bound that the certificate meets
             assert sol.objective >= certified - 1e-9, (seq, alpha, rate)
     assert optimal >= 150
+
+
+def test_boundary_law_leaves_one_solve_per_few_atom_row(monkeypatch):
+    # two and three atoms lie on the boundary of the moment cone from four
+    # and six moments on: no Gauss-Radau rule of order k exists near the
+    # atoms, and the unique law settles those points; each row is solved
+    # once, at the upper end it returns.  Without that law the points near
+    # the atoms are solved, and take the same branches but one
+    cases = [(seq, k) for seq in (TWO_ATOM, THREE_ATOM) for k in range(3, 7)]
+
+    def tune_all():
+        log = _solve_log(monkeypatch)
+        rows = [tune_threshold_sdp(seq.truncated(k), 0.05) for seq, k in cases]
+        return rows, log
+
+    rows, log = tune_all()
+    assert [order for order, _ in log] == [k for _, k in cases]
+    monkeypatch.setattr(bound_engine, "_boundary_law", lambda scaled, k: None)
+    plain, plain_log = tune_all()
+    assert len(plain_log) == 42
+    # three atoms at k = 6: a solve that stalls just above the top atom 3.4
+    # takes the lower end up, where the law settles the point below
+    assert plain[:-1] == rows[:-1]
+    assert 3.4 < rows[-1].alpha < 3.4 + 1e-4 < plain[-1].alpha
+    assert rows[-1].achieved_worst_case <= 0.05
+
+
+def test_boundary_law_finds_nothing_at_interior_bisection_points(
+    settled_points, monkeypatch
+):
+    # the sequences the command line tunes lie inside the moment cone, so
+    # the boundary law can move none of their bytes: chi-squared(1, 2, 4)
+    # at k = 3..6, and the laplacian config's empirical moments at k = 3, 4
+    chi2 = {
+        chi_squared_moments(p, 6).truncated(k) for p in (1, 2, 4) for k in range(3, 7)
+    }
+    points = [(seq, alpha) for seq, alpha, _, _ in settled_points if seq in chi2]
+    config = ExperimentConfig.from_json(CONFIG_DIR / "benchmark2d_laplacian.json")
+    original = detector_tuning._settle
+
+    def logged(moments, alpha, rate):
+        points.append((moments, alpha))
+        return original(moments, alpha, rate)
+
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    monkeypatch.setattr(detector_tuning, "_settle", logged)
+    run_tune(config)
+    assert len(points) >= 600
+    for seq, alpha in points:
+        scaled = np.array(seq.scaled(1.0 / alpha).moments)
+        assert bound_engine._boundary_law(scaled, seq.order) is None, (seq, alpha)
+
+
+def test_settle_needs_the_slack_beyond_the_rate():
+    # the law {0.5 w.p. 3/4, 2 w.p. 1/4} at alpha = 1 with four moments:
+    # no Gauss-Radau rule exists, and the boundary law's ends are 0.25 and
+    # 0.25 less 4 ulps; each rate below puts one end exactly at a margin
+    # of _SLACK in floats, where the end may not settle the point
+    m = MomentSequence(tuple(0.75 * 0.5**r + 0.25 * 2.0**r for r in range(5)))
+    lower, upper = bound_engine._law_ends(m, 1.0)
+    assert (lower, upper) == (0.25, 0.2499999999999996)
+    slack = detector_tuning._SLACK
+    # a tail of exactly the rate plus the slack: solved, not settled above
+    rate = 0.2499999
+    assert rate + slack == lower
+    above, bound, certified = detector_tuning._settle(m, 1.0, rate)
+    assert above and bound is not None and certified is None
+    # one ulp of rate lower and the tail settles the point above
+    rate = math.nextafter(rate, 0.0)
+    assert detector_tuning._settle(m, 1.0, rate) == (True, None, None)
+    # a mean of exactly the rate less the slack: settled below
+    rate = 0.2500000999999996
+    assert rate - slack == upper
+    assert detector_tuning._settle(m, 1.0, rate) == (False, None, upper)
+    # one ulp lower and it is solved
+    rate = math.nextafter(rate, 0.0)
+    above, bound, certified = detector_tuning._settle(m, 1.0, rate)
+    assert not above and bound is not None and certified is None
 
 
 def test_lower_end_returned_when_its_bound_meets_the_rate():
