@@ -269,14 +269,10 @@ def volume_comparison(bounds: list[ReachBound]) -> VolumeReport:
             raise ValueError("bounds must share the direction set")
     ordered = sorted(bounds, key=lambda rb: rb.alpha, reverse=True)
     tol = 1e-9
-    support_ordered = True
     max_violation = 0.0
     for big, small in zip(ordered, ordered[1:]):
         diff = small.support_values - big.support_values
-        worst = float(diff.max()) if diff.size else 0.0
-        max_violation = max(max_violation, worst)
-        if worst > tol:
-            support_ordered = False
+        max_violation = max(max_violation, float(diff.max()) if diff.size else 0.0)
     areas = tuple(rb.area if rb.area is not None else math.nan for rb in ordered)
     area_ordered = all(
         not (a1 < a2 - tol)
@@ -287,6 +283,6 @@ def volume_comparison(bounds: list[ReachBound]) -> VolumeReport:
         alphas=tuple(rb.alpha for rb in ordered),
         areas=areas,
         area_ordered=area_ordered,
-        support_ordered=support_ordered,
+        support_ordered=max_violation <= tol,
         max_support_violation=max_violation,
     )

@@ -354,7 +354,7 @@ def _radau_law(scaled: np.ndarray, k: int):
     threshold in the same way (Bertsimas & Popescu, SIAM J. Optim. 2005).
     A singular Hankel matrix gives none.
     """
-    hankel = _hankel_matrix(tuple(scaled), k)
+    hankel = _hankel_matrix(scaled, k)
     try:
         upper = np.linalg.cholesky(hankel).T
     except np.linalg.LinAlgError:
@@ -412,20 +412,10 @@ def _on_half_line(
 
 
 def _rank(hankel: np.ndarray) -> int:
-    """Numerical rank of a positive semidefinite matrix: the steps that
-    Cholesky with diagonal pivoting takes before every diagonal entry left
-    is at most 1e-12 times the largest one."""
-    a = hankel.copy()
-    tol = 1e-12 * a.diagonal().max()
-    for r in range(len(a)):
-        j = r + int(np.argmax(a.diagonal()[r:]))
-        if not a[j, j] > tol:
-            return r
-        a[[r, j]] = a[[j, r]]
-        a[:, [r, j]] = a[:, [j, r]]
-        a[r:, r] /= math.sqrt(a[r, r])
-        a[r + 1 :, r + 1 :] -= np.outer(a[r + 1 :, r], a[r + 1 :, r])
-    return len(a)
+    """Numerical rank of a positive semidefinite matrix: the count of its
+    eigenvalues above 1e-12 times its largest diagonal entry."""
+    tol = 1e-12 * hankel.diagonal().max()
+    return int((np.linalg.eigvalsh(hankel) > tol).sum())
 
 
 def _boundary_law(scaled: np.ndarray, k: int):
@@ -434,15 +424,16 @@ def _boundary_law(scaled: np.ndarray, k: int):
     the order-k Hankel matrix of :func:`_radau_law` is not singular or the
     law found misses a moment by more than relative 1e-10.
 
-    On the boundary the Hankel matrix has numerical rank r (:func:`_rank`)
-    below its size, and its leading r x r block is that of the unique law
-    with these moments: r atoms, and for odd k the atom at 0 of
-    :func:`_radau_law` (Curto & Fialkow 1991).  The block and the column
-    after it give the r-node Gauss rule by Golub-Welsch.  A rank that is
-    wrong yields a rule that fails the moment check or leaves R+, or a
-    factorization that raises `LinAlgError`.
+    On the boundary the Hankel matrix has rank r below its size: r
+    eigenvalues above 1e-12 of its largest diagonal entry (:func:`_rank`).
+    Its leading r x r block is that of the unique law with these moments:
+    r atoms, and for odd k the atom at 0 of :func:`_radau_law` (Curto &
+    Fialkow 1991).  The block and the column after it give the r-node
+    Gauss rule by Golub-Welsch.  A rank that is wrong yields a rule that
+    fails the moment check or leaves R+, or a factorization that raises
+    `LinAlgError`.
     """
-    hankel = _hankel_matrix(tuple(scaled), k)
+    hankel = _hankel_matrix(scaled, k)
     r = _rank(hankel)
     if not 0 < r < len(hankel):
         return None

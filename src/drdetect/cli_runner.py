@@ -70,6 +70,17 @@ def _integer(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer")
 
 
+def _real(value, field: str) -> float:
+    """A JSON number as a float; true, "1e-4" or null is an error.  An
+    integer beyond the float range reads as inf, as 1e999 does."""
+    if isinstance(value, (int, float)) and type(value) is not bool:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValueError(f"{field} must be a number")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters; see :meth:`from_json` for the
@@ -133,13 +144,17 @@ class ExperimentConfig:
         noise = raw.get("noise", {})
         sim = raw.get("sim", {})
         reach = raw.get("reach", {})
+        orders = detector.get("orders", [1, 2, 4])
+        if not isinstance(orders, list):
+            raise ValueError("orders must be a list")
+        output_dir = raw.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ValueError("output_dir must be a string")
         return cls(
             system=system,
-            target_rate=float(detector.get("target_rate", 0.05)),
-            orders=tuple(
-                _integer(k, "orders") for k in detector.get("orders", (1, 2, 4))
-            ),
-            epsilon=float(detector.get("epsilon", 1e-4)),
+            target_rate=_real(detector.get("target_rate", 0.05), "target_rate"),
+            orders=tuple(_integer(k, "orders") for k in orders),
+            epsilon=_real(detector.get("epsilon", 1e-4), "epsilon"),
             moment_source=str(
                 detector.get("moment_source", ANALYTIC_CHI_SQUARED)
             ),
@@ -152,10 +167,10 @@ class ExperimentConfig:
             burn_in=_integer(sim.get("burn_in", 1000), "burn_in"),
             reach_horizon=_integer(reach.get("horizon", 50), "horizon"),
             reach_dirs=_integer(reach.get("n_dirs", 256), "n_dirs"),
-            noise_rate=float(
-                reach.get("noise_rate", detector.get("target_rate", 0.05))
+            noise_rate=_real(
+                reach.get("noise_rate", detector.get("target_rate", 0.05)), "noise_rate"
             ),
-            output_dir=str(raw.get("output_dir", "out")),
+            output_dir=output_dir,
         )
 
     @classmethod

@@ -42,7 +42,10 @@ _STREAM = 64 * _CHUNK
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.array(value, dtype=float)
+    try:
+        mat = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a matrix") from None
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a matrix")
     if not np.all(np.isfinite(mat)):
@@ -53,14 +56,13 @@ def _as_matrix(value, name: str) -> np.ndarray:
 def _check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False):
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max())):
+    scale = max(1.0, float(np.abs(mat).max()))
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
         raise ValueError(f"{name} must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    scale = max(1.0, float(np.abs(mat).max()))
-    if definite:
-        if eigs[0] <= 0:
-            raise ValueError(f"{name} must be positive definite")
-    elif eigs[0] < -1e-12 * scale:
+    if definite and eigs[0] <= 0:
+        raise ValueError(f"{name} must be positive definite")
+    if eigs[0] < -1e-12 * scale:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
@@ -175,7 +177,7 @@ class LtiSystem:
         if B.shape != (n, m) or C.shape != (p, n) or K.shape != (m, n):
             raise ValueError("B, C, K dimensions are mutually inconsistent")
         if sigma_w.shape != (n, n) or sigma_v.shape != (p, p):
-            raise ValueError("noise covariances have wrong shapes")
+            raise ValueError(f"sigma_w must be {n} x {n} and sigma_v {p} x {p}")
         _check_symmetric_psd(sigma_w, "sigma_w")
         _check_symmetric_psd(sigma_v, "sigma_v", definite=True)
         _pbh_checks(A, B, C)
@@ -364,21 +366,16 @@ def _check_states(x: np.ndarray, start: int) -> None:
 
 def _trace(sys: LtiSystem, r: np.ndarray, x, skip: int) -> ResidualTrace:
     """The trace of residuals r, their q = r' sigma_r^{-1} r and, unless
-    None, states x, all without their first `skip` rows.  q has the bits of
-    np.einsum("ij,jk,ik->i", r, sigma_r_inv, r) on C-ordered r: on three rows
-    or more einsum adds (r[:, j] S[j, k]) r[:, k] over j, then k, which is
-    done here on contiguous columns without its three-operand loop.  On
-    fewer rows einsum orders the sum another way (per-j partial sums over k
-    when p = 2), so those go through einsum itself."""
+    None, states x, all without their first `skip` rows.  q adds
+    (r[:, j] S[j, k]) r[:, k] over j, then k, on contiguous columns, so
+    each row's q has the same bits at every run length: those of
+    np.einsum("ij,jk,ik->i", r, sigma_r_inv, r) on three rows or more."""
     S = sys.sigma_r_inv
-    if r.shape[0] < 3:
-        q = np.einsum("ij,jk,ik->i", r, S, r)
-    else:
-        cols = np.ascontiguousarray(r.T)
-        q = np.zeros(r.shape[0])
-        for j, rj in enumerate(cols):
-            for k, rk in enumerate(cols):
-                q += (rj * S[j, k]) * rk
+    cols = np.ascontiguousarray(r.T)
+    q = np.zeros(r.shape[0])
+    for j, rj in enumerate(cols):
+        for k, rk in enumerate(cols):
+            q += (rj * S[j, k]) * rk
     return ResidualTrace(r[skip:], q[skip:], None if x is None else x[skip:])
 
 

@@ -90,23 +90,13 @@ def closed_form_threshold(
     if not m1 > 0:
         raise ValueError("the mean must be positive to place a threshold")
     if k == 1:
-        return ThresholdResult(
-            alpha=m1 / rate,
-            method=Method.CLOSED_FORM_K1,
-            k=1,
-            target_rate=rate,
-            achieved_worst_case=rate,
-        )
-    c2 = max(0.0, (moments.moments[2] - m1 * m1) / (m1 * m1))
-    c = math.sqrt(c2)
-    alpha = (1.0 + math.sqrt((1.0 - rate) / rate) * c) * m1
-    achieved = rate if c > 0 else 0.0
+        alpha, achieved, method = m1 / rate, rate, Method.CLOSED_FORM_K1
+    else:
+        c = math.sqrt(max(0.0, (moments.moments[2] - m1 * m1) / (m1 * m1)))
+        alpha = (1.0 + math.sqrt((1.0 - rate) / rate) * c) * m1
+        achieved, method = (rate if c > 0 else 0.0), Method.CLOSED_FORM_K2
     return ThresholdResult(
-        alpha=alpha,
-        method=Method.CLOSED_FORM_K2,
-        k=2,
-        target_rate=rate,
-        achieved_worst_case=achieved,
+        alpha=alpha, method=method, k=k, target_rate=rate, achieved_worst_case=achieved
     )
 
 

@@ -75,7 +75,7 @@ class MomentSequence:
             raise ValueError(f"moments of {c:.3g} X leave the float range") from None
 
 
-def _hankel_matrix(moments: tuple[float, ...], index: int) -> np.ndarray:
+def _hankel_matrix(moments: tuple | np.ndarray, index: int) -> np.ndarray:
     """Hankel matrix R_index: entry (i, j) = M_{i+j} for even index,
     M_{i+j+1} for odd, with i, j = 0..floor(index/2)."""
     m = np.asarray(moments, dtype=float)
@@ -92,12 +92,8 @@ def hankel_pair(seq: MomentSequence) -> tuple[np.ndarray, np.ndarray]:
     `r_even` is the even-indexed matrix with entry (i, j) = M_{i+j};
     `r_odd` is the odd-indexed matrix with entry (i, j) = M_{i+j+1}.
     """
-    k = seq.order
-    r_k = _hankel_matrix(seq.moments, k)
-    r_km1 = _hankel_matrix(seq.moments, k - 1)
-    if k % 2 == 0:
-        return r_k, r_km1
-    return r_km1, r_k
+    k, m = seq.order, seq.moments
+    return _hankel_matrix(m, k - k % 2), _hankel_matrix(m, k - 1 + k % 2)
 
 
 def is_feasible(seq: MomentSequence) -> bool:

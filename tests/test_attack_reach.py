@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,6 +457,21 @@ def test_volume_comparison_identical_thresholds():
     b = reach_bound(sys_, 40.0, 9.0, 50, 64)
     report = volume_comparison([a, b])
     assert abs(report.areas[0] - report.areas[1]) <= 1e-12
+
+
+def test_volume_comparison_flags_supports_out_of_order():
+    # the bound at the larger threshold dips 1e-6 below the other's support
+    # in one direction: the areas stay ordered, the supports do not
+    sys_ = benchmark_system()
+    small = reach_bound(sys_, 40.0, 9.0, 50, 64)
+    dipped = small.support_values.copy()
+    dipped[5] -= 1e-6
+    big = replace(small, alpha=18.0, support_values=dipped)
+    report = volume_comparison([small, big])
+    assert report.alphas == (18.0, 9.0)
+    assert report.area_ordered
+    assert not report.support_ordered
+    assert report.max_support_violation == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_volume_comparison_rejects_mismatch():

@@ -466,6 +466,24 @@ def test_rank_counts_the_pivots_above_1e12_of_the_largest():
     assert bound_engine._rank(np.zeros((2, 2))) == 0
 
 
+def test_law_ends_keep_the_lower_order_ends_where_no_boundary_law_exists():
+    # chi2(2) at k = 6 at the point that the tuner solves at rate 0.01:
+    # the order-6 rule leaves R+ and the Hankel matrix has full rank, so
+    # there is no boundary law, and the ends are those of the order-5
+    # rule: its far-atom law's tail and its certificate's polished mean
+    m = chi_squared_moments(2, 6)
+    alpha = 12.656289602894157
+    scaled = np.array(m.scaled(1.0 / alpha).moments)
+    assert bound_engine._radau_law(scaled, 6) is None
+    assert bound_engine._rank(_hankel_matrix(scaled, 6)) == 4
+    assert bound_engine._boundary_law(scaled, 6) is None
+    law = bound_engine._radau_law(scaled, 5)
+    lower = bound_engine._tail(scaled, bound_engine._far_atom_law(scaled, *law))
+    upper = bound_engine._polish(bound_engine._interpolant(law[0], 5), scaled[:6])[2]
+    assert bound_engine._law_ends(m, alpha) == (lower, upper)
+    assert 0.01 < lower <= upper < 0.01 + 1e-7
+
+
 def test_boundary_law_with_no_mass_at_zero_at_an_odd_order():
     # {0.5 w.p. 3/4, 2 w.p. 1/4} has no atom at 0; at odd k the mass that
     # the law leaves there comes out of rounding a few ulps below 0, and

@@ -383,14 +383,50 @@ def _with_misspelled_key(raw):
     raw["detector"]["epsilion"] = raw["detector"].pop("epsilon")
 
 
+def _setting(block, key, value):
+    """An edit that sets one key of one block of the config, or of the
+    config itself where block is None."""
+
+    def edit(raw):
+        (raw if block is None else raw[block])[key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, text",
     [
         (_without_system_key, "missing key(s) in block 'system': K"),
         (_with_misspelled_key, "unknown key(s) in block 'detector': epsilion"),
         (None, "No such file or directory"),
+        (_setting("detector", "target_rate", [0.05]), "target_rate must be a number"),
+        (_setting("detector", "epsilon", {"value": 1e-4}), "epsilon must be a number"),
+        (_setting("detector", "epsilon", None), "epsilon must be a number"),
+        (_setting("reach", "noise_rate", None), "noise_rate must be a number"),
+        (_setting("detector", "target_rate", True), "target_rate must be a number"),
+        (_setting("detector", "epsilon", "1e-4"), "epsilon must be a number"),
+        (_setting("detector", "orders", None), "orders must be a list"),
+        (_setting("detector", "orders", 4), "orders must be a list"),
+        (_setting("system", "A", {"a": 1.0}), "A must be a matrix"),
+        (_setting("detector", "epsilon", 10**400), "epsilon must be positive"),
+        (_setting(None, "output_dir", None), "output_dir must be a string"),
     ],
-    ids=["missing-key", "unknown-key", "missing-file"],
+    ids=[
+        "missing-key",
+        "unknown-key",
+        "missing-file",
+        "list-rate",
+        "object-epsilon",
+        "null-epsilon",
+        "null-noise-rate",
+        "bool-rate",
+        "string-epsilon",
+        "null-orders",
+        "number-orders",
+        "object-matrix",
+        "huge-integer-epsilon",
+        "null-output-dir",
+    ],
 )
 def test_main_reports_a_config_error_in_one_line(tmp_path, capsys, edit, text):
     # one line and exit 2, not a traceback
@@ -423,6 +459,47 @@ def test_main_reports_a_config_that_is_no_object_in_one_line(
     # a list or a number where an object belongs is a config error too
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = ["tune", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "system, text",
+    [
+        ({"A": [0.84, 0.23]}, "A must be a matrix"),
+        ({"A": [[0.84, 0.23, 0.0], [-0.47, 0.12, 0.0]]}, "A must be square"),
+        ({"A": [[float("inf"), 0.23], [-0.47, 0.12]]}, "A must be finite"),
+        ({"B": [[0.07, -0.32, 0.0], [0.23, 0.58, 0.0]]}, "B, C, K dimensions"),
+        ({"sigma_w": [[0.0225, 0.0, 0.0], [0.0, 0.01, 0.0]]}, "sigma_w must be 2 x 2"),
+        ({"sigma_w": [[0.0225, -0.0055], [0.0, 0.01]]}, "sigma_w must be symmetric"),
+        ({"sigma_w": [[0.01, 0.02], [0.02, 0.01]]}, "sigma_w must be positive semi"),
+        ({"sigma_v": [[1.0, 0.0], [0.0, 0.0]]}, "sigma_v must be positive definite"),
+        # B = diag(0, 1) cannot reach the unstable mode of A
+        (
+            {"A": [[1.2, 0.0], [0.0, 0.5]], "B": [[0.0, 0.0], [0.0, 1.0]]},
+            "(A, B) not stabilizable at eigenvalue 1.2",
+        ),
+    ],
+    ids=[
+        "vector",
+        "not-square",
+        "infinite",
+        "wide-B",
+        "wide-sigma_w",
+        "asymmetric",
+        "indefinite",
+        "singular-sigma_v",
+        "not-stabilizable",
+    ],
+)
+def test_main_reports_a_bad_system_matrix_in_one_line(tmp_path, capsys, system, text):
+    # every check of the system block exits 2 with one line that names the
+    # matrix, before any work
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_raw_config({"system": system})))
     out = tmp_path / "out"
     argv = ["tune", "--config", str(config_path), "--out", str(out), "--quiet"]
     assert main(argv) == 2
@@ -482,6 +559,28 @@ def test_main_exits_1_in_one_line_when_a_reach_bound_diverges(tmp_path, capsys):
     assert main(argv) == 1
     _assert_one_error_line(capsys, "support function diverged")
     assert sorted(p.name for p in out.iterdir()) == ["thresholds.csv"]
+
+
+def test_main_exits_1_in_one_line_when_the_reach_ordering_is_violated(
+    tmp_path, capsys, monkeypatch
+):
+    # no checked-in system violates the ordering; a report that does fails
+    # the run in one line, with every file written
+    compare = cli_runner.volume_comparison
+
+    def violated(bounds):
+        report = compare(bounds)
+        return replace(report, support_ordered=False, max_support_violation=0.25)
+
+    monkeypatch.setattr(cli_runner, "volume_comparison", violated)
+    config_path = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["reach", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "reachable-set ordering violated: max support violation 0.25\n"
+    assert len(list(out.glob("reach_*.csv"))) == 4
+    assert (out / "thresholds.csv").exists() and (out / "areas.csv").exists()
 
 
 def test_main_requires_config():

@@ -222,13 +222,12 @@ def test_laplacian_is_the_gaussian_draw_row_scaled():
 
 @pytest.mark.parametrize("family", list(NoiseFamily))
 def test_simulate_is_a_prefix_of_a_longer_run(family):
-    # from step 0 and 3 steps on; on 1 or 2 rows q comes from einsum,
-    # whose sum has other bits on some draws
+    # from step 0, every length, q included
     sys_ = benchmark_system()
     w = NoiseModel(family, sys_.sigma_w, 61)
     v = NoiseModel(family, sys_.sigma_v, 62)
     whole = simulate(sys_, w, v, 140_000, burn_in=0, keep_states=True)
-    for n in (3, 1000, 65_537):
+    for n in (1, 2, 3, 1000, 65_537):
         trace = simulate(sys_, w, v, n, burn_in=0, keep_states=True)
         for name in ("residuals", "q_values", "states"):
             got, want = getattr(trace, name), getattr(whole, name)[:n]
@@ -239,7 +238,7 @@ def test_simulate_is_a_prefix_of_a_longer_run(family):
 def test_one_step_is_the_head_of_a_longer_run(family):
     # numpy multiplies one row on another path than many; with C-ordered
     # right operands both give the same bits on the benchmark's 2 x 2
-    # matrices.  q is left out: on one row it comes from einsum
+    # matrices, and q adds the same columns in the same order
     sys_ = benchmark_system()
     for seed in range(8):
         w = NoiseModel(family, sys_.sigma_w, seed)
@@ -250,7 +249,7 @@ def test_one_step_is_the_head_of_a_longer_run(family):
             simulate(sys_, w, v, n, attack=policy, burn_in=0, keep_states=True)
             for n in (1, 2000)
         )
-        for name in ("residuals", "states"):
+        for name in ("residuals", "q_values", "states"):
             got, want = getattr(one, name), getattr(whole, name)[:1]
             assert got.tobytes() == want.tobytes(), (seed, name)
 
@@ -434,17 +433,21 @@ def test_helper_thread_changes_no_bit(monkeypatch, family):
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_q_equals_einsum(p, rows):
     # heavy-tailed rows (Student t with 2 degrees of freedom, each row
-    # scaled by a lognormal) through _trace, with einsum as the oracle;
-    # fewer than three rows go through einsum itself, three or more through
-    # the column sums; at p = 2 einsum orders the sum another way on one or
-    # two rows, which a fifth to two fifths of such draws show
+    # scaled by a lognormal) through _trace, with einsum as the oracle from
+    # three rows on; on one or two rows einsum orders the sum another way
+    # at p = 2, so there q is checked against the same rows of a longer
+    # trace, as a prefix of a run would be
     rng = np.random.default_rng(100 * p + rows % 97)
     a = rng.standard_normal((p, p))
     sigma_r_inv = np.linalg.inv(a @ a.T + p * np.eye(p))
     sys_ = types.SimpleNamespace(sigma_r_inv=sigma_r_inv)
     for _ in range(max(3, 200 // rows)):
         r = rng.standard_t(2, size=(rows, p)) * np.exp(rng.normal(0.0, 3.0, (rows, 1)))
-        want = np.einsum("ij,jk,ik->i", r, sigma_r_inv, r)
+        if rows < 3:
+            longer = np.vstack([r, rng.standard_t(2, size=(5, p))])
+            want = cps_sim._trace(sys_, longer, None, 0).q_values[:rows]
+        else:
+            want = np.einsum("ij,jk,ik->i", r, sigma_r_inv, r)
         assert cps_sim._trace(sys_, r, None, 0).q_values.tobytes() == want.tobytes()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from drdetect import ipm
 from drdetect.ipm import (
     _GETRF,
     ConicProblem,
@@ -362,6 +363,38 @@ def test_infeasible_problem_does_not_claim_optimality():
         sol = solve(prob)
     assert sol.status == Status.NUMERICAL_TROUBLE
     assert sol.iterations == 0
+
+
+def test_iteration_cap_returns_the_best_scored_iterate(monkeypatch):
+    # min tr X with X_01 = 1 takes more than two iterations.  Capped at
+    # two, the run factors two Newton systems and stops; the last step
+    # lands on a point blown up 1e3-fold, which scores worse than the one
+    # before, so the run returns the iterate of the run capped at one
+    a_row = svec(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    prob = _costed_problem((np.eye(2),), (a_row[None, :],), np.array([2.0]))
+    monkeypatch.setattr(ipm, "_MAX_ITER", 1)
+    before = solve(prob)
+    monkeypatch.setattr(ipm, "_MAX_ITER", 2)
+    plain = solve(prob)
+    factorizations, steps, step = [], [], ipm._stepped
+
+    def getrf(kkt):
+        factorizations.append(kkt)
+        return _GETRF(kkt)
+
+    def stepped(*args):
+        # predictor, corrector per iteration: the fourth gives the last iterate
+        steps.append(args)
+        return (1e3 if len(steps) == 4 else 1.0) * step(*args)
+
+    monkeypatch.setattr(ipm, "_GETRF", getrf)
+    monkeypatch.setattr(ipm, "_stepped", stepped)
+    sol = solve(prob)
+    assert before.status == plain.status == sol.status == Status.MAX_ITER
+    assert sol.iterations == 2 and len(factorizations) == 2
+    assert plain.x_free.tobytes() != before.x_free.tobytes()
+    assert sol.x_free.tobytes() == before.x_free.tobytes()
+    assert sol.gap == before.gap
 
 
 def _trace_problem(**changes):
