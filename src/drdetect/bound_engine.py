@@ -32,7 +32,17 @@ from math import comb
 import numpy as np
 
 from . import ipm
-from .ipm import Status, svec, svec_dim
+from .ipm import (
+    Status,
+    _cholesky,
+    _eigh,
+    _eigvals,
+    _eigvalsh,
+    _solve,
+    _solve1,
+    svec,
+    svec_dim,
+)
 from .moment_core import MomentSequence, _hankel_matrix, is_feasible
 
 __all__ = [
@@ -97,7 +107,13 @@ class PolyBound:
             raise ValueError("coefficients must be finite")
 
     def __call__(self, q) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(q, self.coeffs)
+        # Horner's rule, step for step as numpy.polynomial's polyval
+        if isinstance(q, (tuple, list)):
+            q = np.asarray(q)
+        value = self.coeffs[-1] + q * 0
+        for coeff in self.coeffs[-2::-1]:
+            value = coeff + value * q
+        return value
 
     def slack(self) -> float:
         """Least certificate margin: the smaller of min p - 1 on
@@ -107,14 +123,33 @@ class PolyBound:
         part of every root of p' that is nonnegative.  Taking every root
         keeps a real one that comes back with a rounding-size imaginary
         part; a point that is not a critical point can only bring the
-        computed minimum closer to the true one."""
-        coeffs = np.polynomial.polynomial.polytrim(self.coeffs)
-        if len(coeffs) > 1 and coeffs[-1] < 0.0:
+        computed minimum closer to the true one.
+
+        The roots are those numpy.polynomial's polyroots returns, with
+        its arithmetic: the eigenvalues of the companion matrix of p', in
+        ascending order.  A companion matrix that is not finite raises
+        `LinAlgError`."""
+        c = self.coeffs
+        top = len(c)  # the degree plus one, trailing zeros trimmed
+        while top > 1 and c[top - 1] == 0.0:
+            top -= 1
+        if top > 1 and c[top - 1] < 0.0:
             return -math.inf
         a = self.threshold
-        roots = np.polynomial.polynomial.polyroots(
-            np.polynomial.polynomial.polyder(coeffs)
-        ).real
+        der = [j * c[j] for j in range(1, top)]
+        if len(der) < 3:
+            roots = np.array([-der[0] / der[1]] if len(der) == 2 else [])
+        else:
+            n = len(der) - 1
+            column = [d / der[-1] for d in der[:-1]]
+            if not all(map(math.isfinite, column)):
+                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+            companion = np.zeros((n, n))
+            companion.reshape(-1)[n :: n + 1] = 1.0
+            companion[:, -1] -= column
+            roots = _eigvals(companion)
+            # polyroots sorts the real parts alone where no root is complex
+            roots = np.sort(roots if roots.imag.any() else roots.real).real
         pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
         values = self(pts)
         return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
@@ -356,7 +391,7 @@ def _radau_law(scaled: np.ndarray, k: int):
     """
     hankel = _hankel_matrix(scaled, k)
     try:
-        upper = np.linalg.cholesky(hankel).T
+        upper = _cholesky(hankel).T
     except np.linalg.LinAlgError:
         return None
     n = hankel.shape[0] - 1
@@ -366,10 +401,10 @@ def _radau_law(scaled: np.ndarray, k: int):
         rhs = np.zeros(n)
         rhs[-1] = jacobi[n, n - 1] ** 2
         try:
-            jacobi[n, n] = 1.0 + np.linalg.solve(jacobi[:n, :n] - np.eye(n), rhs)[-1]
+            jacobi[n, n] = 1.0 + _solve1(jacobi[:n, :n] - np.eye(n), rhs)[-1]
         except np.linalg.LinAlgError:
             return None
-    nodes, vectors = np.linalg.eigh(jacobi)
+    nodes, vectors = _eigh(jacobi)
     weights = hankel[0, 0] * vectors[0] ** 2
     nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
     return _on_half_line(scaled, k, nodes, weights)
@@ -381,13 +416,21 @@ def _jacobi(upper: np.ndarray) -> np.ndarray:
     Math. Comp. 1969): a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and
     b_j = r_{jj}/r_{j-1,j-1}.  R with one column more than rows gives
     every entry; a square R leaves the last diagonal entry at 1, for the
-    caller to set."""
-    pivots = np.diag(upper)
-    ratio = np.diag(upper, 1) / pivots[: upper.shape[1] - 1]
-    unset = np.ones(len(pivots) - len(ratio))
-    a = np.append(ratio - np.append(0.0, ratio[:-1]), unset)
+    caller to set.  Each entry is added into zeros, which gives the bits
+    of a sum of diagonal matrices, signed zeros included."""
+    n = len(upper)
+    pivots = upper.diagonal()
+    ratio = upper.diagonal(1) / pivots[: upper.shape[1] - 1]
+    a = np.ones(n)
+    a[: len(ratio)] = ratio
+    a[1 : len(ratio)] -= ratio[:-1]
     b = pivots[1:] / pivots[:-1]
-    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    jacobi = np.zeros((n, n))
+    entries = jacobi.reshape(-1)
+    entries[:: n + 1] += a
+    entries[1 :: n + 1] += b
+    entries[n :: n + 1] += b
+    return jacobi
 
 
 def _on_half_line(
@@ -415,7 +458,7 @@ def _rank(hankel: np.ndarray) -> int:
     """Numerical rank of a positive semidefinite matrix: the count of its
     eigenvalues above 1e-12 times its largest diagonal entry."""
     tol = 1e-12 * hankel.diagonal().max()
-    return int((np.linalg.eigvalsh(hankel) > tol).sum())
+    return int((_eigvalsh(hankel) > tol).sum())
 
 
 def _boundary_law(scaled: np.ndarray, k: int):
@@ -437,9 +480,9 @@ def _boundary_law(scaled: np.ndarray, k: int):
     r = _rank(hankel)
     if not 0 < r < len(hankel):
         return None
-    lead = np.linalg.cholesky(hankel[:r, :r])
-    upper = np.linalg.solve(lead, hankel[:r, : r + 1])
-    nodes, vectors = np.linalg.eigh(_jacobi(upper))
+    lead = _cholesky(hankel[:r, :r])
+    upper = _solve(lead, hankel[:r, : r + 1])
+    nodes, vectors = _eigh(_jacobi(upper))
     law = _on_half_line(scaled, k, nodes, hankel[0, 0] * vectors[0] ** 2, clip=True)
     return law if law is not None and _fits(scaled, *law) else None
 

@@ -127,13 +127,9 @@ def tune_threshold_sdp(
     target rate <= 1/2).  The upper end starts at the lower-order
     threshold: the Markov one, or the (k-1)-moment one where it is lower,
     computed recursively down to the closed forms; it brackets from above
-    because the bound shrinks as moments are added.  The k-moment bound
-    there is solved only when no midpoint meets the target, since the
-    first midpoint that does replaces it.  Should it come out above the
-    target, the lower-order guarantee stands in for it, since every
-    certificate for fewer moments is one for k moments too.  Results are
-    memoized per moment sequence.  If the bound at the lower end already
-    meets the target, that end is returned.
+    because the bound shrinks as moments are added.  Results are memoized
+    per moment sequence.  If the bound at the lower end already meets the
+    target, that end is returned.
 
     At the lower end and at each midpoint the SDP is solved only where the
     Gauss-Radau law through the point cannot settle the branch.  If an
@@ -147,10 +143,16 @@ def tune_threshold_sdp(
     rule of order k exists, a sequence of few atoms on the boundary of the
     moment cone has one law, and its tail and its certificate's mean
     settle the point in the same way; these are the points where solves
-    stall.  The returned threshold is then solved once, so the value
-    returned is the objective of :func:`solve_sdp` there; where that solve
-    stalls above the rate plus `_SLACK`, the certificate that took the
-    upper end down stands in for it.
+    stall.
+
+    The value returned is the bound that settled the returned threshold:
+    the objective of :func:`solve_sdp` where a solve did, and the polished
+    mean of the certificate where that did, which is the tight bound up to
+    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  Only
+    where no point took the initial upper end down is the k-moment bound
+    solved there; should it come out above the rate plus `_SLACK`, the
+    lower-order guarantee stands in for it, since every certificate for
+    fewer moments is one for k moments too.
     """
     if moments.order < 2:
         raise ValueError("bisection needs a sequence of order >= 2")
@@ -199,27 +201,25 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
             upper = lower_order
     a_l, a_u = moments.moments[1], upper.alpha
 
-    above, achieved, certified = _settle(moments, a_l, rate)
+    above, bound, certified = _settle(moments, a_l, rate)
+    achieved = None
     if not above:  # the bound at the lower end already meets the target
-        a_u = a_l
+        a_u, achieved = a_l, certified if bound is None else bound
     else:
-        achieved = certified = None
         while a_u - a_l > epsilon:
             mid = 0.5 * (a_l + a_u)
-            mid_above, p_mid, c_mid = _settle(moments, mid, rate)
-            if mid_above:
+            above, bound, certified = _settle(moments, mid, rate)
+            if above:
                 a_l = mid
             else:
-                a_u, achieved, certified = mid, p_mid, c_mid
+                a_u, achieved = mid, certified if bound is None else bound
     if achieved is None:
-        # no solve at the upper end: solve it now, so that the row keeps
-        # the objective of the program that settles it
+        # no point took the initial upper end down: solve there, and where
+        # that solve stalls, the initial upper end's guarantee stands in,
+        # since every certificate for a lower order is one for order k too
         achieved = solve_sdp(moments, a_u).objective
         if achieved > rate + _SLACK:
-            # a stalled solve: the certificate that took the upper end
-            # down stands in, else the initial upper end's guarantee, since
-            # every certificate for a lower order is one for order k as well
-            achieved = upper.achieved_worst_case if certified is None else certified
+            achieved = upper.achieved_worst_case
     return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,

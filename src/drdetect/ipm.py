@@ -15,7 +15,11 @@ system.  The blocks ride on the leading axis of every array, so each
 block operation is one numpy call over the stack, and the primal X and
 the dual S share one stack wherever the iteration treats them alike;
 stacked matmul, eigh, eigvalsh and cholesky round each slice exactly as
-a call on that slice alone does.
+a call on that slice alone does.  Those three, like the solves and
+eigenvalues of :mod:`drdetect.bound_engine`, call the gufuncs of
+``numpy.linalg._umath_linalg`` that numpy.linalg's functions call
+themselves (:func:`_lapack`), which skips the checks and conversions those
+wrappers spend most of their time on for matrices this small.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # float64 triangular solve and LU factorization and solve, scipy's own
 # wrappers loaded by _scipy_ext; getrf/getrs are the routines under scipy's
@@ -47,6 +52,35 @@ _TOL = 1e-9
 _MAX_ITER = 100
 # iterations without halving the best score after which a run has stalled
 _STALL_ITERS = 20
+
+
+def _lapack(gufunc, signature: str, failure: str):
+    """`gufunc` of ``numpy.linalg._umath_linalg`` on float64 operands, as
+    the numpy.linalg function that calls it runs it: under the same error
+    state, so a factorization that fails raises LinAlgError(failure) and
+    no RuntimeWarning, and with the same bits."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    def call(*operands):
+        with np.errstate(
+            call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            return gufunc(*operands, signature=signature)
+
+    return call
+
+
+_NO_CONVERGENCE = "Eigenvalues did not converge"
+# numpy.linalg's eigh, eigvalsh and cholesky on float64 (lower triangle),
+# solve with a matrix and with a vector right-hand side, and eigvals
+_eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", _NO_CONVERGENCE)
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", _NO_CONVERGENCE)
+_cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+_solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
+_solve1 = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")
+_eigvals = _lapack(_umath_linalg.eigvals, "d->D", _NO_CONVERGENCE)
 
 
 class Status(enum.Enum):
@@ -129,7 +163,7 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 def _psd_sqrt_pair(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(M^{1/2}, M^{-1/2}) of each symmetric positive-definite matrix of a
     stack (..., n, n)."""
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = _eigh(mat)
     if (vals[..., 0] <= 0).any():
         raise np.linalg.LinAlgError("matrix not positive definite")
     root = np.sqrt(vals)[..., None, :]
@@ -194,7 +228,7 @@ def _max_step(zs: np.ndarray, dzs: np.ndarray, parts: int = 2) -> tuple[float, .
     stacks hold X, dX in the first half and S, dS in the second, so the
     default gives the (primal, dual) steps."""
     try:
-        chols = np.linalg.cholesky(zs)
+        chols = _cholesky(zs)
     except np.linalg.LinAlgError:
         if parts == 1:
             return (0.0,)
@@ -208,7 +242,7 @@ def _max_step(zs: np.ndarray, dzs: np.ndarray, parts: int = 2) -> tuple[float, .
     for chol, dz, inner in zip(chols, dzs, inners):
         half, _ = _TRTRS(chol.T, dz, lower=0, trans=1)
         inner[...] = _TRTRS(chol.T, half.T, lower=0, trans=1)[0]
-    lows = np.linalg.eigvalsh(_sym(inners))[:, 0].reshape(parts, -1)
+    lows = _eigvalsh(_sym(inners))[:, 0].reshape(parts, -1)
     # the step is monotone in the smallest eigenvalue, so the least over
     # a part gives its least step
     return tuple(
@@ -278,7 +312,7 @@ def solve(prob: ConicProblem) -> ConicSolution:
     nb, n = a_mats.shape[0], _svec_order(a_mats.shape[2])
     n_tot = nb * n
     c_norm = 1.0 + math.sqrt(float(np.dot(prob.c_free, prob.c_free)))
-    b_norm = 1.0 + float(np.linalg.norm(prob.b))
+    b_norm = 1.0 + math.sqrt(float(np.dot(prob.b, prob.b)))
 
     u = np.zeros(f)
     u[0] = 1.0
@@ -307,7 +341,7 @@ def solve(prob: ConicProblem) -> ConicSolution:
         gap = _inner_sum(xs, ss)
         pobj = float(np.dot(prob.c_free, u))
         dobj = float(np.dot(prob.b, lam))
-        res_p = float(np.linalg.norm(rp)) / b_norm
+        res_p = math.sqrt(float(np.dot(rp, rp))) / b_norm
         res_d = (
             math.sqrt(
                 float(np.dot(rd_free, rd_free))
@@ -346,7 +380,7 @@ def solve(prob: ConicProblem) -> ConicSolution:
             rs = np.concatenate([r_ihalf, r_half])
             scaled = rs @ zs @ rs
             lam_mat = _sym(0.5 * (scaled[:nb] + scaled[nb:]))
-            d_l, q_l = np.linalg.eigh(lam_mat)
+            d_l, q_l = _eigh(lam_mat)
             if (d_l[:, 0] <= 0).any():
                 raise np.linalg.LinAlgError("scaled point not positive")
 

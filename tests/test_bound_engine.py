@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,52 @@ def test_poly_bound_slack_finds_interior_dip():
     assert PolyBound((2.0, 1.0, -1e-9), 1.0).slack() == -math.inf
 
 
+def _numpy_slack(p):
+    """PolyBound.slack as numpy.polynomial's trim, derivative, roots and
+    evaluation give it."""
+    poly = np.polynomial.polynomial
+    coeffs = poly.polytrim(p.coeffs)
+    if len(coeffs) > 1 and coeffs[-1] < 0.0:
+        return -math.inf
+    a = p.threshold
+    roots = poly.polyroots(poly.polyder(coeffs)).real
+    pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
+    values = poly.polyval(pts, p.coeffs)
+    return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
+
+
+def test_slack_and_evaluation_keep_the_bits_of_numpy_polynomial():
+    rng = np.random.default_rng(38)
+    checked = 0
+    for degree in range(7):
+        for _ in range(60):
+            coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-3, 4)
+            coeffs[-1] = abs(coeffs[-1])
+            cases = [coeffs, np.append(coeffs, [0.0] * rng.integers(1, 3))]
+            if degree:
+                # a negative leading coefficient, before trailing zeros too
+                cases += [np.append(coeffs[:-1], -coeffs[-1])]
+                cases += [np.append(cases[-1], 0.0)]
+            for c in cases:
+                p = PolyBound(tuple(c), float(rng.uniform(0.1, 5.0)))
+                assert repr(p.slack()) == repr(_numpy_slack(p)), p
+                x = rng.uniform(0.0, 10.0, size=9)
+                poly = np.polynomial.polynomial.polyval
+                assert p(x).tobytes() == poly(x, p.coeffs).tobytes()
+                assert repr(float(p(x[0]))) == repr(float(poly(x[0], p.coeffs)))
+                checked += 1
+    assert checked == 60 * (2 + 4 * 6)
+
+
+def test_slack_raises_on_a_companion_matrix_that_is_not_finite():
+    # p' = 1e300 + 3e-300 q^2: its companion matrix holds -1e300 / 3e-300
+    p = PolyBound((0.0, 1e300, 0.0, 1e-300), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            p.slack()
+
+
 def _grid_min(p, lo, hi=math.inf):
     """Minimum of p on [lo, hi] as the check before the exact one took it:
     10 000 grid points on [lo, hi] (on [lo, 100 lo] for an infinite hi)
@@ -219,15 +266,16 @@ def test_slack_equals_the_grid_check_bit_for_bit():
 
 def test_solve_finds_critical_points_once(monkeypatch):
     calls = []
-    original = np.polynomial.polynomial.polyroots
+    original = bound_engine._eigvals
 
-    def counted(c):
-        calls.append(len(c))
-        return original(c)
+    def counted(companion):
+        calls.append(companion.shape)
+        return original(companion)
 
-    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", counted)
+    monkeypatch.setattr(bound_engine, "_eigvals", counted)
     solve_sdp(CHI2, 9.1315)
-    assert len(calls) == 1
+    # the one polish of a degree-4 certificate: p' has three roots
+    assert calls == [(3, 3)]
 
 
 def _residual(prob, y, x, z):
@@ -458,10 +506,10 @@ def test_boundary_law_is_the_few_atom_law(moments, atoms, weights):
     assert checked == (6 if r == 2 else 2)
 
 
-def test_rank_counts_the_pivots_above_1e12_of_the_largest():
+def test_rank_counts_the_eigenvalues_above_1e12_of_the_largest():
     for small, rank in ((5e-12, 2), (5e-13, 1), (0.0, 1), (-1e-17, 1)):
         assert bound_engine._rank(np.diag([1.0, small])) == rank, small
-    # diagonal pivoting: the largest entry goes first, whatever its place
+    # the tolerance scales with the largest diagonal entry, whatever its place
     assert bound_engine._rank(np.diag([5e-13, 1.0, 0.5])) == 2
     assert bound_engine._rank(np.zeros((2, 2))) == 0
 

@@ -177,8 +177,10 @@ def test_run_tune_rows():
 def test_run_tune_solves_once_per_sdp_order(name, monkeypatch):
     # on both checked-in configs the law settles every bisection point of
     # the k = 4 row and of the k = 3 row under it, above the rate by its
-    # tail and below it by its certificate, so each row is solved once, at
-    # the upper end it returns
+    # tail and below it by its certificate, whose mean a row then reports.
+    # So each config makes one solve, at the upper end of the one row that
+    # no point took down: the gaussian k = 4 row keeps the k = 3
+    # threshold, and the laplacian k = 3 row keeps the k = 2 one
     monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
     calls = []
     original = detector_tuning.solve_sdp
@@ -189,8 +191,10 @@ def test_run_tune_solves_once_per_sdp_order(name, monkeypatch):
 
     monkeypatch.setattr(detector_tuning, "solve_sdp", counted)
     rows = run_tune(ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json"))
-    assert [k for k, _ in calls] == [3, 4]
-    assert calls[-1] == (4, rows[-1].alpha)
+    k3 = next(row for row in detector_tuning._AUTO_CACHE.values() if row.k == 3)
+    lower, kept = (k3, rows[3]) if name == "benchmark2d_gaussian" else (rows[2], k3)
+    assert kept.alpha == lower.alpha
+    assert calls == [(kept.k, kept.alpha)]
 
 
 def test_run_far_rates_and_stderr():

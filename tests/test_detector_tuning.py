@@ -204,18 +204,23 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     )
     # of the lower end and 17 midpoints, 10 lie where an explicit law puts
     # more than the rate above them and 8 where its certificate bounds
-    # every law under the rate; the one solve is at the returned upper end,
-    # whose row keeps that program's objective
-    assert log == [(3, res.alpha)]
-    assert res.achieved_worst_case == solve_sdp(m, res.alpha).objective <= 0.05
+    # every law under the rate; the last of those is the returned upper
+    # end, and its row reports that certificate's mean with no solve
+    assert log == []
+    above, bound, certified = detector_tuning._settle(m, res.alpha, 0.05)
+    assert not above and bound is None
+    assert res.achieved_worst_case == certified <= 0.05 - detector_tuning._SLACK
+    # the mean is the tight bound up to rounding, which the solve there meets
+    sol = solve_sdp(m, res.alpha)
+    assert sol.status is Status.OPTIMAL
+    assert abs(sol.objective - certified) <= 1e-9
     assert res.alpha < upper
     # at k = 4 the last midpoint to come down is settled by the certificate
-    # of the two-atom law on the boundary, and the solve there stalls above
-    # the rate: the certificate's bound stands in for it
+    # of the two-atom law on the boundary, where a solve stalls above the
+    # rate; the row reports the certificate's bound, again with no solve
     del log[:]
     k4 = tune_threshold_sdp(TWO_ATOM.truncated(4), 0.2, epsilon=1e-4)
-    assert log[-1] == (4, k4.alpha)
-    assert (4, k4.alpha) not in log[:-1]
+    assert log == []
     assert solve_sdp(TWO_ATOM.truncated(4), k4.alpha).objective > 0.2 + 1e-7
     above, bound, certified = detector_tuning._settle(
         TWO_ATOM.truncated(4), k4.alpha, 0.2
@@ -223,16 +228,64 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     assert not above and bound is None
     assert k4.achieved_worst_case == certified <= 0.2 - 1e-7
     # at k = 5 and 6 no midpoint meets the rate: the bound at the k = 4
-    # threshold is solved last, comes out above the rate, and the k = 4
+    # threshold is the one solve, comes out above the rate, and the k = 4
     # guarantee stands in for it
     for k in (5, 6):
         del log[:]
         res = tune_threshold_sdp(TWO_ATOM.truncated(k), 0.2, epsilon=1e-4)
-        assert log[-1] == (k, k4.alpha)
-        assert (k, k4.alpha) not in log[:-1]
+        assert log == [(k, k4.alpha)]
         assert solve_sdp(TWO_ATOM.truncated(k), k4.alpha).objective > 0.2 + 1e-7
         assert res.alpha == k4.alpha
         assert res.achieved_worst_case == k4.achieved_worst_case
+
+
+def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkeypatch):
+    # each row tuned for settled_points reports the bound that settled the
+    # threshold it returns: the certificate's mean where a law did, which
+    # lies at least _SLACK below the rate, and the objective where a solve
+    # did.  A fresh solve there that is optimal is the tight bound, which
+    # the certificate meets up to rounding
+    rows = {}
+    original = detector_tuning._bisect
+
+    def logged(moments, rate, epsilon):
+        row = original(moments, rate, epsilon)
+        rows[moments, rate] = row
+        return row
+
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    monkeypatch.setattr(detector_tuning, "_bisect", logged)
+    cases = {(seq, rate) for seq, _, rate, _ in settled_points}
+    for seq, rate in cases:
+        tune_threshold_sdp(seq, rate, epsilon=1e-4)
+    assert set(rows) == cases
+    settled = {(seq, alpha, rate): result for seq, alpha, rate, result in settled_points}
+    by_certificate = by_solve = 0
+    for (seq, rate), row in rows.items():
+        result = settled.get((seq, row.alpha, rate))
+        if result is None:
+            # no point took the initial upper end down: solved there, with
+            # the lower-order guarantee in place of a stalled solve
+            sol = solve_sdp(seq, row.alpha)
+            assert sol.objective > rate + detector_tuning._SLACK or (
+                row.achieved_worst_case == sol.objective
+            ), (seq, rate)
+            continue
+        above, bound, certified = result
+        assert not above, (seq, rate)
+        if bound is None:
+            by_certificate += 1
+            assert row.achieved_worst_case == certified, (seq, rate)
+            assert certified <= rate - detector_tuning._SLACK, (seq, rate)
+            sol = solve_sdp(seq, row.alpha)
+            if sol.status is Status.OPTIMAL:
+                assert row.achieved_worst_case <= sol.objective + 1e-9, (seq, rate)
+        else:
+            by_solve += 1
+            assert row.achieved_worst_case == bound, (seq, rate)
+    # 27 and 3 of the 42 rows; no point took the upper end of the other 12
+    # down
+    assert by_certificate >= 25 and by_solve >= 1
 
 
 def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
@@ -270,9 +323,11 @@ def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
 def test_boundary_law_leaves_one_solve_per_few_atom_row(monkeypatch):
     # two and three atoms lie on the boundary of the moment cone from four
     # and six moments on: no Gauss-Radau rule of order k exists near the
-    # atoms, and the unique law settles those points; each row is solved
-    # once, at the upper end it returns.  Without that law the points near
-    # the atoms are solved, and take the same branches but one
+    # atoms, and the unique law settles those points.  A row is solved at
+    # most once, at the upper end it returns, and only where no point took
+    # that end down: two atoms at k = 5 and 6 keep the k = 4 threshold.
+    # Without that law the points near the atoms are solved, and take the
+    # same branches but one
     cases = [(seq, k) for seq in (TWO_ATOM, THREE_ATOM) for k in range(3, 7)]
 
     def tune_all():
@@ -281,10 +336,11 @@ def test_boundary_law_leaves_one_solve_per_few_atom_row(monkeypatch):
         return rows, log
 
     rows, log = tune_all()
-    assert [order for order, _ in log] == [k for _, k in cases]
+    assert log == [(k, rows[1].alpha) for k in (5, 6)]
+    assert rows[1].alpha == rows[2].alpha == rows[3].alpha
     monkeypatch.setattr(bound_engine, "_boundary_law", lambda scaled, k: None)
     plain, plain_log = tune_all()
-    assert len(plain_log) == 42
+    assert len(plain_log) == 37
     # three atoms at k = 6: a solve that stalls just above the top atom 3.4
     # takes the lower end up, where the law settles the point below
     assert plain[:-1] == rows[:-1]
