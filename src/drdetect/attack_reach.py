@@ -35,9 +35,9 @@ __all__ = [
 
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
-# matrix powers per block of reach_bound; a block holds 2 _BLOCK x n_dirs
-# support values, and one block for the whole horizon raised the
-# attack-reach benchmark's peak RSS by a tenth
+# matrix powers per block of reach_bound and _truncation_bound; a block
+# holds 2 _BLOCK x n_dirs support values, and one block for the whole
+# horizon raised the attack-reach benchmark's peak RSS by a tenth
 _BLOCK = 64
 
 
@@ -105,7 +105,6 @@ class ReachBound:
     directions: np.ndarray
     boundary: np.ndarray | None
     support_values: np.ndarray
-    truncation_error: float
     area: float | None = None
 
     def __post_init__(self) -> None:
@@ -125,6 +124,27 @@ def _directions(n: int, n_dirs: int) -> np.ndarray:
     return draws / np.linalg.norm(draws, axis=1, keepdims=True)
 
 
+def _power_blocks(sys: LtiSystem, start: int, stop: int):
+    """The rows (A^i, H_i) for i = start..stop-1, H_i = (A + B K)^i - A^i,
+    in blocks of at most _BLOCK rows, each yielded with its first i.  The
+    powers (A^i, (A + B K)^i) take one stacked product each, with the bits
+    of one product at a time, and no power past i = stop - 1 is formed."""
+    n = sys.n
+    pair = np.stack([sys.A, sys.A + sys.B @ sys.K])
+    pw = np.stack([np.eye(n), np.eye(n)])
+    for _ in range(start):
+        pw = pair @ pw
+    for first in range(start, stop, _BLOCK):
+        ph = np.empty((min(_BLOCK, stop - first), 2, n, n))
+        ph[0] = pw
+        for j in range(1, len(ph)):
+            np.matmul(pair, ph[j - 1], out=ph[j])
+        if first + _BLOCK < stop:
+            pw = pair @ ph[-1]
+        ph[:, 1] -= ph[:, 0]
+        yield first, ph
+
+
 def reach_bound(
     sys: LtiSystem,
     w_bar: float,
@@ -140,18 +160,13 @@ def reach_bound(
     vanishes), where E(Q) = {Q^{1/2} u : |u| <= 1} has support function
     sqrt(l' Q l).  Support functions add under Minkowski sums, so the
     support values are the sums of the summands' values, added in series
-    order.  The tail of the series (i >= t-1), from the same matrix
-    powers, gives a uniform bound on the support-function truncation
-    error, summed until a term falls below 1e-16 of the sum; the bound is
-    inf when the tail has not converged after 10000 terms or a tail term
-    is not finite (a power overflowed).  A support value that is not
-    finite raises ArithmeticError naming its step i.
+    order.  A support value that is not finite raises ArithmeticError
+    naming its step i.
 
-    The powers (A^i, (A + B K)^i) come in blocks of at most 64, one
-    stacked product per power; each block takes one stacked product for
-    its shape matrices, one batched support evaluation and a sequential
-    sum in the series, and one stacked eigvalsh in the tail.  Every value
-    has the bits of the same arithmetic done one matrix at a time.
+    The powers come from `_power_blocks`; each block takes one stacked
+    product for its shape matrices, one batched support evaluation and one
+    reduction over its rows in series order.  Every value has the bits of
+    the same arithmetic done one matrix and one summand at a time.
 
     For planar systems the boundary is the circumscribed polygon: vertex i
     solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1 mod n_dirs), one
@@ -167,57 +182,24 @@ def reach_bound(
     if not (0 <= w_bar < math.inf and 0 <= alpha < math.inf):
         raise ValueError("w_bar and alpha must be finite and nonnegative")
     n = sys.n
-    pair = np.stack([sys.A, sys.A + sys.B @ sys.K])
     middle = np.stack([sys.sigma_w, sys.L @ sys.sigma_r @ sys.L.T])
-    scale = np.array([w_bar, alpha])
+    scale = np.array([w_bar, alpha])[:, None, None]
     dirs = _directions(n, n_dirs)
     support = np.zeros(n_dirs)
-    tail = 0.0
-    # a partial sum of a tail that has not converged, or that holds a term
-    # that is not finite, bounds nothing
-    truncation = math.inf
-    pw = np.stack([np.eye(n), np.eye(n)])
-    # the series ends a block, so no block holds both kinds of term
-    stop = t - 1 + 10_000
-    edges = [*range(0, t - 1, _BLOCK), *range(t - 1, stop, _BLOCK), stop]
-    # a diverged system overflows its powers; the checks below report it
+    # a diverged system overflows its powers; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, end in zip(edges, edges[1:]):
-            # row j holds A^i and H_i, i = start + j
-            ph = np.empty((end - start, 2, n, n))
-            for row in ph:
-                row[...] = pw
-                pw = pair @ pw
-            ph[:, 1] -= ph[:, 0]
-            if end <= t - 1:
-                q = (scale[:, None, None] * ph) @ middle @ ph.swapaxes(-1, -2)
-                q = (0.5 * (q + q.swapaxes(-1, -2))).reshape(-1, n, n)
-                # this matmul form gives the bits of d @ q @ d per row
-                val = np.matmul((dirs @ q)[..., None, :], dirs[:, :, None])[..., 0, 0]
-                roots = np.sqrt(np.maximum(0.0, val))
-                bad = ~np.isfinite(roots).all(axis=1)
-                if bad.any():
-                    step = start + int(bad.argmax()) // 2
-                    raise ArithmeticError(f"support function diverged at step {step}")
-                # in series order, w then h per i, as np.sum would not add
-                for row in roots:
-                    support += row
-                continue
-            shapes = ph @ middle @ ph.swapaxes(-1, -2)
-            # one stacked call, each matrix's eigenvalues with its own bits;
-            # a matrix that is not finite may still give finite eigenvalues
-            top = np.linalg.eigvalsh(shapes)[..., -1]
-            top[~np.isfinite(shapes).all(axis=(-2, -1))] = math.nan
-            roots = np.sqrt(np.maximum(0.0, scale * top))
-            for term in (roots[:, 0] + roots[:, 1]).tolist():
-                tail += term
-                if not tail < math.inf or term < 1e-16 * max(1.0, tail):
-                    break
-            else:
-                continue
-            if tail < math.inf:
-                truncation = tail
-            break
+        for start, ph in _power_blocks(sys, 0, t - 1):
+            q = (scale * ph) @ middle @ ph.swapaxes(-1, -2)
+            q = (0.5 * (q + q.swapaxes(-1, -2))).reshape(-1, n, n)
+            # this matmul form gives the bits of d @ q @ d per row
+            val = np.matmul((dirs @ q)[..., None, :], dirs[:, :, None])[..., 0, 0]
+            roots = np.sqrt(np.maximum(0.0, val))
+            bad = ~np.isfinite(roots).all(axis=1)
+            if bad.any():
+                step = start + int(bad.argmax()) // 2
+                raise ArithmeticError(f"support function diverged at step {step}")
+            # row by row in series order, w then h per i, as np.sum would not add
+            support = np.add.reduce(np.concatenate([support[None], roots]), axis=0)
 
     boundary = area = None
     if sys.n == 2:
@@ -233,9 +215,38 @@ def reach_bound(
         directions=dirs,
         boundary=boundary,
         support_values=support,
-        truncation_error=truncation,
         area=area,
     )
+
+
+def _truncation_bound(sys: LtiSystem, w_bar: float, alpha: float, t: int) -> float:
+    """A uniform bound on the support-function truncation error of
+    `reach_bound` at horizon t: the tail of its series (i >= t-1), each
+    term sqrt(w_bar lambda_max(A^i sigma_w A^i')) +
+    sqrt(alpha lambda_max(H_i L sigma_r L' H_i')), summed until a term
+    falls below 1e-16 of the sum.  It is inf when the tail has not
+    converged after 10000 terms or a term is not finite (a power
+    overflowed).  Each block of powers takes one stacked eigvalsh, with
+    the bits of one call per matrix."""
+    middle = np.stack([sys.sigma_w, sys.L @ sys.sigma_r @ sys.L.T])
+    scale = np.array([w_bar, alpha])
+    tail = 0.0
+    # a partial sum of a tail that has not converged, or that holds a term
+    # that is not finite, bounds nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, ph in _power_blocks(sys, t - 1, t - 1 + 10_000):
+            shapes = ph @ middle @ ph.swapaxes(-1, -2)
+            # a matrix that is not finite may still give finite eigenvalues
+            top = np.linalg.eigvalsh(shapes)[..., -1]
+            top[~np.isfinite(shapes).all(axis=(-2, -1))] = math.nan
+            roots = np.sqrt(np.maximum(0.0, scale * top))
+            for term in (roots[:, 0] + roots[:, 1]).tolist():
+                tail += term
+                if not tail < math.inf:
+                    return math.inf
+                if term < 1e-16 * max(1.0, tail):
+                    return tail
+    return math.inf
 
 
 @dataclass(frozen=True)

@@ -357,9 +357,13 @@ def _linear_path(M: np.ndarray, u: np.ndarray, z0: np.ndarray) -> np.ndarray:
 
 def _check_states(x: np.ndarray, start: int) -> None:
     """Raise ArithmeticError at the first state whose norm exceeds 1e12 or
-    is not finite; row i of x is step start + i."""
+    is not finite; row i of x is step start + i.  The squared norms add
+    the squared columns in order, one whole column at a time."""
     with np.errstate(over="ignore"):  # a diverged path may overflow to inf
-        diverged = ~(np.linalg.norm(x, axis=1) <= 1e12)
+        squares = x[:, 0] * x[:, 0]
+        for col in x.T[1:]:
+            squares += col * col
+        diverged = ~(np.sqrt(squares) <= 1e12)
     if diverged.any():
         raise ArithmeticError(f"state diverged at step {start + diverged.argmax()}")
 

@@ -20,7 +20,7 @@ from drdetect import (
     simulate,
     volume_comparison,
 )
-from drdetect.attack_reach import _BLOCK
+from drdetect.attack_reach import _BLOCK, _truncation_bound
 from drdetect.cli_runner import _write_reach
 
 
@@ -76,7 +76,7 @@ _SYSTEMS = {
 
 
 def _per_matrix_truncation(sys_, w_bar, alpha, t):
-    """reach_bound's truncation tail (i >= t-1), with one eigvalsh call per
+    """_truncation_bound's tail sum (i >= t-1), with one eigvalsh call per
     matrix."""
     a_cl = sys_.A + sys_.B @ sys_.K
     lsl = sys_.L @ sys_.sigma_r @ sys_.L.T
@@ -101,8 +101,9 @@ def _per_matrix_truncation(sys_, w_bar, alpha, t):
 
 def _reference_reach(sys_, w_bar, alpha, t, directions):
     """reach_bound one direction and one summand at a time: the shape
-    matrices, the tail and the per-direction sums in series order, with
-    the sum of the summands' maximizers as an exact point of the set."""
+    matrices and the per-direction sums in series order, with the sum of
+    the summands' maximizers as an exact point of the set, and the tail
+    of _per_matrix_truncation."""
     a_cl = sys_.A + sys_.B @ sys_.K
     lsl = sys_.L @ sys_.sigma_r @ sys_.L.T
     shapes = []
@@ -179,7 +180,7 @@ def test_reach_bound_matches_per_direction_reference(system, w_bar, alpha, t, n_
     rb = reach_bound(sys_, w_bar, alpha, t, n_dirs)
     points, support, truncation = _reference_reach(sys_, w_bar, alpha, t, rb.directions)
     np.testing.assert_array_equal(rb.support_values, support)
-    assert rb.truncation_error == truncation
+    assert _truncation_bound(sys_, w_bar, alpha, t) == truncation
     if sys_.n != 2:
         assert rb.boundary is None and rb.area is None
         return
@@ -227,8 +228,9 @@ def test_reach_bound_tail_without_a_finite_bound_is_inf():
     # A has an eigenvalue 0.9999: after 10000 tail terms the partial sum
     # (5863.6) is still far below the tail itself (over 9275 at 200000
     # terms), so there is no finite truncation bound to report
-    rb = reach_bound(_diagonal_plant(0.9999), w_bar=40.0, alpha=9.0, t=50)
-    assert rb.truncation_error == math.inf
+    sys_ = _diagonal_plant(0.9999)
+    rb = reach_bound(sys_, w_bar=40.0, alpha=9.0, t=50)
+    assert _truncation_bound(sys_, 40.0, 9.0, 50) == math.inf
     assert np.all(np.isfinite(rb.support_values))
 
 
@@ -238,8 +240,10 @@ def test_reach_bound_tail_that_overflows_is_inf():
     # overflow near i = 1945, with no RuntimeWarning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rb = reach_bound(_diagonal_plant(1.2), w_bar=40.0, alpha=9.0, t=50, n_dirs=16)
-    assert rb.truncation_error == math.inf
+        sys_ = _diagonal_plant(1.2)
+        rb = reach_bound(sys_, w_bar=40.0, alpha=9.0, t=50, n_dirs=16)
+        truncation = _truncation_bound(sys_, 40.0, 9.0, 50)
+    assert truncation == math.inf
     assert np.all(np.isfinite(rb.support_values))
 
 
@@ -362,7 +366,8 @@ def test_simulated_zero_alarm_states_lie_inside_the_reach_bound(family, rotate):
     for t in (10, 50):
         rb = reach_bound(sys_, w_bar, alpha, t)
         projections = trace.states @ rb.directions.T
-        assert np.all(projections <= rb.support_values + rb.truncation_error)
+        truncation = _truncation_bound(sys_, w_bar, alpha, t)
+        assert np.all(projections <= rb.support_values + truncation)
 
 
 def test_noise_threshold():
@@ -403,18 +408,20 @@ def test_reach_bound_horizon_truncation_decays():
     sys_ = benchmark_system()
     short = reach_bound(sys_, 40.0, 9.1315, 30, 128)
     long = reach_bound(sys_, 40.0, 9.1315, 80, 128)
-    assert short.truncation_error > long.truncation_error
-    assert long.truncation_error <= 1e-8
+    short_tail = _truncation_bound(sys_, 40.0, 9.1315, 30)
+    long_tail = _truncation_bound(sys_, 40.0, 9.1315, 80)
+    assert short_tail > long_tail
+    assert long_tail <= 1e-8
     assert abs(long.area - short.area) / long.area <= 1e-3
 
 
 @pytest.mark.parametrize("w_bar, alpha", [(40.0, 9.1315), (80.0, 40.0), (0.0, 5.9915), (1.0, 0.0)])
 def test_truncation_error_keeps_the_per_matrix_bits(w_bar, alpha):
-    # reach_bound takes both tail matrices of a term through one stacked
-    # eigvalsh; the sum keeps the bits of one call per matrix
+    # _truncation_bound takes both tail matrices of a term through one
+    # stacked eigvalsh; the sum keeps the bits of one call per matrix
     sys_ = benchmark_system()
     for t in (2, 3, 10, 50, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 2, 150, 399):
-        got = reach_bound(sys_, w_bar, alpha, t, 16).truncation_error
+        got = _truncation_bound(sys_, w_bar, alpha, t)
         assert got.hex() == _per_matrix_truncation(sys_, w_bar, alpha, t).hex(), t
 
 

@@ -583,8 +583,13 @@ def test_simulate_divergence_guard():
     w = NoiseModel(NoiseFamily.GAUSSIAN, 0.1 * np.eye(2), 0)
     v = NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), 1)
     attack = AttackPolicy(alpha=1.0, direction=[1.0, 0.0])
-    for kwargs in (dict(keep_states=True), dict(attack=attack)):
-        with pytest.raises(ArithmeticError, match=r"diverged at step \d+$"):
+    for policy, kwargs in ((None, dict(keep_states=True)), (attack, dict(attack=attack))):
+        # the first state past 1e12 in Euclidean norm: step 28 on both
+        # routes, where the norm is 1.24e12 and 2.12e12; attack-free the
+        # largest entry is 9.8e11 there
+        states, _, _ = _reference_loop(sys_, w, v, 200, policy, burn_in=0)
+        step = int(np.argmax(np.linalg.norm(states, axis=1) > 1e12))
+        with pytest.raises(ArithmeticError, match=f"diverged at step {step}$"):
             simulate(sys_, w, v, 200, burn_in=0, **kwargs)
     # a non-finite state counts as diverged, from the first step it appears
     object.__setattr__(sys_, "A", np.full((2, 2), np.nan))
