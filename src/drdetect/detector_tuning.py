@@ -103,8 +103,7 @@ def closed_form_threshold(
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
 # a bound that is not a midpoint's SDP objective settles a branch only
 # beyond this margin from the rate: a law's tail above it, a certificate's
-# mean below it, and a solve at the returned upper end counts as stalled
-# only above it; a certificate lands a few 1e-10 above an exact bound, and
+# mean below it; a certificate lands a few 1e-10 above an exact bound, and
 # a law matches its moments to relative 1e-10
 _SLACK = 1e-7
 
@@ -123,13 +122,16 @@ def tune_threshold_sdp(
     report a loose bound, which only raises the lower end, so the result
     stays certified but may sit above the tight threshold.
 
-    The lower end starts at the mean (no threshold below the mean meets a
-    target rate <= 1/2).  The upper end starts at the lower-order
-    threshold: the Markov one, or the (k-1)-moment one where it is lower,
-    computed recursively down to the closed forms; it brackets from above
-    because the bound shrinks as moments are added.  Results are memoized
-    per moment sequence.  If the bound at the lower end already meets the
-    target, that end is returned.
+    The search starts at the mean as its lower end, and never tries a
+    threshold below it, although one may meet the rate there: the law
+    {0.9 w.p. 0.98, 3.0 w.p. 0.02} at k = 4 and rate 0.05 has tail 0.02
+    at every threshold in (0.9, 3] (ROADMAP item 12a).  The upper end
+    starts at the lower-order threshold: the Markov one, or the
+    (k-1)-moment one where it is lower, computed recursively down to the
+    closed forms; it brackets from above because the bound shrinks as
+    moments are added.  Results are memoized per moment sequence.  If the
+    bound at the lower end already meets the target, that end is
+    returned.
 
     At the lower end and at each midpoint the SDP is solved only where the
     Gauss-Radau law through the point cannot settle the branch.  If an
@@ -148,10 +150,10 @@ def tune_threshold_sdp(
     The value returned is the bound that settled the returned threshold:
     the objective of :func:`solve_sdp` where a solve did, and the polished
     mean of the certificate where that did, which is the tight bound up to
-    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  Only
-    where no point took the initial upper end down is the k-moment bound
-    solved there; should it come out above the rate plus `_SLACK`, the
-    lower-order guarantee stands in for it, since every certificate for
+    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  Where no
+    point took the initial upper end down, nothing is solved there: the
+    value is the lesser of the polished mean of the order-k certificate at
+    that end and the lower-order guarantee, since every certificate for
     fewer moments is one for k moments too.
     """
     if moments.order < 2:
@@ -214,12 +216,13 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
             else:
                 a_u, achieved = mid, certified if bound is None else bound
     if achieved is None:
-        # no point took the initial upper end down: solve there, and where
-        # that solve stalls, the initial upper end's guarantee stands in,
-        # since every certificate for a lower order is one for order k too
-        achieved = solve_sdp(moments, a_u).objective
-        if achieved > rate + _SLACK:
-            achieved = upper.achieved_worst_case
+        # no point took the initial upper end down: the row holds two
+        # certified bounds there, the polished mean of the order-k
+        # certificate and the lower-order guarantee, since every
+        # certificate for fewer moments is one for order k too; the lesser
+        # stands, and a NaN mean never does
+        mean, guarantee = _law_ends(moments, a_u)[1], upper.achieved_worst_case
+        achieved = mean if mean <= guarantee else guarantee
     return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,

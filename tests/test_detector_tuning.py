@@ -22,6 +22,8 @@ from drdetect.cli_runner import _write_thresholds
 from conftest import SEQ15, THREE_ATOM, TWO_ATOM, random_moments
 
 CHI2 = chi_squared_moments(2, 4)
+# the unpatched row function, which each row log wraps afresh
+_BISECT = detector_tuning._bisect
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -195,7 +197,7 @@ def _solve_log(monkeypatch):
     return log
 
 
-def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
+def test_upper_end_that_no_point_took_down_is_not_solved(monkeypatch):
     log = _solve_log(monkeypatch)
     m = chi_squared_moments(2, 3)
     res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
@@ -227,16 +229,49 @@ def test_upper_end_is_solved_only_when_no_midpoint_meets_the_rate(monkeypatch):
     )
     assert not above and bound is None
     assert k4.achieved_worst_case == certified <= 0.2 - 1e-7
-    # at k = 5 and 6 no midpoint meets the rate: the bound at the k = 4
-    # threshold is the one solve, comes out above the rate, and the k = 4
-    # guarantee stands in for it
+    # at k = 5 and 6 no midpoint meets the rate and nothing is solved: the
+    # row keeps the k = 4 threshold and reports the lesser of its own
+    # certificate's mean there and the guarantee of the row below.  At
+    # k = 5 that is the k = 4 guarantee 2.59e-4, under the k = 5 mean
+    # 4.49e-4, though the unique law's tail there is 0
+    means = {}
     for k in (5, 6):
         del log[:]
-        res = tune_threshold_sdp(TWO_ATOM.truncated(k), 0.2, epsilon=1e-4)
-        assert log == [(k, k4.alpha)]
-        assert solve_sdp(TWO_ATOM.truncated(k), k4.alpha).objective > 0.2 + 1e-7
+        seq = TWO_ATOM.truncated(k)
+        res = tune_threshold_sdp(seq, 0.2, epsilon=1e-4)
+        assert log == []
         assert res.alpha == k4.alpha
         assert res.achieved_worst_case == k4.achieved_worst_case
+        tail, means[k] = bound_engine._law_ends(seq, k4.alpha)
+        assert tail == 0.0 and res.achieved_worst_case <= means[k]
+    assert k4.achieved_worst_case == pytest.approx(2.59e-4, abs=1e-6)
+    assert means[5] == pytest.approx(4.49e-4, abs=1e-6)
+
+
+def _row_log(monkeypatch):
+    """{(moments, rate): row} of every row that bisection tunes from here
+    on, starting from an empty memo."""
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    rows = {}
+
+    def logged(moments, rate, epsilon):
+        row = _BISECT(moments, rate, epsilon)
+        rows[moments, rate] = row
+        return row
+
+    monkeypatch.setattr(detector_tuning, "_bisect", logged)
+    return rows
+
+
+def _initial_upper_end(seq, rate, rows):
+    """The row whose threshold bisection takes as its initial upper end:
+    the Markov row, or the lower-order row where its threshold is lower."""
+    markov = closed_form_threshold(seq.truncated(1), rate, 1)
+    if seq.order == 3:
+        lower = closed_form_threshold(seq.truncated(2), rate, 2)
+    else:
+        lower = rows[seq.truncated(seq.order - 1), rate]
+    return lower if lower.alpha <= markov.alpha else markov
 
 
 def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkeypatch):
@@ -245,31 +280,32 @@ def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkey
     # lies at least _SLACK below the rate, and the objective where a solve
     # did.  A fresh solve there that is optimal is the tight bound, which
     # the certificate meets up to rounding
-    rows = {}
-    original = detector_tuning._bisect
-
-    def logged(moments, rate, epsilon):
-        row = original(moments, rate, epsilon)
-        rows[moments, rate] = row
-        return row
-
-    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
-    monkeypatch.setattr(detector_tuning, "_bisect", logged)
+    rows = _row_log(monkeypatch)
     cases = {(seq, rate) for seq, _, rate, _ in settled_points}
     for seq, rate in cases:
         tune_threshold_sdp(seq, rate, epsilon=1e-4)
     assert set(rows) == cases
     settled = {(seq, alpha, rate): result for seq, alpha, rate, result in settled_points}
-    by_certificate = by_solve = 0
+    by_certificate = by_solve = by_upper_end = 0
     for (seq, rate), row in rows.items():
         result = settled.get((seq, row.alpha, rate))
         if result is None:
-            # no point took the initial upper end down: solved there, with
-            # the lower-order guarantee in place of a stalled solve
-            sol = solve_sdp(seq, row.alpha)
-            assert sol.objective > rate + detector_tuning._SLACK or (
-                row.achieved_worst_case == sol.objective
+            # no point took the initial upper end down: nothing is solved
+            # there, and the row reports the lesser of two certified bounds,
+            # its own certificate's mean and the lower-order guarantee
+            by_upper_end += 1
+            upper = _initial_upper_end(seq, rate, rows)
+            assert row.alpha == upper.alpha, (seq, rate)
+            tail, mean = bound_engine._law_ends(seq, row.alpha)
+            assert row.achieved_worst_case == min(
+                mean, upper.achieved_worst_case
             ), (seq, rate)
+            # neither lies under the tight bound, which a law's tail meets
+            # up to rounding and an optimal solve to its tolerance
+            assert row.achieved_worst_case >= tail - 1e-15, (seq, rate)
+            sol = solve_sdp(seq, row.alpha)
+            if sol.status is Status.OPTIMAL:
+                assert row.achieved_worst_case >= sol.objective - 1e-9, (seq, rate)
             continue
         above, bound, certified = result
         assert not above, (seq, rate)
@@ -283,9 +319,37 @@ def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkey
         else:
             by_solve += 1
             assert row.achieved_worst_case == bound, (seq, rate)
-    # 27 and 3 of the 42 rows; no point took the upper end of the other 12
-    # down
-    assert by_certificate >= 25 and by_solve >= 1
+    # 27, 3 and 12 of the 42 rows
+    assert by_certificate >= 25 and by_solve >= 1 and by_upper_end >= 10
+
+
+def test_every_row_meets_its_rate_and_a_kept_threshold_keeps_its_bound(
+    settled_points, monkeypatch
+):
+    # an SDP row's guarantee meets its target rate with no slack, and a row
+    # that keeps the lower-order threshold reports at most the lower-order
+    # guarantee, which certifies k moments too.  The rows are those tuned
+    # for settled_points and those that run_tune tunes on the two
+    # checked-in configs, the memoized rows under them included.  The
+    # laplacian k = 3 row under the k = 4 one keeps the k = 2 threshold,
+    # where a solve reads 0.05000000047164323, above the rate 0.05
+    runs = [_row_log(monkeypatch)]
+    for seq, rate in {(seq, rate) for seq, _, rate, _ in settled_points}:
+        tune_threshold_sdp(seq, rate, epsilon=1e-4)
+    for name in ("benchmark2d_gaussian", "benchmark2d_laplacian"):
+        runs.append(_row_log(monkeypatch))
+        run_tune(ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json"))
+    kept = 0
+    for rows in runs:
+        for (seq, rate), row in rows.items():
+            assert row.achieved_worst_case <= row.target_rate == rate, (seq, rate)
+            upper = _initial_upper_end(seq, rate, rows)
+            if row.alpha == upper.alpha:
+                kept += 1
+                assert row.achieved_worst_case <= upper.achieved_worst_case, (seq, rate)
+    assert [len(rows) for rows in runs] == [42, 2, 2]
+    # 12 rows for settled_points, and one on each config
+    assert kept == 14
 
 
 def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
@@ -320,14 +384,14 @@ def test_points_settled_by_a_law_take_the_sdp_branch(settled_points):
     assert optimal >= 150
 
 
-def test_boundary_law_leaves_one_solve_per_few_atom_row(monkeypatch):
+def test_boundary_law_leaves_no_solve_in_few_atom_rows(monkeypatch):
     # two and three atoms lie on the boundary of the moment cone from four
     # and six moments on: no Gauss-Radau rule of order k exists near the
-    # atoms, and the unique law settles those points.  A row is solved at
-    # most once, at the upper end it returns, and only where no point took
-    # that end down: two atoms at k = 5 and 6 keep the k = 4 threshold.
-    # Without that law the points near the atoms are solved, and take the
-    # same branches but one
+    # atoms, and the unique law settles those points.  No row is solved:
+    # two atoms at k = 5 and 6 keep the k = 4 threshold, where no point
+    # took that end down, and report the lesser of their own certificate's
+    # mean and the guarantee of the row below.  Without that law the points
+    # near the atoms are solved, and take the same branches but one
     cases = [(seq, k) for seq in (TWO_ATOM, THREE_ATOM) for k in range(3, 7)]
 
     def tune_all():
@@ -336,14 +400,31 @@ def test_boundary_law_leaves_one_solve_per_few_atom_row(monkeypatch):
         return rows, log
 
     rows, log = tune_all()
-    assert log == [(k, rows[1].alpha) for k in (5, 6)]
-    assert rows[1].alpha == rows[2].alpha == rows[3].alpha
+    assert log == []
+    k4, k5, k6 = rows[1:4]
+    assert k4.alpha == k5.alpha == k6.alpha
+    # at k = 5 the mean 5.19e-5 is under the k = 4 guarantee 2.01e-4; at
+    # k = 6 the k = 5 guarantee is under the mean 3.17e-4
+    means = [
+        bound_engine._law_ends(TWO_ATOM.truncated(k), k4.alpha)[1] for k in (5, 6)
+    ]
+    assert k5.achieved_worst_case == means[0] < k4.achieved_worst_case
+    assert k6.achieved_worst_case == k5.achieved_worst_case < means[1]
+    assert k5.achieved_worst_case == pytest.approx(5.19e-5, abs=1e-7)
+    assert k4.achieved_worst_case == pytest.approx(2.01e-4, abs=1e-6)
     monkeypatch.setattr(bound_engine, "_boundary_law", lambda scaled, k: None)
     plain, plain_log = tune_all()
-    assert len(plain_log) == 37
+    assert len(plain_log) == 35
+    assert plain[:2] + plain[4:-1] == rows[:2] + rows[4:-1]
+    # without the law no k = 5 or 6 certificate exists at the k = 4
+    # threshold, and the k = 4 guarantee stands for both rows
+    for row in plain[2:4]:
+        assert (row.alpha, row.achieved_worst_case) == (
+            k4.alpha,
+            k4.achieved_worst_case,
+        )
     # three atoms at k = 6: a solve that stalls just above the top atom 3.4
     # takes the lower end up, where the law settles the point below
-    assert plain[:-1] == rows[:-1]
     assert 3.4 < rows[-1].alpha < 3.4 + 1e-4 < plain[-1].alpha
     assert rows[-1].achieved_worst_case <= 0.05
 
