@@ -74,8 +74,10 @@ def closed_form_threshold(
 ) -> ThresholdResult:
     """Closed-form thresholds for one or two moments.
 
-    k=1: M1/rate (Markov inversion).  k=2: (1 + sqrt((1-rate)/rate) C) M1
-    with C^2 = (M2 - M1^2)/M1^2.  For k >= 3 use
+    k=1: M1/rate (Markov inversion).  k=2: the lesser of Markov's M1/rate
+    and Cantelli's (1 + sqrt((1-rate)/rate) C) M1 with
+    C^2 = (M2 - M1^2)/M1^2; Markov's is the lesser where C exceeds
+    sqrt((1-rate)/rate), and its row reports the rate.  For k >= 3 use
     :func:`tune_threshold_sdp`.
     """
     if k not in (1, 2):
@@ -89,23 +91,19 @@ def closed_form_threshold(
     m1 = moments.moments[1]
     if not m1 > 0:
         raise ValueError("the mean must be positive to place a threshold")
-    if k == 1:
-        alpha, achieved, method = m1 / rate, rate, Method.CLOSED_FORM_K1
-    else:
+    alpha, achieved, method = m1 / rate, rate, Method.CLOSED_FORM_K1
+    if k == 2:
+        method = Method.CLOSED_FORM_K2
         c = math.sqrt(max(0.0, (moments.moments[2] - m1 * m1) / (m1 * m1)))
-        alpha = (1.0 + math.sqrt((1.0 - rate) / rate) * c) * m1
-        achieved, method = (rate if c > 0 else 0.0), Method.CLOSED_FORM_K2
+        cantelli = (1.0 + math.sqrt((1.0 - rate) / rate) * c) * m1
+        if cantelli <= alpha:
+            alpha, achieved = cantelli, (rate if c > 0 else 0.0)
     return ThresholdResult(
         alpha=alpha, method=method, k=k, target_rate=rate, achieved_worst_case=achieved
     )
 
 
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
-# a bound that is not a midpoint's SDP objective settles a branch only
-# beyond this margin from the rate: a law's tail above it, a certificate's
-# mean below it; a certificate lands a few 1e-10 above an exact bound, and
-# a law matches its moments to relative 1e-10
-_SLACK = 1e-7
 
 
 def tune_threshold_sdp(
@@ -126,35 +124,39 @@ def tune_threshold_sdp(
     threshold below it, although one may meet the rate there: the law
     {0.9 w.p. 0.98, 3.0 w.p. 0.02} at k = 4 and rate 0.05 has tail 0.02
     at every threshold in (0.9, 3] (ROADMAP item 12a).  The upper end
-    starts at the lower-order threshold: the Markov one, or the
-    (k-1)-moment one where it is lower, computed recursively down to the
-    closed forms; it brackets from above because the bound shrinks as
-    moments are added.  Results are memoized per moment sequence.  If the
-    bound at the lower end already meets the target, that end is
-    returned.
+    starts at the lower-order threshold: the Markov one at k = 2, else the
+    (k-1)-moment one, computed recursively down to the closed forms, which
+    is never above Markov's; it brackets from above because the bound
+    shrinks as moments are added.  Results are memoized per moment
+    sequence.  If the bound at the lower end already meets the target,
+    that end is returned.
 
     At the lower end and at each midpoint the SDP is solved only where the
     Gauss-Radau law through the point cannot settle the branch.  If an
-    explicit law with the given moments puts more than the rate plus
-    `_SLACK` above the threshold (:func:`tail_lower_bound`), every bound
-    lies above the rate too, and the lower end rises without a solve.  If
-    the polynomial that interpolates the indicator at the law's nodes,
-    checked on the whole half-line, has a mean at most the rate minus
-    `_SLACK`, every law lies below the rate, and the upper end comes down
-    without a solve.  Where neither settles the point and no Gauss-Radau
-    rule of order k exists, a sequence of few atoms on the boundary of the
-    moment cone has one law, and its tail and its certificate's mean
-    settle the point in the same way; these are the points where solves
-    stall.
+    explicit law with the given moments puts more than the rate above the
+    threshold (:func:`tail_lower_bound`), every bound lies above the rate
+    too, and the lower end rises without a solve.  If the polynomial that
+    interpolates the indicator at the law's nodes, checked on the whole
+    half-line, has a mean at most the rate, no law puts more than the rate
+    there, and the upper end comes down without a solve.  Both tests meet
+    the rate itself (see :func:`_settle`), so a solve runs only where the
+    rate lies strictly between the two ends.  Where neither settles the
+    point and no Gauss-Radau rule of order k exists, a sequence of few
+    atoms on the boundary of the moment cone has one law, and its tail and
+    its certificate's mean settle the point in the same way; these are the
+    points where solves stall.
 
     The value returned is the bound that settled the returned threshold:
     the objective of :func:`solve_sdp` where a solve did, and the polished
     mean of the certificate where that did, which is the tight bound up to
-    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  Where no
-    point took the initial upper end down, nothing is solved there: the
-    value is the lesser of the polished mean of the order-k certificate at
-    that end and the lower-order guarantee, since every certificate for
-    fewer moments is one for k moments too.
+    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  A row
+    that keeps the lower-order threshold, because no point took the
+    initial upper end down or because the lower end meets the rate where
+    the row below returned it too, reports the lesser of that bound and
+    the lower-order guarantee, since every certificate for fewer moments
+    is one for k moments too.  Where no point took the upper end down
+    nothing is solved there, and the polished mean of the order-k
+    certificate at that end stands in for the bound.
     """
     if moments.order < 2:
         raise ValueError("bisection needs a sequence of order >= 2")
@@ -176,13 +178,30 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
     """Whether the tight bound at alpha lies above the rate, with the SDP
     bound at alpha where it was solved and the certificate's E[p] where
     that settled the point below the rate; (True, None, None) where a law
-    settled it above."""
-    lower, upper = _law_ends(moments, alpha, below=rate - _SLACK, above=rate + _SLACK)
-    if lower > rate + _SLACK:
+    settled it above.
+
+    Both ends of :func:`_law_ends` meet the rate itself: a law whose tail
+    exceeds the rate raises the lower end, a certificate whose polished
+    mean is at most the rate brings the upper end down, and `solve_sdp`
+    runs only where the rate lies strictly between the two.  No branch
+    depends on the bits of an IPM run where the pair decides, and a row
+    reports the certificate that settled its threshold.
+
+    Soundness rests on the test below the rate alone.  A point settled
+    above only raises the lower end, so every threshold returned carries a
+    certificate whose mean is at most the rate: the same float test that
+    the SDP objective meets.  Neither test yet allows for the rounding of
+    the sum E[p] = sum y_r s_r (ROADMAP item 10).  At the 70 points of the
+    `tune-sweep` benchmark inputs (seeds 0-21) that a band of 1e-7 around
+    the rate once sent to a solve, its a-priori bound
+    gamma_n sum |y_r s_r| is at most 5.6e-14, and each mean lies at least
+    3.3e-8 under the rate."""
+    lower, upper = _law_ends(moments, alpha, below=rate, above=rate)
+    if lower > rate:
         # an explicit law puts more than the rate above alpha
         return True, None, None
-    if upper <= rate - _SLACK:
-        # a checked certificate bounds every law by less than the rate
+    if upper <= rate:
+        # a checked certificate bounds every law by at most the rate
         return False, None, upper
     bound = solve_sdp(moments, alpha).objective
     return bound > rate, bound, None
@@ -191,16 +210,12 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
 def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdResult:
     """The row of :func:`tune_threshold_sdp` for validated inputs."""
     k = moments.order
-    # the Markov threshold is always a valid upper end; the two-moment
-    # closed form can sit above it for very dispersed sequences
-    upper = closed_form_threshold(moments.truncated(1), rate, 1)
-    if k > 2:
-        if k == 3:
-            lower_order = closed_form_threshold(moments.truncated(2), rate, 2)
-        else:
-            lower_order = tune_threshold_sdp(moments.truncated(k - 1), rate, epsilon)
-        if lower_order.alpha <= upper.alpha:
-            upper = lower_order
+    # the upper end: the Markov threshold at k = 2, else the lower-order
+    # one, which is never above it
+    if k <= 3:
+        upper = closed_form_threshold(moments.truncated(k - 1), rate, k - 1)
+    else:
+        upper = tune_threshold_sdp(moments.truncated(k - 1), rate, epsilon)
     a_l, a_u = moments.moments[1], upper.alpha
 
     above, bound, certified = _settle(moments, a_l, rate)
@@ -215,14 +230,17 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
                 a_l = mid
             else:
                 a_u, achieved = mid, certified if bound is None else bound
-    if achieved is None:
-        # no point took the initial upper end down: the row holds two
-        # certified bounds there, the polished mean of the order-k
-        # certificate and the lower-order guarantee, since every
-        # certificate for fewer moments is one for order k too; the lesser
-        # stands, and a NaN mean never does
-        mean, guarantee = _law_ends(moments, a_u)[1], upper.achieved_worst_case
-        achieved = mean if mean <= guarantee else guarantee
+    if a_u == upper.alpha:
+        # the row keeps the lower-order threshold, whose guarantee is a
+        # certified bound for k moments too, since every certificate for
+        # fewer moments is one for order k; the lesser stands.  Where no
+        # point took that end down, nothing is solved there: the polished
+        # mean of the order-k certificate stands in, and a NaN mean never
+        # wins
+        if achieved is None:
+            achieved = _law_ends(moments, a_u)[1]
+        guarantee = upper.achieved_worst_case
+        achieved = achieved if achieved <= guarantee else guarantee
     return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +113,31 @@ def test_threshold_ordering_in_moment_order_on_chi_squared():
 
 def test_tune_markov_regime_high_dispersion():
     # when the coefficient of variation is large the two-moment optimum
-    # sits at the Markov threshold M1/rate, below the k=2 closed form
+    # sits at the Markov threshold M1/rate, below Cantelli's; the k = 2
+    # closed form takes it there, with the rate as its guarantee
     m = MomentSequence((1.0, 1.0, 26.0))  # C^2 = 25 > (1-A)/A at A = 0.05
+    closed = closed_form_threshold(m, 0.05, 2)
+    assert (closed.alpha, closed.achieved_worst_case) == (20.0, 0.05)
+    assert closed.method is Method.CLOSED_FORM_K2
     res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
     assert res.alpha == pytest.approx(1.0 / 0.05, abs=0.05)
-    assert res.alpha < closed_form_threshold(m, 0.05, 2).alpha
+    assert res.alpha <= closed.alpha < 1.0 + math.sqrt(19.0) * 5.0
     assert res.achieved_worst_case <= 0.05 + 1e-6
+
+
+def test_closed_form_k2_takes_markov_where_it_is_lower():
+    # C^2 = 499 at rate 0.05: Cantelli's threshold is 0.984, where the
+    # tight bound is 0.0102, and Markov's 0.2 already meets the rate
+    m = MomentSequence((1.0, 0.01, 0.05))
+    res = closed_form_threshold(m, 0.05, 2)
+    assert res.alpha == 0.01 / 0.05 == pytest.approx(0.2)
+    assert res.achieved_worst_case == 0.05
+    assert solve_sdp(m, res.alpha).objective <= 0.05 + 1e-9
+    # below the crossover C^2 = (1 - rate) / rate Cantelli's stays
+    m = MomentSequence((1.0, 1.0, 1.0 + 18.0))
+    res = closed_form_threshold(m, 0.05, 2)
+    assert res.alpha == pytest.approx(1.0 + math.sqrt(19.0 * 18.0), rel=1e-14)
+    assert res.alpha < 1.0 / 0.05
 
 
 def test_tune_random_sequences_match_closed_form(rng):
@@ -211,7 +231,7 @@ def test_upper_end_that_no_point_took_down_is_not_solved(monkeypatch):
     assert log == []
     above, bound, certified = detector_tuning._settle(m, res.alpha, 0.05)
     assert not above and bound is None
-    assert res.achieved_worst_case == certified <= 0.05 - detector_tuning._SLACK
+    assert res.achieved_worst_case == certified <= 0.05
     # the mean is the tight bound up to rounding, which the solve there meets
     sol = solve_sdp(m, res.alpha)
     assert sol.status is Status.OPTIMAL
@@ -248,6 +268,77 @@ def test_upper_end_that_no_point_took_down_is_not_solved(monkeypatch):
     assert means[5] == pytest.approx(4.49e-4, abs=1e-6)
 
 
+def test_law_pair_settles_points_within_1e_7_of_the_rate(monkeypatch):
+    # chi-squared(1) at k = 4 and rate 0.01: both law ends at the returned
+    # threshold lie 8.5e-8 under the rate and agree to 5e-18; the
+    # certificate settles the point, and the row reports its mean with no
+    # solve
+    log = _solve_log(monkeypatch)
+    res = tune_threshold_sdp(chi_squared_moments(1, 4), 0.01)
+    assert log == []
+    assert res.achieved_worst_case == 0.009999914662797057
+    assert 0.01 - 1e-7 < res.achieved_worst_case
+    # the laplacian config at seed 20: the k = 4 point that settles the
+    # returned threshold has both ends 1.3e-8 under the rate
+    log = _solve_log(monkeypatch)
+    config = ExperimentConfig.from_json(CONFIG_DIR / "benchmark2d_laplacian.json")
+    rows = run_tune(replace(config, seed=20))
+    assert log == []
+    assert rows[-1].k == 4
+    assert rows[-1].achieved_worst_case == 0.049999986873783056
+
+
+# two-atom sequences of the tune-sweep benchmark (seeds 1 and 12) whose
+# rows from k = 4 on keep the mean M1, where the bound already meets the
+# rate
+KEPT_AT_THE_MEAN = [
+    (
+        MomentSequence(
+            (
+                1.0,
+                1.9300119408307115,
+                4.030636565393069,
+                9.221681693677851,
+                23.05298402124052,
+                61.96689448302229,
+                175.376941452544,
+            )
+        ),
+        0.2,
+    ),
+    (
+        MomentSequence(
+            (
+                1.0,
+                2.0340523944242155,
+                4.146580131735799,
+                8.481981143209662,
+                17.440316940186033,
+                36.14068922494002,
+                75.76170869774629,
+            )
+        ),
+        0.05,
+    ),
+]
+
+
+@pytest.mark.parametrize("seq, rate", KEPT_AT_THE_MEAN)
+def test_achieved_does_not_rise_with_k_at_a_kept_threshold(seq, rate, monkeypatch):
+    # a row returned at the lower end M1 that the row one order down also
+    # returned reports the lesser of its own settling bound and that row's
+    # guarantee, which certifies k moments too
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    rows = [tune_threshold_sdp(seq.truncated(k), rate) for k in range(3, 7)]
+    kept = 0
+    for lower, row in zip(rows, rows[1:]):
+        if row.alpha == lower.alpha:
+            kept += 1
+            assert row.alpha == seq.mean
+            assert row.achieved_worst_case <= lower.achieved_worst_case, row.k
+    assert kept == 2
+
+
 def _row_log(monkeypatch):
     """{(moments, rate): row} of every row that bisection tunes from here
     on, starting from an empty memo."""
@@ -265,21 +356,21 @@ def _row_log(monkeypatch):
 
 def _initial_upper_end(seq, rate, rows):
     """The row whose threshold bisection takes as its initial upper end:
-    the Markov row, or the lower-order row where its threshold is lower."""
-    markov = closed_form_threshold(seq.truncated(1), rate, 1)
+    the row one order down, which is never above the Markov row."""
     if seq.order == 3:
         lower = closed_form_threshold(seq.truncated(2), rate, 2)
     else:
         lower = rows[seq.truncated(seq.order - 1), rate]
-    return lower if lower.alpha <= markov.alpha else markov
+    assert lower.alpha <= closed_form_threshold(seq.truncated(1), rate, 1).alpha
+    return lower
 
 
 def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkeypatch):
     # each row tuned for settled_points reports the bound that settled the
     # threshold it returns: the certificate's mean where a law did, which
-    # lies at least _SLACK below the rate, and the objective where a solve
-    # did.  A fresh solve there that is optimal is the tight bound, which
-    # the certificate meets up to rounding
+    # is at most the rate, and the objective where a solve did.  A fresh
+    # solve there that is optimal is the tight bound, which the
+    # certificate meets up to rounding
     rows = _row_log(monkeypatch)
     cases = {(seq, rate) for seq, _, rate, _ in settled_points}
     for seq, rate in cases:
@@ -312,15 +403,16 @@ def test_row_reports_the_bound_that_settled_its_threshold(settled_points, monkey
         if bound is None:
             by_certificate += 1
             assert row.achieved_worst_case == certified, (seq, rate)
-            assert certified <= rate - detector_tuning._SLACK, (seq, rate)
+            assert certified <= rate, (seq, rate)
             sol = solve_sdp(seq, row.alpha)
             if sol.status is Status.OPTIMAL:
                 assert row.achieved_worst_case <= sol.objective + 1e-9, (seq, rate)
         else:
             by_solve += 1
             assert row.achieved_worst_case == bound, (seq, rate)
-    # 27, 3 and 12 of the 42 rows
-    assert by_certificate >= 25 and by_solve >= 1 and by_upper_end >= 10
+    # 30, 0 and 12 of the 42 rows: with both law ends meeting the rate
+    # itself, no row here is settled by a solve
+    assert by_certificate >= 28 and by_solve == 0 and by_upper_end >= 10
 
 
 def test_every_row_meets_its_rate_and_a_kept_threshold_keeps_its_bound(
@@ -455,31 +547,34 @@ def test_boundary_law_finds_nothing_at_interior_bisection_points(
         assert bound_engine._boundary_law(scaled, seq.order) is None, (seq, alpha)
 
 
-def test_settle_needs_the_slack_beyond_the_rate():
+def test_settle_compares_both_law_ends_with_the_rate():
     # the law {0.5 w.p. 3/4, 2 w.p. 1/4} at alpha = 1 with four moments:
     # no Gauss-Radau rule exists, and the boundary law's ends are 0.25 and
-    # 0.25 less 4 ulps; each rate below puts one end exactly at a margin
-    # of _SLACK in floats, where the end may not settle the point
+    # 0.25 less 4 ulps.  Each end meets the rate itself, with no margin
     m = MomentSequence(tuple(0.75 * 0.5**r + 0.25 * 2.0**r for r in range(5)))
-    lower, upper = bound_engine._law_ends(m, 1.0)
-    assert (lower, upper) == (0.25, 0.2499999999999996)
-    slack = detector_tuning._SLACK
-    # a tail of exactly the rate plus the slack: solved, not settled above
-    rate = 0.2499999
-    assert rate + slack == lower
-    above, bound, certified = detector_tuning._settle(m, 1.0, rate)
-    assert above and bound is not None and certified is None
-    # one ulp of rate lower and the tail settles the point above
-    rate = math.nextafter(rate, 0.0)
+    tail, mean = bound_engine._law_ends(m, 1.0)
+    assert (tail, mean) == (0.25, 0.2499999999999996)
+    # a tail one ulp above the rate settles the point above, with no solve
+    rate = math.nextafter(tail, 0.0)
     assert detector_tuning._settle(m, 1.0, rate) == (True, None, None)
-    # a mean of exactly the rate less the slack: settled below
-    rate = 0.2500000999999996
-    assert rate - slack == upper
-    assert detector_tuning._settle(m, 1.0, rate) == (False, None, upper)
-    # one ulp lower and it is solved
-    rate = math.nextafter(rate, 0.0)
-    above, bound, certified = detector_tuning._settle(m, 1.0, rate)
-    assert not above and bound is not None and certified is None
+    # the ends cross by rounding: at a rate between them, or equal to the
+    # mean, the tail still exceeds it and the point goes up, which only
+    # raises the lower end
+    for rate in (mean, 0.2499999999999998):
+        assert detector_tuning._settle(m, 1.0, rate) == (True, None, None)
+    # at the tail itself the certificate settles the point below, and its
+    # mean is the bound reported
+    assert detector_tuning._settle(m, 1.0, tail) == (False, None, mean)
+    # the boundary certificate of the two-atom law at its k = 4 threshold
+    # for rate 0.2 is loose: its mean 2.59e-4 lies above the law's tail 0.
+    # At a rate strictly between the two ends, the point is solved
+    seq = TWO_ATOM.truncated(4)
+    alpha = tune_threshold_sdp(seq, 0.2, epsilon=1e-4).alpha
+    tail, mean = bound_engine._law_ends(seq, alpha)
+    assert tail == 0.0 and mean == pytest.approx(2.59e-4, abs=1e-6)
+    above, bound, certified = detector_tuning._settle(seq, alpha, 1e-4)
+    assert bound is not None and certified is None
+    assert above == (bound > 1e-4)
 
 
 def test_lower_end_returned_when_its_bound_meets_the_rate():
