@@ -12,8 +12,8 @@ nonnegative axis.  For k = 1 and k = 2 the bound has closed forms
 (Markov; a one-sided Chebyshev form valid at thresholds above M2/M1).
 The tail of an explicit law that matches the moments is a certified
 lower bound where such a law is found: a Gauss-Radau rule with a node at
-the threshold, or the rule one order lower plus one far atom that
-carries the rest of the top moment.  The polynomial that interpolates
+the threshold, or the highest-order rule that fits, plus one far atom
+that carries the rest of the top moment.  The polynomial that interpolates
 the indicator at the nodes of the highest-order rule that exists,
 checked like the SDP's certificate, gives a certified upper bound
 without a solve; at the order-k rule both ends meet up to rounding.  A
@@ -25,6 +25,7 @@ the polynomial that interpolates the indicator at its atoms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -33,11 +34,13 @@ import numpy as np
 
 from . import ipm
 from .ipm import (
+    _NO_CONVERGENCE,
     Status,
     _cholesky,
     _eigh,
     _eigvals,
     _eigvalsh,
+    _lapack_state,
     _solve,
     _solve1,
     svec,
@@ -149,7 +152,8 @@ class PolyBound:
             companion[:, -1] -= column
             roots = _eigvals(companion)
             # polyroots sorts the real parts alone where no root is complex
-            roots = np.sort(roots if roots.imag.any() else roots.real).real
+            complex_roots = True in (roots.imag != 0.0).tolist()
+            roots = np.sort(roots if complex_roots else roots.real).real
         pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
         values = self(pts)
         return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
@@ -273,20 +277,25 @@ def tail_lower_bound(moments: MomentSequence, alpha: float) -> float:
 
     In the units of :func:`build_sdp` (moments s_r of q/alpha, threshold
     1) the law is the Gauss-Radau rule of order k with one node at 1
-    (:func:`_radau_law`).  Where that rule does not exist and k >= 2, it
-    is the rule of order k-1 plus one far atom: the rule of s_0..s_{k-1}
-    leaves d = s_k - sum w_i x_i^k of the k-th moment, which must be
-    nonnegative, and an atom at L = 1e12 max(1, largest node) carries it
+    (:func:`_radau_law`).  Where that rule does not exist or misses a
+    moment, it is the highest-order rule that fits, plus one far atom:
+    the rule of order j < k matches s_0..s_j, must match s_{j+1}..s_{k-1}
+    too, and leaves d = s_k - sum w_i x_i^k of the k-th moment, which must
+    be nonnegative; an atom at L = 1e12 max(1, largest node) carries it
     with weight d / L^k.  Mass may escape to infinity in this way on
     [0, inf) (Karlin & Studden, Tchebycheff Systems, 1966; Krein &
     Nudelman, 1977); the far atom lies above the threshold, so its weight
     counts in the tail.  It also adds d L^(r-k) to each lower moment s_r,
     which the check below rejects where that is not negligible.  Either
     law is accepted only when it reproduces every scaled moment to
-    relative 1e-10.  Where neither gives a positive tail and the order-k
-    rule does not exist, the law is the unique one of a sequence on the
-    boundary of the moment cone (:func:`_boundary_law`), whose tail is
-    the tight bound itself.
+    relative 1e-10.  For chi2(4) at k = 5 and alpha = M1 = 4 the order-5
+    rule misses s_5 and no order-4 rule exists, but the order-3 rule
+    {0: 1/6, 1: 3/4, 3: 1/12} matches s_4 as well, so the law is that
+    rule with a far atom, and its tail is 5/6.  Where the order-k rule
+    does not exist and the order-(k-1) rule with a far atom gives no
+    positive tail, the unique law of a sequence on the boundary of the
+    moment cone (:func:`_boundary_law`), whose tail is the tight bound
+    itself, comes before a far atom on a rule of lower order.
     """
     return _law_ends(moments, alpha, above=0.0)[0]
 
@@ -310,8 +319,7 @@ def _law_ends(
     the order-k law, E[p] is its tail up to rounding: p interpolates the
     indicator at the law's atoms (Karlin & Studden 1966; Bertsimas &
     Popescu 2005).  The far-atom law gives none, since its node at L
-    cannot carry p' = 0 in floating point; the rule of order k-1 that it
-    extends does.
+    cannot carry p' = 0 in floating point; the rule that it extends does.
 
     Where the order-k rule does not exist and these ends leave the point
     open (a tail at most `above`, a mean above `below`), the sequence may
@@ -321,12 +329,21 @@ def _law_ends(
     polished mean of the polynomial that interpolates the indicator at
     its atoms and at 1 are both ends, and they meet up to rounding.  A
     wrong rank, or a step of the rule that fails, leaves the ends above.
+
+    Where the ends so far still leave the point open (a tail at most
+    `above`, a mean above `below` and above `above`), the law is the
+    highest-order rule that fits, plus a far atom (:func:`_far_atom_tail`):
+    where its tail exceeds `above`, it is the lower end, and the upper end
+    is 1.0.  With `below` = `above` = the rate, these are exactly the
+    points where :func:`drdetect.detector_tuning._settle` would solve, and
+    a tail above the rate proves the branch the solve would take, since
+    no certified bound lies under the tail of a law.
     """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
         raise ValueError("threshold must be positive and finite")
     k = moments.order
-    scaled = np.array(moments.scaled(1.0 / alpha).moments)
+    scaled = _scaled(moments, 1.0 / alpha)
     for order in range(k, 0, -1):
         law = _radau_law(scaled, order)
         if law is not None:
@@ -342,19 +359,38 @@ def _law_ends(
         if lower > above:
             return lower, 1.0
         upper = _polish(_interpolant(law[0], order), scaled[: order + 1])[2]
-    if order == k or upper <= below:
+    if upper <= below:
         return lower, upper
+    if order < k:
+        try:
+            boundary = _boundary_law(scaled, k)
+            if boundary is not None:
+                # the atoms and the threshold; for odd k the atom at 0 stays last
+                nodes = boundary[0]
+                if 1.0 not in nodes.tolist():
+                    nodes = np.concatenate(([1.0], nodes))
+                y = _interpolant(nodes, k)
+                lower, upper = _tail(scaled, boundary), _polish(y, scaled[: len(y)])[2]
+        except (ValueError, ArithmeticError):
+            # a factorization that failed, or a certificate that is not finite
+            pass
+    if lower <= above < upper:
+        tail = _far_atom_tail(scaled, order, law)
+        if tail > above:
+            return tail, 1.0
+    return lower, upper
+
+
+def _scaled(moments: MomentSequence, c: float) -> np.ndarray:
+    """The moments of c q as one array, with the arithmetic and the
+    ValueError of :meth:`MomentSequence.scaled`."""
     try:
-        law = _boundary_law(scaled, k)
-        if law is None:
-            return lower, upper
-        # the atoms and the threshold; for odd k the atom at 0 stays last
-        nodes = law[0] if (law[0] == 1.0).any() else np.append(1.0, law[0])
-        y = _interpolant(nodes, k)
-        return _tail(scaled, law), _polish(y, scaled[: len(y)])[2]
-    except (ValueError, ArithmeticError):
-        # a factorization that failed, or a certificate that is not finite
-        return lower, upper
+        scaled = [m * c**r for r, m in enumerate(moments.moments)]
+        if all(map(math.isfinite, scaled)):
+            return np.array(scaled)
+    except OverflowError:  # c**r is not finite
+        pass
+    raise ValueError(f"moments of {c:.3g} X leave the float range")
 
 
 def _tail(scaled: np.ndarray, law) -> float:
@@ -370,8 +406,24 @@ def _tail(scaled: np.ndarray, law) -> float:
 def _fits(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> bool:
     """Whether the law (nodes, weights) reproduces every moment in scaled
     to relative 1e-10."""
-    fit = (weights * nodes ** np.arange(len(scaled))[:, None]).sum(axis=1)
-    return bool((np.abs(fit - scaled) <= 1e-10 * scaled).all())
+    fit = (weights * nodes ** _powers(len(scaled))).sum(axis=1)
+    return False not in (abs(fit - scaled) <= 1e-10 * scaled).tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _powers(n: int) -> np.ndarray:
+    """The exponents 0..n-1 as a column."""
+    column = np.arange(n)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _radau_law(scaled: np.ndarray, k: int):
@@ -390,23 +442,27 @@ def _radau_law(scaled: np.ndarray, k: int):
     A singular Hankel matrix gives none.
     """
     hankel = _hankel_matrix(scaled, k)
-    try:
-        upper = _cholesky(hankel).T
-    except np.linalg.LinAlgError:
-        return None
-    n = hankel.shape[0] - 1
-    jacobi = _jacobi(upper)
-    if n:
-        # the entry that makes 1 an eigenvalue: (J_n - I) d = b_n^2 e_n
-        rhs = np.zeros(n)
-        rhs[-1] = jacobi[n, n - 1] ** 2
+    n = len(hankel) - 1
+    # one error state for the rule's gufuncs, numpy.linalg's own: a factor
+    # or a solve that fails is no rule, and an eigh that fails raises
+    # numpy's LinAlgError
+    with _lapack_state(_NO_CONVERGENCE):
         try:
-            jacobi[n, n] = 1.0 + _solve1(jacobi[:n, :n] - np.eye(n), rhs)[-1]
+            upper = _cholesky.raw(hankel).T
         except np.linalg.LinAlgError:
             return None
-    nodes, vectors = _eigh(jacobi)
+        jacobi = _jacobi(upper)
+        if n:
+            # the entry that makes 1 an eigenvalue: (J_n - I) d = b_n^2 e_n
+            rhs = np.zeros(n)
+            rhs[-1] = jacobi[n, n - 1] ** 2
+            try:
+                jacobi[n, n] = 1.0 + _solve1.raw(jacobi[:n, :n] - _eye(n), rhs)[-1]
+            except np.linalg.LinAlgError:
+                return None
+        nodes, vectors = _eigh.raw(jacobi)
     weights = hankel[0, 0] * vectors[0] ** 2
-    nodes[np.argmin(np.abs(nodes - 1.0))] = 1.0
+    nodes[abs(nodes - 1.0).argmin()] = 1.0
     return _on_half_line(scaled, k, nodes, weights)
 
 
@@ -443,13 +499,13 @@ def _on_half_line(
     negative mass left over as none, for the moment check to judge: a law
     with no atom at 0 leaves a few ulps of either sign there."""
     if k % 2:
-        if (nodes <= 0.0).any():
+        if True in (nodes <= 0.0).tolist():
             return None
         weights = weights / nodes
-        nodes = np.append(nodes, 0.0)
         rest = scaled[0] - weights.sum()
-        weights = np.append(weights, max(0.0, rest) if clip else rest)
-    if (nodes < 0.0).any() or (weights < 0.0).any():
+        nodes = np.concatenate((nodes, [0.0]))
+        weights = np.concatenate((weights, [max(0.0, rest) if clip else rest]))
+    if True in (nodes < 0.0).tolist() or True in (weights < 0.0).tolist():
         return None
     return nodes, weights
 
@@ -458,7 +514,7 @@ def _rank(hankel: np.ndarray) -> int:
     """Numerical rank of a positive semidefinite matrix: the count of its
     eigenvalues above 1e-12 times its largest diagonal entry."""
     tol = 1e-12 * hankel.diagonal().max()
-    return int((_eigvalsh(hankel) > tol).sum())
+    return int(np.count_nonzero(_eigvalsh(hankel) > tol))
 
 
 def _boundary_law(scaled: np.ndarray, k: int):
@@ -480,9 +536,11 @@ def _boundary_law(scaled: np.ndarray, k: int):
     r = _rank(hankel)
     if not 0 < r < len(hankel):
         return None
-    lead = _cholesky(hankel[:r, :r])
-    upper = _solve(lead, hankel[:r, : r + 1])
-    nodes, vectors = _eigh(_jacobi(upper))
+    # one error state for the rule's gufuncs; the caller catches what fails
+    with _lapack_state(_NO_CONVERGENCE):
+        lead = _cholesky.raw(hankel[:r, :r])
+        upper = _solve.raw(lead, hankel[:r, : r + 1])
+        nodes, vectors = _eigh.raw(_jacobi(upper))
     law = _on_half_line(scaled, k, nodes, hankel[0, 0] * vectors[0] ** 2, clip=True)
     return law if law is not None and _fits(scaled, *law) else None
 
@@ -502,7 +560,26 @@ def _far_atom_law(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
         omega = d / far**k
     except OverflowError:
         return None
-    return np.append(nodes, far), np.append(weights, omega)
+    return np.concatenate((nodes, [far])), np.concatenate((weights, [omega]))
+
+
+def _far_atom_tail(scaled: np.ndarray, order: int, law) -> float:
+    """Tail of the highest-order Gauss-Radau rule that fits its own
+    moments plus :func:`_far_atom_law`'s far atom, where that law fits all
+    k + 1 moments in scaled; else 0.0, and 0.0 where that rule is one
+    :func:`_law_ends` already took, the order-k law or the order-(k-1)
+    rule with its far atom.  `law` is the rule of `order`, the highest
+    that exists."""
+    k = len(scaled) - 1
+    for j in range(order, 0, -1):
+        rule = law if j == order else _radau_law(scaled, j)
+        if rule is not None and _fits(scaled[: j + 1], *rule):
+            break
+    else:
+        return 0.0
+    if j == order >= k - 1:
+        return 0.0
+    return _tail(scaled, _far_atom_law(scaled, *rule))
 
 
 def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
@@ -520,7 +597,7 @@ def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
     single = nodes == 1.0
     if k % 2:
         single[-1] = True
-    z = sorted(np.append(nodes, nodes[~single]).tolist())
+    z = sorted(nodes.tolist() + nodes[~single].tolist())
     degree = len(z) - 1
     diffs = [float(x >= 1.0) for x in z]
     for level in range(1, degree + 1):

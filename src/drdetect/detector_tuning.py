@@ -144,7 +144,13 @@ def tune_threshold_sdp(
     point and no Gauss-Radau rule of order k exists, a sequence of few
     atoms on the boundary of the moment cone has one law, and its tail and
     its certificate's mean settle the point in the same way; these are the
-    points where solves stall.
+    points where solves stall.  Where the point is still open, the
+    highest-order Gauss-Radau rule that fits its own moments, plus a far
+    atom, may be a law with all k moments whose tail settles it above the
+    rate.  No measured input reaches a solve: neither the `tune-sweep`
+    benchmark inputs at seeds 0-21 nor `drdetect all` on either
+    checked-in config at the seeds whose outputs are checked byte for
+    byte.
 
     The value returned is the bound that settled the returned threshold:
     the objective of :func:`solve_sdp` where a solve did, and the polished

@@ -19,7 +19,10 @@ a call on that slice alone does.  Those three, like the solves and
 eigenvalues of :mod:`drdetect.bound_engine`, call the gufuncs of
 ``numpy.linalg._umath_linalg`` that numpy.linalg's functions call
 themselves (:func:`_lapack`), which skips the checks and conversions those
-wrappers spend most of their time on for matrices this small.
+wrappers spend most of their time on for matrices this small.  Each call
+enters numpy.linalg's error state; the Gauss-Radau and boundary rules of
+:mod:`drdetect.bound_engine` enter it once per rule
+(:func:`_lapack_state`) and call the bare gufuncs inside.
 """
 from __future__ import annotations
 
@@ -54,21 +57,32 @@ _MAX_ITER = 100
 _STALL_ITERS = 20
 
 
-def _lapack(gufunc, signature: str, failure: str):
-    """`gufunc` of ``numpy.linalg._umath_linalg`` on float64 operands, as
-    the numpy.linalg function that calls it runs it: under the same error
-    state, so a factorization that fails raises LinAlgError(failure) and
-    no RuntimeWarning, and with the same bits."""
+def _lapack_state(failure: str) -> np.errstate:
+    """The error state under which numpy.linalg runs its gufuncs: one that
+    fails raises LinAlgError(failure), and none warns."""
 
     def fail(err, flag):
         raise np.linalg.LinAlgError(failure)
 
-    def call(*operands):
-        with np.errstate(
-            call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
-        ):
-            return gufunc(*operands, signature=signature)
+    return np.errstate(
+        call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
 
+
+def _lapack(gufunc, signature: str, failure: str):
+    """`gufunc` of ``numpy.linalg._umath_linalg`` on float64 operands, as
+    the numpy.linalg function that calls it runs it: under the same error
+    state (:func:`_lapack_state`), so a factorization that fails raises
+    LinAlgError(failure) and no RuntimeWarning, and with the same bits.
+    Its `raw` attribute runs the gufunc alone, for a caller that holds
+    such a state over several calls."""
+    raw = functools.partial(gufunc, signature=signature)
+
+    def call(*operands):
+        with _lapack_state(failure):
+            return raw(*operands)
+
+    call.raw = raw
     return call
 
 

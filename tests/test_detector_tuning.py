@@ -15,6 +15,7 @@ from drdetect import (
     closed_form_threshold,
     noise_threshold,
     solve_sdp,
+    tail_lower_bound,
     tune_threshold_sdp,
 )
 from drdetect import ExperimentConfig, bound_engine, detector_tuning, run_tune
@@ -286,6 +287,20 @@ def test_law_pair_settles_points_within_1e_7_of_the_rate(monkeypatch):
     assert log == []
     assert rows[-1].k == 4
     assert rows[-1].achieved_worst_case == 0.049999986873783056
+
+
+def test_far_atom_on_the_highest_fitting_rule_settles_without_a_solve(monkeypatch):
+    # chi-squared(4) at k = 5 and alpha = M1 = 4, a point of every tuning
+    # run at this order: the order-5 rule misses s_5 and no order-4 rule
+    # exists.  The order-3 rule {0: 1/6, 1: 3/4, 3: 1/12} matches s_4 too,
+    # and a far atom that carries the rest of s_5 makes it a law with all
+    # six moments, whose tail 5/6 settles the point above every rate
+    seq = chi_squared_moments(4, 5)
+    assert abs(tail_lower_bound(seq, 4.0) - 5 / 6) <= 1e-12
+    for rate in (0.01, 0.05, 0.2):
+        log = _solve_log(monkeypatch)
+        tune_threshold_sdp(seq, rate)
+        assert log == [], rate
 
 
 # two-atom sequences of the tune-sweep benchmark (seeds 1 and 12) whose
