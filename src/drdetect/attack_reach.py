@@ -164,9 +164,11 @@ def reach_bound(
     naming its step i.
 
     The powers come from `_power_blocks`; each block takes one stacked
-    product for its shape matrices, one batched support evaluation and one
-    reduction over its rows in series order.  Every value has the bits of
-    the same arithmetic done one matrix and one summand at a time.
+    product for its shape matrices, one batched support evaluation into a
+    buffer whose first row is the running support, one max that finds a
+    support value that is not finite, and one reduction over its rows in
+    series order.  Every value has the bits of the same arithmetic done
+    one matrix and one summand at a time.
 
     For planar systems the boundary is the circumscribed polygon: vertex i
     solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1 mod n_dirs), one
@@ -191,15 +193,17 @@ def reach_bound(
         for start, ph in _power_blocks(sys, 0, t - 1):
             q = (scale * ph) @ middle @ ph.swapaxes(-1, -2)
             q = (0.5 * (q + q.swapaxes(-1, -2))).reshape(-1, n, n)
-            # this matmul form gives the bits of d @ q @ d per row
-            val = np.matmul((dirs @ q)[..., None, :], dirs[:, :, None])[..., 0, 0]
-            roots = np.sqrt(np.maximum(0.0, val))
-            bad = ~np.isfinite(roots).all(axis=1)
-            if bad.any():
+            # row 0 carries the running support, the rows after it the roots
+            block = np.empty((1 + len(q), n_dirs))
+            block[0] = support
+            # vecdot gives the bits of d @ q @ d per row
+            np.sqrt(np.maximum(0.0, np.vecdot(dirs @ q, dirs)), out=block[1:])
+            if not np.isfinite(block[1:].max()):
+                bad = ~np.isfinite(block[1:]).all(axis=1)
                 step = start + int(bad.argmax()) // 2
                 raise ArithmeticError(f"support function diverged at step {step}")
             # row by row in series order, w then h per i, as np.sum would not add
-            support = np.add.reduce(np.concatenate([support[None], roots]), axis=0)
+            support = np.add.reduce(block, axis=0)
 
     boundary = area = None
     if sys.n == 2:

@@ -46,7 +46,7 @@ from .ipm import (
     svec,
     svec_dim,
 )
-from .moment_core import MomentSequence, _hankel_matrix, is_feasible
+from .moment_core import MomentSequence, _hankel_matrix, _scaled_moments, is_feasible
 
 __all__ = [
     "PolyBound",
@@ -121,47 +121,68 @@ class PolyBound:
     def slack(self) -> float:
         """Least certificate margin: the smaller of min p - 1 on
         [threshold, inf) and min p on [0, threshold], exact up to
-        rounding.  It is -inf when the leading coefficient is negative;
-        otherwise p is evaluated at 0, at the threshold and at the real
-        part of every root of p' that is nonnegative.  Taking every root
-        keeps a real one that comes back with a rounding-size imaginary
-        part; a point that is not a critical point can only bring the
-        computed minimum closer to the true one.
-
-        The roots are those numpy.polynomial's polyroots returns, with
-        its arithmetic: the eigenvalues of the companion matrix of p', in
-        ascending order.  A companion matrix that is not finite raises
-        `LinAlgError`."""
-        c = self.coeffs
-        top = len(c)  # the degree plus one, trailing zeros trimmed
-        while top > 1 and c[top - 1] == 0.0:
-            top -= 1
-        if top > 1 and c[top - 1] < 0.0:
-            return -math.inf
-        a = self.threshold
-        der = [j * c[j] for j in range(1, top)]
-        if len(der) < 3:
-            roots = np.array([-der[0] / der[1]] if len(der) == 2 else [])
-        else:
-            n = len(der) - 1
-            column = [d / der[-1] for d in der[:-1]]
-            if not all(map(math.isfinite, column)):
-                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-            companion = np.zeros((n, n))
-            companion.reshape(-1)[n :: n + 1] = 1.0
-            companion[:, -1] -= column
-            roots = _eigvals(companion)
-            # polyroots sorts the real parts alone where no root is complex
-            complex_roots = True in (roots.imag != 0.0).tolist()
-            roots = np.sort(roots if complex_roots else roots.real).real
-        pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
-        values = self(pts)
-        return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
+        rounding, and -inf for a negative leading coefficient
+        (:func:`_slack`)."""
+        return _slack(self.coeffs, self.threshold)
 
     def is_valid(self) -> bool:
         """Certificate check: p >= 1 on [threshold, inf) and p >= 0 on
         [0, threshold], within -1e-6."""
         return self.slack() >= -1e-6
+
+
+def _slack(coeffs: tuple | list, threshold: float) -> float:
+    """Least certificate margin of p(q) = sum_r coeffs[r] q^r at the
+    threshold: the smaller of min p - 1 on [threshold, inf) and min p on
+    [0, threshold], exact up to rounding.  It is -inf when the leading
+    coefficient is negative; otherwise p is evaluated at 0, at the
+    threshold and at the real part of every root of p' that is
+    nonnegative.  Taking every root keeps a real one that comes back with
+    a rounding-size imaginary part; a point that is not a critical point
+    can only bring the computed minimum closer to the true one.
+
+    The roots are the eigenvalues of the companion matrix of p', as
+    numpy.polynomial's polyroots computes them; a companion matrix that
+    is not finite raises `LinAlgError`.  p is evaluated by Horner's rule
+    as :meth:`PolyBound.__call__`, in Python floats, and each side's least
+    value follows numpy's min: a NaN stands, and of equal values the last
+    (:func:`_least`).  The outer min of the two sides is Python's, so a
+    NaN on the lower side alone is passed over.  The result does not
+    depend on the order of the roots, but for the sign of a zero least
+    value that 0.0 and -0.0 both reach."""
+    top = len(coeffs)  # the degree plus one, trailing zeros trimmed
+    while top > 1 and coeffs[top - 1] == 0.0:
+        top -= 1
+    if top > 1 and coeffs[top - 1] < 0.0:
+        return -math.inf
+    der = [j * coeffs[j] for j in range(1, top)]
+    if len(der) < 3:
+        roots = [-der[0] / der[1]] if len(der) == 2 else []
+    else:
+        n = len(der) - 1
+        column = [d / der[-1] for d in der[:-1]]
+        if not all(map(math.isfinite, column)):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        companion = np.zeros((n, n))
+        companion.reshape(-1)[n :: n + 1] = 1.0
+        companion[:, -1] -= column
+        roots = _eigvals(companion).real.tolist()
+    above, below = [], []
+    for x in [0.0, threshold, *(r for r in roots if r >= 0.0)]:
+        value = coeffs[-1] + x * 0
+        for coeff in coeffs[-2::-1]:
+            value = coeff + value * x
+        if x >= threshold:
+            above.append(value)
+        if x <= threshold:
+            below.append(value)
+    return min(_least(above) - 1.0, _least(below))
+
+
+def _least(values: list) -> float:
+    """The least of values as numpy's min takes it: a NaN stands, and of
+    equal values (0.0 and -0.0) the last."""
+    return math.nan if True in map(math.isnan, values) else min(reversed(values))
 
 
 def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
@@ -207,26 +228,25 @@ def build_sdp(moments: MomentSequence) -> ipm.ConicProblem:
     )
 
 
-def _polish(y: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _polish(y: list, scaled: np.ndarray) -> tuple[list, float, float]:
     """A certified upper bound from a certificate y in units of the
     threshold, for the moments `scaled` of q/alpha: (the polished
     coefficients, the shift, their mean clipped to [0, 1]).
 
-    The certificate is checked exactly by :meth:`PolyBound.slack`, and
-    any negative slack is added to its constant coefficient as the shift,
-    so the mean E[p] = sum y_r s_r bounds every law with these moments
+    The certificate is checked exactly by :func:`_slack`, and any
+    negative slack is added to its constant coefficient as the shift, so
+    the mean E[p] = sum y_r s_r bounds every law with these moments
     whatever the accuracy of y.  No shift repairs a negative leading
     coefficient (the shift is inf there), so p falls back to the trivial
-    certificate p = 1.
+    certificate p = 1.  The coefficients are Python floats, checked
+    finite as :class:`PolyBound` checks them; only the mean goes through
+    numpy, whose dot and clip fix its bits.
     """
-    shift = max(0.0, -PolyBound(tuple(y), 1.0).slack())
-    if math.isinf(shift):
-        y = np.zeros(len(y))
-        y[0] = 1.0
-    else:
-        y = y.copy()
-        y[0] += shift
-    return y, shift, float(np.clip(np.dot(y, scaled), 0.0, 1.0))
+    if not all(map(math.isfinite, y)):
+        raise ValueError("coefficients must be finite")
+    shift = max(0.0, -_slack(y, 1.0))
+    y = [1.0] + [0.0] * (len(y) - 1) if math.isinf(shift) else [y[0] + shift, *y[1:]]
+    return y, shift, float(np.dot(y, scaled).clip(0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -258,7 +278,7 @@ def solve_sdp(moments: MomentSequence, alpha: float) -> SdpSolution:
         raise ValueError("infeasible moment sequence")
     conic = build_sdp(moments.scaled(1.0 / alpha))
     result = ipm.solve(conic)
-    y_scaled, shift, objective = _polish(result.x_free, conic.c_free)
+    y_scaled, shift, objective = _polish(result.x_free.tolist(), conic.c_free)
     status = Status.NUMERICAL_TROUBLE if shift > 1e-5 else result.status
     coeffs = tuple(y_scaled[r] / alpha**r for r in range(len(y_scaled)))
     return SdpSolution(
@@ -343,7 +363,7 @@ def _law_ends(
     if not 0 < alpha < math.inf:
         raise ValueError("threshold must be positive and finite")
     k = moments.order
-    scaled = _scaled(moments, 1.0 / alpha)
+    scaled = np.array(_scaled_moments(moments.moments, 1.0 / alpha))
     for order in range(k, 0, -1):
         law = _radau_law(scaled, order)
         if law is not None:
@@ -379,18 +399,6 @@ def _law_ends(
         if tail > above:
             return tail, 1.0
     return lower, upper
-
-
-def _scaled(moments: MomentSequence, c: float) -> np.ndarray:
-    """The moments of c q as one array, with the arithmetic and the
-    ValueError of :meth:`MomentSequence.scaled`."""
-    try:
-        scaled = [m * c**r for r, m in enumerate(moments.moments)]
-        if all(map(math.isfinite, scaled)):
-            return np.array(scaled)
-    except OverflowError:  # c**r is not finite
-        pass
-    raise ValueError(f"moments of {c:.3g} X leave the float range")
 
 
 def _tail(scaled: np.ndarray, law) -> float:
@@ -472,21 +480,27 @@ def _jacobi(upper: np.ndarray) -> np.ndarray:
     Math. Comp. 1969): a_j = r_{j,j+1}/r_{jj} - r_{j-1,j}/r_{j-1,j-1} and
     b_j = r_{jj}/r_{j-1,j-1}.  R with one column more than rows gives
     every entry; a square R leaves the last diagonal entry at 1, for the
-    caller to set.  Each entry is added into zeros, which gives the bits
-    of a sum of diagonal matrices, signed zeros included."""
-    n = len(upper)
-    pivots = upper.diagonal()
-    ratio = upper.diagonal(1) / pivots[: upper.shape[1] - 1]
-    a = np.ones(n)
-    a[: len(ratio)] = ratio
-    a[1 : len(ratio)] -= ratio[:-1]
-    b = pivots[1:] / pivots[:-1]
-    jacobi = np.zeros((n, n))
-    entries = jacobi.reshape(-1)
-    entries[:: n + 1] += a
-    entries[1 :: n + 1] += b
-    entries[n :: n + 1] += b
-    return jacobi
+    caller to set.  The entries are Python floats, each added into 0.0,
+    which gives the bits of a sum of diagonal matrices in numpy, signed
+    zeros included.  An entry that comes out NaN raises the LinAlgError
+    that numpy's invalid-value flag raises under the callers' error
+    state (:func:`drdetect.ipm._lapack_state`).  A zero pivot, which no
+    Cholesky factor has, raises ZeroDivisionError where numpy divided
+    into inf; :func:`_law_ends` catches both on the boundary law's path."""
+    rows = upper.tolist()
+    n = len(rows)
+    flat = [0.0] * (n * n - 1) + [1.0]  # what a square R leaves at (n-1, n-1)
+    last = 0.0  # r_{j-1,j}/r_{j-1,j-1}; x - 0.0 is x, bit for bit
+    for j, row in enumerate(rows):
+        d = j * (n + 1)  # the place of (j, j)
+        if j:
+            flat[d - 1] = flat[d - n] = 0.0 + row[j] / rows[j - 1][j - 1]
+        if j + 1 < len(row):
+            flat[d] = 0.0 + ((ratio := row[j + 1] / row[j]) - last)
+            last = ratio
+    if True in map(math.isnan, flat):
+        raise np.linalg.LinAlgError(_NO_CONVERGENCE)
+    return np.array(flat).reshape(n, n)
 
 
 def _on_half_line(
@@ -582,7 +596,7 @@ def _far_atom_tail(scaled: np.ndarray, order: int, law) -> float:
     return _tail(scaled, _far_atom_law(scaled, *rule))
 
 
-def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
+def _interpolant(nodes: np.ndarray, k: int) -> list:
     """Coefficients, in units of the threshold, of the polynomial p that
     certifies a law with these nodes, among them 1: the Gauss-Radau rule
     of order k (:func:`_radau_law`), or the boundary law of order k with
@@ -594,20 +608,20 @@ def _interpolant(nodes: np.ndarray, k: int) -> np.ndarray:
     built in Newton form over the nodes in ascending order, whose divided
     differences stay accurate at the small nodes that carry most of the
     mass; at a repeated node the first difference is p' = 0."""
-    single = nodes == 1.0
-    if k % 2:
-        single[-1] = True
-    z = sorted(nodes.tolist() + nodes[~single].tolist())
+    z = nodes.tolist()
+    z = sorted(z + [x for x in (z[:-1] if k % 2 else z) if x != 1.0])
     degree = len(z) - 1
-    diffs = [float(x >= 1.0) for x in z]
+    diffs = [1.0 if x >= 1.0 else 0.0 for x in z]
     for level in range(1, degree + 1):
         for i in range(degree, level - 1, -1):
             step = z[i] - z[i - level]
             diffs[i] = (diffs[i] - diffs[i - 1]) / step if step > 0.0 else 0.0
-    # Horner's rule on the Newton form: p <- p (x - z_j) + diffs_j
-    coeffs = [diffs[degree]]
-    for j in range(degree - 1, -1, -1):
-        shifted = [0.0] + coeffs
-        coeffs = [lo - z[j] * hi for lo, hi in zip(shifted, coeffs + [0.0])]
-        coeffs[0] += diffs[j]
-    return np.array(coeffs)
+    # Horner's rule on the Newton form, in place: p <- p (x - z_j) + diffs_j
+    # for j = degree - 1 down to 0, where p has `size` coefficients
+    coeffs = [diffs[degree]] * (degree + 1)
+    for size, (x, diff) in enumerate(zip(z[-2::-1], diffs[-2::-1]), 1):
+        coeffs[size] = coeffs[size - 1] - x * 0.0
+        for i in range(size - 1, 0, -1):
+            coeffs[i] = coeffs[i - 1] - x * coeffs[i]
+        coeffs[0] = (0.0 - x * coeffs[0]) + diff
+    return coeffs

@@ -9,6 +9,7 @@ serves as ground truth when the residuals are Gaussian.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,19 +70,34 @@ class MomentSequence:
         ValueError when a scaled moment leaves the float range."""
         if not c > 0:
             raise ValueError("scale factor must be positive")
-        try:
-            return MomentSequence(tuple(m * c**r for r, m in enumerate(self.moments)))
-        except (OverflowError, ValueError):  # c**r, or a moment, is not finite
-            raise ValueError(f"moments of {c:.3g} X leave the float range") from None
+        return MomentSequence(tuple(_scaled_moments(self.moments, c)))
+
+
+def _scaled_moments(moments: tuple, c: float) -> list[float]:
+    """The moments m_r c^r of c X as a list of floats.  Raises ValueError
+    when one leaves the float range."""
+    try:
+        scaled = [m * c**r for r, m in enumerate(moments)]
+        if all(map(math.isfinite, scaled)):
+            return scaled
+    except OverflowError:  # c**r is not finite
+        pass
+    raise ValueError(f"moments of {c:.3g} X leave the float range")
 
 
 def _hankel_matrix(moments: tuple | np.ndarray, index: int) -> np.ndarray:
     """Hankel matrix R_index: entry (i, j) = M_{i+j} for even index,
     M_{i+j+1} for odd, with i, j = 0..floor(index/2)."""
-    m = np.asarray(moments, dtype=float)
-    half, shift = divmod(index, 2)
-    i = np.arange(half + 1)
-    return m[i[:, None] + i + shift]
+    return np.asarray(moments, dtype=float)[_hankel_index(index)]
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_index(index: int) -> np.ndarray:
+    """The index array i + j (+ 1 for odd index) of :func:`_hankel_matrix`."""
+    i = np.arange(index // 2 + 1)
+    table = np.add.outer(i, i + index % 2)
+    table.flags.writeable = False
+    return table
 
 
 def hankel_pair(seq: MomentSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -119,19 +135,22 @@ class _PowerSums:
     """Exact sums of x, x^2, ..., x^k over nonnegative samples fed in
     pieces.
 
-    Each power is m 2^(e-53) with a 53-bit integer m (np.frexp).  m splits
-    into a 27-bit high and a 26-bit low part, and np.bincount sums each
-    part per exponent e, exactly in float64 for up to 2^26 values per
-    piece.  The per-exponent sums add up exactly as a Python int, and each
-    total carries over the pieces as an exact n 2^s.  So the sums depend
-    neither on the order of the samples nor on how they are split
-    (Shewchuk, DCG 1997), and `sums` rounds each once, to the bits of
-    Shewchuk's fsum.
+    Each power splits into hi, its low 26 mantissa bits cleared, and
+    lo = power - hi; both are exact.  np.bincount sums each half per
+    exponent field (the float's bits >> 52).  On its field's unit hi has
+    at most 27 significant bits and lo 26, so each bin's sum is exact in
+    float64 for up to 2^26 values per piece.  Every bin sum goes into an
+    exact Python int in units of 2^-1074, the least subnormal.  So the
+    sums depend neither on the order of the samples nor on how they are
+    split (Shewchuk, DCG 1997), and `sums` rounds each once, to the bits
+    of Shewchuk's fsum.  The samples are added to 0.0 first, so no power
+    of -0.0 carries a sign bit, and an inf or NaN power shows as field
+    2047.
     """
 
     def __init__(self, k: int) -> None:
         self.count = 0
-        self._totals = [(0, 0)] * k  # (n, s): the sum of x^(r+1) is n 2^s
+        self._totals = [0] * k  # the sum of x^(r+1) in units of 2^-1074
 
     def add(self, x: np.ndarray) -> None:
         """Add the powers of the samples in x, at most 2^26 of them.
@@ -139,30 +158,26 @@ class _PowerSums:
         finite."""
         if np.any(x < 0):
             raise ValueError("negative sample: the detection measure is nonnegative")
+        x = np.add(x, 0.0, dtype=float)  # -0.0 becomes 0.0: no power has a sign bit
         power = np.ones_like(x)
-        for r, (total, scale) in enumerate(self._totals):
+        for r in range(len(self._totals)):
             power = power * x
-            if not np.isfinite(power).all():
+            field = power.view(np.int64) >> 52
+            if field.max() == 2047:  # inf or NaN
                 raise ValueError("all moments must be finite")
-            mant, exp = np.frexp(power)
-            mant = (mant * 2.0**53).astype(np.int64)
-            low = int(exp.min())
-            shift = exp - low
-            high = np.bincount(shift, weights=mant >> 26)
-            rest = np.bincount(shift, weights=mant & ((1 << 26) - 1))
-            piece = 0
-            for i in np.flatnonzero(high + rest):
-                piece += ((int(high[i]) << 26) + int(rest[i])) << int(i)
-            low -= 53
-            common = min(scale, low)
-            total = (total << (scale - common)) + (piece << (low - common))
-            self._totals[r] = (total, common)
+            hi = (power.view(np.int64) & -(1 << 26)).view(np.float64)
+            bins = np.concatenate([np.bincount(field, h) for h in (hi, power - hi)])
+            for value in bins[bins != 0.0].tolist():
+                # a bin that overflowed holds at least 2^1024, past the float
+                # range as the exact sum is, so `sums` raises
+                n, d = value.as_integer_ratio() if value < math.inf else (1 << 1024, 1)
+                self._totals[r] += n << (1075 - d.bit_length())
         self.count += x.size
 
     def sums(self) -> list[float]:
         """The correctly rounded sums of x, ..., x^k.  Raises
         OverflowError when one exceeds the float range."""
-        return [float(n << s) if s >= 0 else n / (1 << -s) for n, s in self._totals]
+        return [total / (1 << 1074) for total in self._totals]
 
     def moments(self) -> MomentSequence:
         """Raw moments M^r = (sum of x^r) / count for r = 0..k."""

@@ -169,17 +169,23 @@ def test_poly_bound_slack_finds_interior_dip():
     assert PolyBound((2.0, 1.0, -1e-9), 1.0).slack() == -math.inf
 
 
-def _numpy_slack(p):
-    """PolyBound.slack as numpy.polynomial's trim, derivative, roots and
-    evaluation give it."""
+def _numpy_slack(coeffs, threshold):
+    """PolyBound.slack as numpy gives it: the trailing zeros trimmed, then
+    numpy.polynomial's derivative, roots and evaluation, and numpy's min
+    on each side.  (numpy.polynomial's polytrim would also drop a
+    trailing NaN.)"""
     poly = np.polynomial.polynomial
-    coeffs = poly.polytrim(p.coeffs)
-    if len(coeffs) > 1 and coeffs[-1] < 0.0:
+    top = len(coeffs)
+    while top > 1 and coeffs[top - 1] == 0.0:
+        top -= 1
+    if top > 1 and coeffs[top - 1] < 0.0:
         return -math.inf
-    a = p.threshold
-    roots = poly.polyroots(poly.polyder(coeffs)).real
-    pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
-    values = poly.polyval(pts, p.coeffs)
+    a = threshold
+    # inf - inf and inf / inf are NaN here, as in the scalar code
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        roots = poly.polyroots(poly.polyder(coeffs[:top])).real
+        pts = np.concatenate(([0.0, a], roots[roots >= 0.0]))
+        values = poly.polyval(pts, coeffs)
     return float(min(values[pts >= a].min() - 1.0, values[pts <= a].min()))
 
 
@@ -196,14 +202,102 @@ def test_slack_and_evaluation_keep_the_bits_of_numpy_polynomial():
                 cases += [np.append(coeffs[:-1], -coeffs[-1])]
                 cases += [np.append(cases[-1], 0.0)]
             for c in cases:
-                p = PolyBound(tuple(c), float(rng.uniform(0.1, 5.0)))
-                assert repr(p.slack()) == repr(_numpy_slack(p)), p
+                a = float(rng.uniform(0.1, 5.0))
+                p = PolyBound(tuple(c), a)
+                assert repr(p.slack()) == repr(_numpy_slack(p.coeffs, a)), p
                 x = rng.uniform(0.0, 10.0, size=9)
                 poly = np.polynomial.polynomial.polyval
                 assert p(x).tobytes() == poly(x, p.coeffs).tobytes()
                 assert repr(float(p(x[0]))) == repr(float(poly(x[0], p.coeffs)))
                 checked += 1
     assert checked == 60 * (2 + 4 * 6)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the name of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+def test_slack_propagates_nan_and_inf_as_numpy_did():
+    # _slack runs on Python floats and takes each side's least value as
+    # numpy's min does, a NaN included, and the outer min is Python's.
+    # p = inf - 1e300 q + q^3/3 is NaN at its critical point q = 1e150:
+    # inf + -inf.  Above a threshold of 1 that NaN stands, where a
+    # NaN-blind min would give inf; below a threshold of 1e151 it is
+    # passed over by the outer min, as numpy's values were
+    inf, nan = math.inf, math.nan
+    dip = [inf, -1e300, 0.0, 1.0 / 3.0]
+    assert repr(bound_engine._slack(dip, 1.0)) == repr(_numpy_slack(dip, 1.0)) == "nan"
+    assert repr(bound_engine._slack(dip, 1e151)) == "inf"
+    assert _numpy_slack(dip, 1e151) == inf
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for _ in range(2000):
+        degree = int(rng.integers(0, 7))
+        c = (rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-3, 4)).tolist()
+        c[-1] = abs(c[-1])
+        for _ in range(int(rng.integers(1, 3))):
+            c[int(rng.integers(len(c)))] = (nan, inf, -inf)[int(rng.integers(3))]
+        a = float(rng.uniform(0.1, 5.0))
+        got = _outcome(bound_engine._slack, c, a)
+        assert got == _outcome(_numpy_slack, c, a), (c, a)
+        outcomes.add(got)
+    # every kind of result: a companion matrix that is not finite, a
+    # negative leading coefficient, and NaN and inf margins
+    assert outcomes == {"LinAlgError", "-inf", "nan", "inf"}
+
+
+def _numpy_jacobi(upper):
+    """bound_engine._jacobi as numpy array arithmetic built it: the ratios
+    and pivot quotients as arrays, each added into a matrix of zeros."""
+    n = len(upper)
+    pivots = upper.diagonal()
+    ratio = upper.diagonal(1) / pivots[: upper.shape[1] - 1]
+    a = np.ones(n)
+    a[: len(ratio)] = ratio
+    a[1 : len(ratio)] -= ratio[:-1]
+    b = pivots[1:] / pivots[:-1]
+    jacobi = np.zeros((n, n))
+    entries = jacobi.reshape(-1)
+    entries[:: n + 1] += a
+    entries[1 :: n + 1] += b
+    entries[n :: n + 1] += b
+    return jacobi
+
+
+def test_jacobi_keeps_the_bits_of_the_array_formula(settled_points):
+    # every Cholesky factor of a Hankel matrix of the scaled moments at
+    # the settled points, square as the Gauss-Radau rule takes it and with
+    # its last row dropped as the boundary law takes it; and a factor
+    # whose ratio -0.0 / 2 only the addition into 0.0 turns into +0.0
+    factors = [np.array([[2.0, -0.0, 1.0], [0.0, 0.5, -0.0]])]
+    for seq, alpha in {(seq, alpha) for seq, alpha, _, _ in settled_points}:
+        scaled = np.array(seq.scaled(1.0 / alpha).moments)
+        for order in range(1, seq.order + 1):
+            try:
+                upper = np.linalg.cholesky(_hankel_matrix(scaled, order)).T
+            except np.linalg.LinAlgError:
+                continue
+            factors += [upper, upper[:-1]] if len(upper) > 1 else [upper]
+    for upper in factors:
+        got = bound_engine._jacobi(upper)
+        assert got.tobytes() == _numpy_jacobi(upper).tobytes(), upper
+    assert bound_engine._jacobi(factors[0])[0, 0].hex() == "0x0.0p+0"
+    assert len(factors) > 2000
+
+
+def test_jacobi_raises_where_numpy_met_an_invalid_value():
+    # r_01 / r_00 and r_12 / r_11 both overflow, so a_1 = inf - inf; under
+    # the law layer's error state numpy raised LinAlgError there, and the
+    # scalar code raises it too
+    upper = np.array([[1e-300, 1e300, 0.0], [0.0, 1e-300, 1e300]])
+    for jacobi in (_numpy_jacobi, bound_engine._jacobi):
+        with ipm._lapack_state(ipm._NO_CONVERGENCE):
+            with pytest.raises(np.linalg.LinAlgError):
+                jacobi(upper)
 
 
 def test_slack_raises_on_a_companion_matrix_that_is_not_finite():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,3 +237,79 @@ def test_estimate_moments_errors_on_non_finite_sums():
     # finite samples whose sum is too large for a float
     with pytest.raises(OverflowError):
         estimate_moments([1e308, 1e308], 1)
+
+
+def _fraction_sums(pieces, k):
+    """What _PowerSums gives for these pieces, from an exact rational sum
+    of the float powers x, x*x, ... of each sample: each sum rounded once,
+    or the error that it raises."""
+    totals = [Fraction(0)] * k
+    for piece in pieces:
+        samples = piece.tolist()
+        if any(x < 0.0 for x in samples):
+            return "negative sample"
+        powers = [1.0] * len(samples)
+        for r in range(k):
+            powers = [p * x for p, x in zip(powers, samples)]
+            if not all(map(math.isfinite, powers)):
+                return "all moments must be finite"
+            totals[r] += sum(map(Fraction, powers))
+    try:
+        return [float(total).hex() for total in totals]
+    except OverflowError:
+        return "OverflowError"
+
+
+def _power_sums(pieces, k):
+    sums = _PowerSums(k)
+    try:
+        for piece in pieces:
+            sums.add(piece)
+        return [total.hex() for total in sums.sums()]
+    except ValueError as exc:
+        return str(exc).split(":")[0]
+    except OverflowError:
+        return "OverflowError"
+
+
+def test_power_sums_equal_an_exact_rational_sum():
+    # pieces that reach every branch: heavy tails, subnormal powers, signed
+    # zeros (an odd power of -0.0 is -0.0), 4096 samples in one binade,
+    # whose sums need more than 53 bits, sums past the float range, and
+    # samples that are NaN, infinite or negative
+    rng = np.random.default_rng(43)
+    pieces = {
+        "heavy": rng.standard_cauchy(1024) ** 2,
+        "subnormal": rng.uniform(0.0, 1.0, 500) * 2.0 ** rng.integers(-1074, -1000, 500),
+        "zeros": np.array([0.0, -0.0, -0.0, 1.5, 0.0, -0.0]),
+        "binade": 1.0 + rng.random(4096),
+        "huge": np.array([1e308, 1.5e308]),
+        "nan": np.array([1.0, math.nan]),
+        "inf": np.array([2.0, math.inf, 3.0]),
+        "negative": np.array([1.0, -5e-324]),
+    }
+    checked = set()
+    for names in [
+        ["heavy"],
+        ["binade"],
+        ["subnormal", "zeros"],
+        ["zeros"],
+        ["binade", "heavy", "binade"],
+        ["huge"],
+        ["binade", "nan"],
+        ["inf"],
+        ["zeros", "negative"],
+    ]:
+        for k in range(1, 5):
+            chosen = [pieces[name] for name in names]
+            with np.errstate(over="ignore"):
+                got = _power_sums(chosen, k)
+                want = _fraction_sums(chosen, k)
+            assert got == want, (names, k)
+            checked.add(got if isinstance(got, str) else "sums")
+    assert checked == {
+        "sums",
+        "OverflowError",
+        "all moments must be finite",
+        "negative sample",
+    }
