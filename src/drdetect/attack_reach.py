@@ -14,15 +14,23 @@ feeds it to the estimator.  The states reachable under such attacks
 and bounded disturbances are outer-bounded by a Minkowski sum of
 ellipsoids, sampled through its support function (support functions add
 under Minkowski sums), so a tighter detector threshold shrinks the bound.
+Each ellipsoid E(s P M P') is the image of the unit ball under G' with
+G = sqrt(s) F' P' and F F' = M, so its support value along d is the norm
+|G d|, never the quadratic form d'(s P M P')d: along a direction where
+the ellipsoid is flat, the norm's rounding grows with the square root of
+its condition number and the quadratic form's with the number itself.
+What the norm cannot remove is the rounding of the factor F.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cps_sim import LtiSystem
+from .cps_sim import LtiSystem, _psd_factor
+from .ipm import _solve
 
 __all__ = [
     "ReachBound",
@@ -36,8 +44,8 @@ __all__ = [
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
 # matrix powers per block of reach_bound and _truncation_bound; a block
-# holds 2 _BLOCK x n_dirs support values, and one block for the whole
-# horizon raised the attack-reach benchmark's peak RSS by a tenth
+# holds 2 n _BLOCK x n_dirs entries of the products G d, and one block for
+# the whole horizon raised the attack-reach benchmark's peak RSS by a tenth
 _BLOCK = 64
 
 
@@ -115,13 +123,26 @@ class ReachBound:
                 object.__setattr__(self, name, arr)
 
 
-def _directions(n: int, n_dirs: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _tables(n: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unit directions of `reach_bound` as the columns of an (n, n_dirs)
+    array and, for planar systems, the stacked line pairs of its vertex
+    solve (directions i and i + 1 mod n_dirs), read-only and built once
+    per (n, n_dirs)."""
+    lines = None
     if n == 2:
         angles = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.Generator(np.random.Philox(0))
-    draws = rng.standard_normal((n_dirs, n))
-    return draws / np.linalg.norm(draws, axis=1, keepdims=True)
+        columns = np.stack([np.cos(angles), np.sin(angles)])
+        lines = np.stack([columns.T, np.roll(columns.T, -1, axis=0)], axis=1)
+        lines.flags.writeable = False
+    else:
+        rng = np.random.Generator(np.random.Philox(0))
+        draws = rng.standard_normal((n_dirs, n))
+        columns = np.ascontiguousarray(
+            (draws / np.linalg.norm(draws, axis=1, keepdims=True)).T
+        )
+    columns.flags.writeable = False
+    return columns, lines
 
 
 def _power_blocks(sys: LtiSystem, start: int, stop: int):
@@ -163,16 +184,26 @@ def reach_bound(
     order.  A support value that is not finite raises ArithmeticError
     naming its step i.
 
+    A summand's shape is s P M P' (s = w_bar or alpha, P = A^i or H_i,
+    M = sigma_w or L sigma_r L').  With F F' = M (`cps_sim._psd_factor`,
+    once per call) and G = sqrt(s) F' P', its support value along d is
+    the norm |G d|, attained at the point G'(G d)/|G d|; no shape matrix
+    is formed and no negative rounding needs a clamp.
+
     The powers come from `_power_blocks`; each block takes one stacked
-    product for its shape matrices, one batched support evaluation into a
-    buffer whose first row is the running support, one max that finds a
-    support value that is not finite, and one reduction over its rows in
-    series order.  Every value has the bits of the same arithmetic done
-    one matrix and one summand at a time.
+    product for the rows of its G, one product of all those rows against
+    all directions, and the squares summed over the rows of each G in
+    order, then square-rooted into a buffer whose first row is the
+    running support; one max finds a support value that is not finite,
+    and one reduction adds the buffer's rows in series order.  Every
+    value has the bits of the same arithmetic done one summand at a time.
+    The directions and the polygon's line pairs are read-only tables,
+    built once per (n, n_dirs) (`_tables`).
 
     For planar systems the boundary is the circumscribed polygon: vertex i
     solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1 mod n_dirs), one
-    stacked 2 x 2 solve, and the area is its shoelace.
+    stacked 2 x 2 solve (numpy.linalg.solve's gufunc, `ipm._solve`), and
+    the area is its shoelace.
     """
     for name, value in (("horizon t", t), ("n_dirs", n_dirs)):
         if not isinstance(value, (int, np.integer)):
@@ -184,20 +215,26 @@ def reach_bound(
     if not (0 <= w_bar < math.inf and 0 <= alpha < math.inf):
         raise ValueError("w_bar and alpha must be finite and nonnegative")
     n = sys.n
-    middle = np.stack([sys.sigma_w, sys.L @ sys.sigma_r @ sys.L.T])
-    scale = np.array([w_bar, alpha])[:, None, None]
-    dirs = _directions(n, n_dirs)
+    factors = np.stack(
+        [
+            math.sqrt(w_bar) * _psd_factor(sys.sigma_w).T,
+            math.sqrt(alpha) * _psd_factor(sys.L @ sys.sigma_r @ sys.L.T).T,
+        ]
+    )
+    columns, lines = _tables(n, n_dirs)
     support = np.zeros(n_dirs)
     # a diverged system overflows its powers; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for start, ph in _power_blocks(sys, 0, t - 1):
-            q = (scale * ph) @ middle @ ph.swapaxes(-1, -2)
-            q = (0.5 * (q + q.swapaxes(-1, -2))).reshape(-1, n, n)
-            # row 0 carries the running support, the rows after it the roots
-            block = np.empty((1 + len(q), n_dirs))
+            # the rows of G = sqrt(s) F' P', row a of every summand together
+            rows = (factors @ ph.swapaxes(-1, -2)).transpose(2, 0, 1, 3)
+            gd = (rows.reshape(-1, n) @ columns).reshape(n, -1, n_dirs)
+            # row 0 carries the running support, the rows after it the norms
+            block = np.empty((1 + gd.shape[1], n_dirs))
             block[0] = support
-            # vecdot gives the bits of d @ q @ d per row
-            np.sqrt(np.maximum(0.0, np.vecdot(dirs @ q, dirs)), out=block[1:])
+            np.square(gd, out=gd)
+            np.add.reduce(gd, axis=0, out=block[1:])
+            np.sqrt(block[1:], out=block[1:])
             if not np.isfinite(block[1:].max()):
                 bad = ~np.isfinite(block[1:]).all(axis=1)
                 step = start + int(bad.argmax()) // 2
@@ -206,17 +243,19 @@ def reach_bound(
             support = np.add.reduce(block, axis=0)
 
     boundary = area = None
-    if sys.n == 2:
-        lines = np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1)
-        values = np.stack([support, np.roll(support, -1)], axis=1)
-        boundary = np.linalg.solve(lines, values[:, :, None])[:, :, 0]
+    if lines is not None:
+        values = np.empty((n_dirs, 2, 1))
+        values[:, 0, 0] = support
+        values[:-1, 1, 0] = support[1:]
+        values[-1, 1, 0] = support[0]
+        boundary = _solve(lines, values)[:, :, 0]
         x, y = boundary.T
         area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
     return ReachBound(
         horizon=t,
         w_bar=float(w_bar),
         alpha=float(alpha),
-        directions=dirs,
+        directions=columns.T,
         boundary=boundary,
         support_values=support,
         area=area,

@@ -1,6 +1,8 @@
 import math
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from drdetect import (
 )
 from drdetect.attack_reach import _BLOCK, _truncation_bound
 from drdetect.cli_runner import _write_reach
+from drdetect.cps_sim import _psd_factor
 
 
 def _identity_system(sigma_w=((1.0, 0.0), (0.0, 1.0))):
@@ -99,34 +102,41 @@ def _per_matrix_truncation(sys_, w_bar, alpha, t):
     return math.inf
 
 
-def _reference_reach(sys_, w_bar, alpha, t, directions):
-    """reach_bound one direction and one summand at a time: the shape
-    matrices and the per-direction sums in series order, with the sum of
-    the summands' maximizers as an exact point of the set, and the tail
-    of _per_matrix_truncation."""
+def _summands(sys_, w_bar, alpha, t, directions):
+    """reach_bound's summands one at a time, in series order (w then h per
+    step i): (i, G, G d, |G d|) with G = (sqrt(s) F') P' from
+    (f @ P.T) @ dirs.T, F F' = M, and the squares of G d summed over its
+    rows in order."""
     a_cl = sys_.A + sys_.B @ sys_.K
-    lsl = sys_.L @ sys_.sigma_r @ sys_.L.T
-    shapes = []
+    factors = (
+        math.sqrt(w_bar) * _psd_factor(sys_.sigma_w).T,
+        math.sqrt(alpha) * _psd_factor(sys_.L @ sys_.sigma_r @ sys_.L.T).T,
+    )
     a_pow = np.eye(sys_.n)
     acl_pow = np.eye(sys_.n)
-    for _ in range(t - 1):
-        h = acl_pow - a_pow
-        for q in (w_bar * a_pow @ sys_.sigma_w @ a_pow.T, alpha * h @ lsl @ h.T):
-            shapes.append(0.5 * (q + q.T))
+    for i in range(t - 1):
+        for f, p in zip(factors, (a_pow, acl_pow - a_pow)):
+            g = f @ p.T
+            gd = g @ directions.T
+            squares = gd[0] * gd[0]
+            for row in gd[1:]:
+                squares = squares + row * row
+            yield i, g, gd, np.sqrt(squares)
         a_pow = sys_.A @ a_pow
         acl_pow = a_cl @ acl_pow
+
+
+def _reference_reach(sys_, w_bar, alpha, t, directions):
+    """reach_bound one summand at a time: the support values |G d| of
+    _summands added in series order, with the sum of the summands'
+    maximizers G'(G d)/|G d| as an exact point of the set, and the tail of
+    _per_matrix_truncation."""
     points = np.zeros((len(directions), sys_.n))
     support = np.zeros(len(directions))
-    for j, d in enumerate(directions):
-        point = np.zeros(sys_.n)
-        total = 0.0
-        for q in shapes:
-            val = float(d @ q @ d)
-            total += math.sqrt(max(0.0, val))
-            if val >= 1e-14:
-                point += (q @ d) / math.sqrt(val)
-        points[j] = point
-        support[j] = total
+    for _, g, gd, norm in _summands(sys_, w_bar, alpha, t, directions):
+        support = support + norm
+        on = norm >= 1e-7
+        points[on] += (gd[:, on] / norm[on]).T @ g
     return points, support, _per_matrix_truncation(sys_, w_bar, alpha, t)
 
 
@@ -193,6 +203,45 @@ def test_reach_bound_matches_per_direction_reference(system, w_bar, alpha, t, n_
     _assert_inside_polygon(rb, np.vstack([points, between]))
 
 
+def test_reach_bound_support_values_are_within_8_ulps_of_an_exact_oracle():
+    # sigma_w of correlation 1 - 1e-10 makes the first summand flat along
+    # directions 24 and 56 (3 pi / 4 and 7 pi / 4).  The oracle is
+    # d'(s P M P')d in exact rationals from the float P = A^i, M, s and d,
+    # with its roots and their sum to 50 digits.  The norm form is at most
+    # 3.1 ulps off here; the quadratic form d'(s P M P')d in floats is 2657
+    # ulps off along both flat directions, where its rounding is of the
+    # order of the value.
+    base = benchmark_system()
+    c = 1.0 - 1e-10
+    sys_ = LtiSystem.from_matrices(
+        A=base.A,
+        B=base.B,
+        C=base.C,
+        K=base.K,
+        sigma_w=[[1.0, c], [c, 1.0]],
+        sigma_v=base.sigma_v,
+    )
+    w_bar, t = 40.0, 20
+    rb = reach_bound(sys_, w_bar, 0.0, t, 64)
+    m = [[Fraction(x) for x in row] for row in sys_.sigma_w.tolist()]
+    dirs = [[Fraction(x) for x in d] for d in rb.directions.tolist()]
+    totals = [Decimal(0)] * len(dirs)
+    a_pow = np.eye(2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(t - 1):
+            p = [[Fraction(x) for x in row] for row in a_pow.tolist()]
+            for j, d in enumerate(dirs):
+                v = [p[0][k] * d[0] + p[1][k] * d[1] for k in range(2)]
+                q = Fraction(w_bar) * sum(
+                    v[a] * m[a][b] * v[b] for a in range(2) for b in range(2)
+                )
+                totals[j] += (Decimal(q.numerator) / q.denominator).sqrt()
+            a_pow = sys_.A @ a_pow
+        for value, total in zip(rb.support_values.tolist(), totals):
+            assert abs(Decimal(value) - total) <= 8 * Decimal(math.ulp(float(total)))
+
+
 def test_reach_bound_flat_directions():
     rb = reach_bound(_flat_system(), w_bar=1.0, alpha=0.0, t=10, n_dirs=16)
     # the summands span x1 only: the support along x2 (direction 4 of 16)
@@ -249,12 +298,19 @@ def test_reach_bound_tail_that_overflows_is_inf():
 
 @pytest.mark.parametrize("t", [3000, 5000])
 def test_reach_bound_support_that_overflows_raises(t):
-    # the shape matrix of step 1943 overflows; its support values were inf
-    # (t = 3000) or NaN (t = 5000), and the tail then read as 0.0
+    # the support values along A^i = diag(1.2, 0.5)^i grow as 1.2^i, and
+    # their squares leave the float range near i = 1945, inside the series
+    # at both horizons; the error names the first step at which a summand's
+    # support value is not finite
+    sys_ = _diagonal_plant(1.2)
+    directions = reach_bound(sys_, w_bar=40.0, alpha=9.0, t=2, n_dirs=16).directions
+    with np.errstate(over="ignore", invalid="ignore"):
+        summands = _summands(sys_, 40.0, 9.0, t, directions)
+        step = next(i for i, _, _, norm in summands if not np.isfinite(norm).all())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ArithmeticError, match="at step 1943"):
-            reach_bound(_diagonal_plant(1.2), w_bar=40.0, alpha=9.0, t=t, n_dirs=16)
+        with pytest.raises(ArithmeticError, match=f"at step {step}$"):
+            reach_bound(sys_, w_bar=40.0, alpha=9.0, t=t, n_dirs=16)
 
 
 def test_support_additivity_of_minkowski_sum():
