@@ -370,11 +370,12 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, seed=args.seed)
         if args.command in ("reach", "all") and config.system.n != 2:
             raise ValueError("boundary CSV export is for planar systems")
+        # an output path that cannot be a directory is bad input too
+        out = Path(args.out if args.out is not None else config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"drdetect: error: {exc}", file=_sys.stderr)
         return 2
-    out = Path(args.out if args.out is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     handler = logging.StreamHandler(_sys.stdout)
     _logger.addHandler(handler)

@@ -77,8 +77,10 @@ def closed_form_threshold(
     k=1: M1/rate (Markov inversion).  k=2: the lesser of Markov's M1/rate
     and Cantelli's (1 + sqrt((1-rate)/rate) C) M1 with
     C^2 = (M2 - M1^2)/M1^2; Markov's is the lesser where C exceeds
-    sqrt((1-rate)/rate), and its row reports the rate.  For k >= 3 use
-    :func:`tune_threshold_sdp`.
+    sqrt((1-rate)/rate), and its row reports the rate.  Where C = 0 the
+    only law with the moments is the point mass at M1, which a threshold
+    at M1 meets: the threshold is then the first float above M1, with a
+    worst-case probability of 0.  For k >= 3 use :func:`tune_threshold_sdp`.
     """
     if k not in (1, 2):
         raise ValueError("closed forms exist for k in {1, 2} only")
@@ -96,6 +98,10 @@ def closed_form_threshold(
         method = Method.CLOSED_FORM_K2
         c = math.sqrt(max(0.0, (moments.moments[2] - m1 * m1) / (m1 * m1)))
         cantelli = (1.0 + math.sqrt((1.0 - rate) / rate) * c) * m1
+        if c == 0:
+            # Cantelli's certificate (q - M1)^2 / lambda^2 has mean 0 for
+            # every lambda > 0, but the point mass meets a threshold at M1
+            cantelli = math.nextafter(m1, math.inf)
         if cantelli <= alpha:
             alpha, achieved = cantelli, (rate if c > 0 else 0.0)
     return ThresholdResult(
@@ -125,11 +131,12 @@ def tune_threshold_sdp(
     {0.9 w.p. 0.98, 3.0 w.p. 0.02} at k = 4 and rate 0.05 has tail 0.02
     at every threshold in (0.9, 3] (ROADMAP item 12a).  The upper end
     starts at the lower-order threshold: the Markov one at k = 2, else the
-    (k-1)-moment one, computed recursively down to the closed forms, which
-    is never above Markov's; it brackets from above because the bound
-    shrinks as moments are added.  Results are memoized per moment
-    sequence.  If the bound at the lower end already meets the target,
-    that end is returned.
+    (k-1)-moment one, which is never above Markov's; it brackets from
+    above because the bound shrinks as moments are added.  So the orders
+    are tuned in one ascending walk from the closed form below the first
+    bisected order, each row bracketed by the one before it, and each
+    order's row is memoized per truncated sequence.  If the bound at the
+    lower end already meets the target, that end is returned.
 
     At the lower end and at each midpoint the SDP is solved only where the
     Gauss-Radau law through the point cannot settle the branch.  If an
@@ -170,14 +177,17 @@ def tune_threshold_sdp(
         raise ValueError("target rate must be in (0, 0.5]")
     if not 0 < epsilon < math.inf:
         raise ValueError("bisection tolerance must be positive and finite")
-    if not is_feasible(moments):
-        raise ValueError("infeasible moment sequence")
-    if not moments.moments[1] > 0:
-        raise ValueError("the mean must be positive to place a threshold")
-    cache_key = (moments, rate, epsilon)
-    if cache_key not in _AUTO_CACHE:
-        _AUTO_CACHE[cache_key] = _bisect(moments, rate, epsilon)
-    return _AUTO_CACHE[cache_key]
+    # the closed form below the first bisected order: Markov's at k = 2,
+    # else the k = 2 one, which is never above it
+    start = min(moments.order - 1, 2)
+    row = closed_form_threshold(moments.truncated(start), rate, start)
+    for k in range(start + 1, moments.order + 1):
+        part = moments.truncated(k)
+        cache_key = (part, rate, epsilon)
+        if cache_key not in _AUTO_CACHE:
+            _AUTO_CACHE[cache_key] = _bisect(part, rate, epsilon, row)
+        row = _AUTO_CACHE[cache_key]
+    return row
 
 
 def _settle(moments: MomentSequence, alpha: float, rate: float):
@@ -213,29 +223,23 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
     return bound > rate, bound, None
 
 
-def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdResult:
-    """The row of :func:`tune_threshold_sdp` for validated inputs."""
-    k = moments.order
-    # the upper end: the Markov threshold at k = 2, else the lower-order
-    # one, which is never above it
-    if k <= 3:
-        upper = closed_form_threshold(moments.truncated(k - 1), rate, k - 1)
-    else:
-        upper = tune_threshold_sdp(moments.truncated(k - 1), rate, epsilon)
-    a_l, a_u = moments.moments[1], upper.alpha
-
-    above, bound, certified = _settle(moments, a_l, rate)
-    achieved = None
-    if not above:  # the bound at the lower end already meets the target
-        a_u, achieved = a_l, certified if bound is None else bound
-    else:
-        while a_u - a_l > epsilon:
-            mid = 0.5 * (a_l + a_u)
-            above, bound, certified = _settle(moments, mid, rate)
-            if above:
-                a_l = mid
-            else:
-                a_u, achieved = mid, certified if bound is None else bound
+def _bisect(
+    moments: MomentSequence, rate: float, epsilon: float, upper: ThresholdResult
+) -> ThresholdResult:
+    """The row of :func:`tune_threshold_sdp` for one order, its scalar
+    arguments checked, bracketed from above by `upper`, the row one order
+    down.  The mean is the first point settled, the midpoints follow."""
+    if not is_feasible(moments):
+        raise ValueError("infeasible moment sequence")
+    a_l, a_u, achieved = moments.moments[1], upper.alpha, None
+    point = a_l
+    while point is not None:
+        above, bound, certified = _settle(moments, point, rate)
+        if above:
+            a_l = point
+        else:
+            a_u, achieved = point, certified if bound is None else bound
+        point = 0.5 * (a_l + a_u) if a_u - a_l > epsilon else None
     if a_u == upper.alpha:
         # the row keeps the lower-order threshold, whose guarantee is a
         # certified bound for k moments too, since every certificate for
@@ -250,7 +254,7 @@ def _bisect(moments: MomentSequence, rate: float, epsilon: float) -> ThresholdRe
     return ThresholdResult(
         alpha=a_u,
         method=Method.SDP_BISECTION,
-        k=k,
+        k=moments.order,
         target_rate=rate,
         achieved_worst_case=achieved,
         epsilon=epsilon,

@@ -381,6 +381,24 @@ def test_main_rejects_reach_on_a_non_planar_system_before_any_work(tmp_path, cap
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_main_rejects_an_out_path_that_is_a_file_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # the output directory used to be made after the bad-input stage, so
+    # an existing file there ended in a FileExistsError traceback, exit 1
+    def fail(config):
+        raise AssertionError("tuning ran")
+
+    monkeypatch.setattr(cli_runner, "run_tune", fail)
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    config_path = CONFIG_DIR / "benchmark2d_gaussian.json"
+    argv = ["tune", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, "taken")
+    assert out.read_text() == "kept\n"
+
+
 def _without_system_key(raw):
     del raw["system"]["K"]
 

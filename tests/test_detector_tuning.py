@@ -70,6 +70,31 @@ def test_closed_form_point_mass():
     assert res.alpha == pytest.approx(c, rel=1e-12)
 
 
+def test_zero_variance_rows_lie_above_the_mean():
+    # M2 = M1^2: every law with these moments is the point mass at M1,
+    # which puts all its mass at a threshold there.  The k = 2 row and the
+    # k = 3 row that keeps it take the first float above M1, where the
+    # point mass puts nothing (the SDP cannot be the oracle: one ulp above
+    # M1 its certificate needs coefficients near 1 / lambda^2)
+    seq = MomentSequence((1.0, 2.0, 4.0, 8.0))
+    rows = [
+        closed_form_threshold(seq.truncated(2), 0.05, 2),
+        tune_threshold_sdp(seq, 0.05, epsilon=1e-4),
+    ]
+    for row in rows:
+        assert row.alpha == math.nextafter(2.0, math.inf), row.k
+        assert row.achieved_worst_case == 0.0, row.k
+        assert tail_lower_bound(seq.truncated(row.k), row.alpha) == 0.0, row.k
+    # a variance that rounds slightly negative is clamped to the same case
+    m1 = 0.1
+    seq = MomentSequence((1.0, m1, m1 * m1 * (1 - 1e-16)))
+    assert seq.moments[2] < m1 * m1
+    row = closed_form_threshold(seq, 0.05, 2)
+    assert row.alpha == math.nextafter(m1, math.inf)
+    assert row.achieved_worst_case == 0.0
+    assert tail_lower_bound(seq, row.alpha) == 0.0
+
+
 def test_closed_form_rejects_other_orders():
     with pytest.raises(ValueError):
         closed_form_threshold(CHI2, 0.05, 3)
@@ -360,8 +385,8 @@ def _row_log(monkeypatch):
     monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
     rows = {}
 
-    def logged(moments, rate, epsilon):
-        row = _BISECT(moments, rate, epsilon)
+    def logged(moments, rate, epsilon, upper):
+        row = _BISECT(moments, rate, epsilon, upper)
         rows[moments, rate] = row
         return row
 
@@ -643,6 +668,37 @@ def test_threshold_result_csv_round_trip(tmp_path):
     assert float(alpha) == res.alpha
     assert float(achieved) == res.achieved_worst_case
     assert float(epsilon) == res.epsilon
+
+
+def test_orders_are_tuned_in_one_ascending_walk(monkeypatch):
+    # from an empty memo, one public call tunes k = 6 through one row per
+    # order 3..6, each bracketed by the row one order down; no call goes
+    # back through the public function for a lower order
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    public, rows = [], []
+    tune = detector_tuning.tune_threshold_sdp
+
+    def counted(*args, **kwargs):
+        public.append(args)
+        return tune(*args, **kwargs)
+
+    def logged(*args):
+        row = _BISECT(*args)
+        rows.append((args, row))
+        return row
+
+    monkeypatch.setattr(detector_tuning, "tune_threshold_sdp", counted)
+    monkeypatch.setattr(detector_tuning, "_bisect", logged)
+    seq = chi_squared_moments(2, 6)
+    top = detector_tuning.tune_threshold_sdp(seq, 0.05, epsilon=1e-4)
+    assert len(public) == 1
+    assert [args[0].order for args, _ in rows] == [3, 4, 5, 6]
+    below = closed_form_threshold(seq.truncated(2), 0.05, 2)
+    for (moments, rate, epsilon, upper), row in rows:
+        assert moments == seq.truncated(row.k) and (rate, epsilon) == (0.05, 1e-4)
+        assert upper == below, row.k
+        below = row
+    assert top is below
 
 
 def test_memoized_recursion_is_stable(monkeypatch):
