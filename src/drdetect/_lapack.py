@@ -1,5 +1,6 @@
-"""scipy's compiled LAPACK wrappers and ``gammaincinv``, loaded without
-scipy's Python packages.
+"""The compiled routines drdetect calls besides numpy's array operations:
+scipy's float64 LAPACK wrappers and ``gammaincinv``, and numpy.linalg's
+LAPACK gufuncs, each bound once.
 
 ``import scipy.linalg`` costs about 0.25 s and ``import scipy.special``
 about 0.08 s more, for four LAPACK wrappers and one ufunc.  This module
@@ -7,7 +8,8 @@ loads the two extension modules that hold them, ``scipy/linalg/_flapack``
 and ``scipy/special/_special_ufuncs``, from scipy's install directory,
 which runs no scipy code.  The routines are the objects that
 ``scipy.linalg.get_lapack_funcs(..., dtype=np.float64)`` and
-``scipy.special.gammaincinv`` return, so every result keeps its bits.
+``scipy.special.gammaincinv`` return, so every result keeps its bits:
+the IPM's KKT solves round as through scipy's LU helpers.
 
 ``_flapack`` links scipy's OpenBLAS, whose worker threads start when the
 library loads and spin while they wait for work.  Every call drdetect
@@ -20,15 +22,23 @@ with ``OPENBLAS_NUM_THREADS=1``, and the environment is restored right
 after.  So when drdetect is the first to load scipy's LAPACK, scipy's
 BLAS stays single-threaded for the process; setting any of the three
 opts out, and a library loaded before keeps its threads.
+
+The eigh, eigvalsh, cholesky, solves and eigvals below call the gufuncs
+of ``numpy.linalg._umath_linalg`` that numpy.linalg's functions call,
+under the same error state and without the checks those wrappers spend
+most of their time on for matrices this small (:func:`_gufunc`); the law
+layer enters that state once per rule (:func:`_lapack_state`).
 """
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _LAPACK = ("trtrs", "getrf", "getrs", "tbtrs")
 
@@ -95,3 +105,42 @@ def _bind():
 
 
 trtrs, getrf, getrs, tbtrs, gammaincinv = _bind()
+
+
+def _lapack_state(failure: str) -> np.errstate:
+    """The error state under which numpy.linalg runs its gufuncs: one that
+    fails raises LinAlgError(failure), and none warns."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    return np.errstate(
+        call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
+    )
+
+
+def _gufunc(gufunc, signature: str, failure: str):
+    """`gufunc` of ``numpy.linalg._umath_linalg`` on float64 operands, as
+    the numpy.linalg function that calls it runs it: under the same error
+    state (:func:`_lapack_state`), so a factorization that fails raises
+    LinAlgError(failure) and no RuntimeWarning, and with the same bits.
+    Its `raw` attribute runs the gufunc alone, for a caller that holds
+    such a state over several calls."""
+    raw = functools.partial(gufunc, signature=signature)
+
+    def call(*operands):
+        with _lapack_state(failure):
+            return raw(*operands)
+
+    call.raw = raw
+    return call
+
+
+_NO_CONVERGENCE = "Eigenvalues did not converge"
+# float64, lower triangles; solve takes a matrix, solve1 a vector right side
+_eigh = _gufunc(_umath_linalg.eigh_lo, "d->dd", _NO_CONVERGENCE)
+_eigvalsh = _gufunc(_umath_linalg.eigvalsh_lo, "d->d", _NO_CONVERGENCE)
+_cholesky = _gufunc(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+_solve = _gufunc(_umath_linalg.solve, "dd->d", "Singular matrix")
+_solve1 = _gufunc(_umath_linalg.solve1, "dd->d", "Singular matrix")
+_eigvals = _gufunc(_umath_linalg.eigvals, "d->D", _NO_CONVERGENCE)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import _solve
 from .cps_sim import LtiSystem, _psd_factor
-from .ipm import _solve
 
 __all__ = [
     "ReachBound",
@@ -202,7 +202,7 @@ def reach_bound(
 
     For planar systems the boundary is the circumscribed polygon: vertex i
     solves <u_i, x> = h_i, <u_{i+1}, x> = h_{i+1} (i + 1 mod n_dirs), one
-    stacked 2 x 2 solve (numpy.linalg.solve's gufunc, `ipm._solve`), and
+    stacked 2 x 2 solve (numpy.linalg.solve's gufunc, `_lapack._solve`), and
     the area is its shoelace.
     """
     for name, value in (("horizon t", t), ("n_dirs", n_dirs)):

@@ -33,9 +33,8 @@ from math import comb
 import numpy as np
 
 from . import ipm
-from .ipm import (
+from ._lapack import (
     _NO_CONVERGENCE,
-    Status,
     _cholesky,
     _eigh,
     _eigvals,
@@ -43,9 +42,8 @@ from .ipm import (
     _lapack_state,
     _solve,
     _solve1,
-    svec,
-    svec_dim,
 )
+from .ipm import Status, svec, svec_dim
 from .moment_core import MomentSequence, _hankel_matrix, _scaled_moments, is_feasible
 
 __all__ = [
@@ -110,13 +108,9 @@ class PolyBound:
             raise ValueError("coefficients must be finite")
 
     def __call__(self, q) -> np.ndarray:
-        # Horner's rule, step for step as numpy.polynomial's polyval
         if isinstance(q, (tuple, list)):
             q = np.asarray(q)
-        value = self.coeffs[-1] + q * 0
-        for coeff in self.coeffs[-2::-1]:
-            value = coeff + value * q
-        return value
+        return _horner(self.coeffs, q)
 
     def slack(self) -> float:
         """Least certificate margin: the smaller of min p - 1 on
@@ -131,6 +125,14 @@ class PolyBound:
         return self.slack() >= -1e-6
 
 
+def _horner(coeffs: tuple | list, x):
+    """sum_r coeffs[r] x^r by Horner's rule, step for step as numpy's polyval."""
+    value = coeffs[-1] + x * 0
+    for coeff in coeffs[-2::-1]:
+        value = coeff + value * x
+    return value
+
+
 def _slack(coeffs: tuple | list, threshold: float) -> float:
     """Least certificate margin of p(q) = sum_r coeffs[r] q^r at the
     threshold: the smaller of min p - 1 on [threshold, inf) and min p on
@@ -143,13 +145,12 @@ def _slack(coeffs: tuple | list, threshold: float) -> float:
 
     The roots are the eigenvalues of the companion matrix of p', as
     numpy.polynomial's polyroots computes them; a companion matrix that
-    is not finite raises `LinAlgError`.  p is evaluated by Horner's rule
-    as :meth:`PolyBound.__call__`, in Python floats, and each side's least
-    value follows numpy's min: a NaN stands, and of equal values the last
-    (:func:`_least`).  The outer min of the two sides is Python's, so a
-    NaN on the lower side alone is passed over.  The result does not
-    depend on the order of the roots, but for the sign of a zero least
-    value that 0.0 and -0.0 both reach."""
+    is not finite raises `LinAlgError`.  p is evaluated by :func:`_horner`
+    in Python floats, and each side's least value follows numpy's min: a
+    NaN stands, and of equal values the last (:func:`_least`).  The outer
+    min of the two sides is Python's, so a NaN on the lower side alone is
+    passed over.  The result does not depend on the order of the roots,
+    but for the sign of a zero least value that 0.0 and -0.0 both reach."""
     top = len(coeffs)  # the degree plus one, trailing zeros trimmed
     while top > 1 and coeffs[top - 1] == 0.0:
         top -= 1
@@ -169,9 +170,7 @@ def _slack(coeffs: tuple | list, threshold: float) -> float:
         roots = _eigvals(companion).real.tolist()
     above, below = [], []
     for x in [0.0, threshold, *(r for r in roots if r >= 0.0)]:
-        value = coeffs[-1] + x * 0
-        for coeff in coeffs[-2::-1]:
-            value = coeff + value * x
+        value = _horner(coeffs, x)
         if x >= threshold:
             above.append(value)
         if x <= threshold:
@@ -484,7 +483,7 @@ def _jacobi(upper: np.ndarray) -> np.ndarray:
     which gives the bits of a sum of diagonal matrices in numpy, signed
     zeros included.  An entry that comes out NaN raises the LinAlgError
     that numpy's invalid-value flag raises under the callers' error
-    state (:func:`drdetect.ipm._lapack_state`).  A zero pivot, which no
+    state (:func:`drdetect._lapack._lapack_state`).  A zero pivot, which no
     Cholesky factor has, raises ZeroDivisionError where numpy divided
     into inf; :func:`_law_ends` catches both on the boundary law's path."""
     rows = upper.tolist()

@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# float64 banded triangular solve, scipy's own wrapper loaded by _scipy_ext
-from ._scipy_ext import tbtrs as _TBTRS
+from ._lapack import tbtrs as _TBTRS
 
 if TYPE_CHECKING:
     from .attack_reach import AttackPolicy
@@ -337,9 +336,9 @@ def _linear_path(M: np.ndarray, u: np.ndarray, z0: np.ndarray) -> np.ndarray:
     (d = len(z)), solved by LAPACK tbtrs _CHUNK steps at a time from the
     last state before."""
     d = M.shape[0]
-    # band column j of a step: the unit diagonal and, d - j rows down, -M[:, j]
+    # band column j of a step: -M[:, j], d - j rows below the unit diagonal,
+    # which tbtrs with diag="U" implies and never reads, so row 0 stays 0
     block = np.zeros((2 * d, d))
-    block[0] = 1.0
     for j in range(d):
         block[d - j : 2 * d - j, j] = -M[:, j]
     band = np.asfortranarray(np.tile(block, _CHUNK))

@@ -12,8 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-# scipy.special's own ufunc, loaded by _scipy_ext without scipy.special
-from ._scipy_ext import gammaincinv as _gammaincinv
+from ._lapack import gammaincinv as _gammaincinv
 from .bound_engine import _law_ends, solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
@@ -239,7 +238,8 @@ def _bisect(
             a_l = point
         else:
             a_u, achieved = point, certified if bound is None else bound
-        point = 0.5 * (a_l + a_u) if a_u - a_l > epsilon else None
+        mid = 0.5 * (a_l + a_u)  # equals an end once no float lies between the ends
+        point = mid if a_u - a_l > epsilon and a_l < mid < a_u else None
     if a_u == upper.alpha:
         # the row keeps the lower-order threshold, whose guarantee is a
         # certified bound for k moments too, since every certificate for

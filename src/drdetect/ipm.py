@@ -15,14 +15,8 @@ system.  The blocks ride on the leading axis of every array, so each
 block operation is one numpy call over the stack, and the primal X and
 the dual S share one stack wherever the iteration treats them alike;
 stacked matmul, eigh, eigvalsh and cholesky round each slice exactly as
-a call on that slice alone does.  Those three, like the solves and
-eigenvalues of :mod:`drdetect.bound_engine`, call the gufuncs of
-``numpy.linalg._umath_linalg`` that numpy.linalg's functions call
-themselves (:func:`_lapack`), which skips the checks and conversions those
-wrappers spend most of their time on for matrices this small.  Each call
-enters numpy.linalg's error state; the Gauss-Radau and boundary rules of
-:mod:`drdetect.bound_engine` enter it once per rule
-(:func:`_lapack_state`) and call the bare gufuncs inside.
+a call on that slice alone does.  Every LAPACK routine it calls is bound
+in :mod:`drdetect._lapack`.
 """
 from __future__ import annotations
 
@@ -32,12 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-# float64 triangular solve and LU factorization and solve, scipy's own
-# wrappers loaded by _scipy_ext; getrf/getrs are the routines under scipy's
-# LU helpers, so the KKT solves round exactly as through those helpers
-from ._scipy_ext import getrf as _GETRF, getrs as _GETRS, trtrs as _TRTRS
+from ._lapack import _cholesky, _eigh, _eigvalsh
+from ._lapack import getrf as _GETRF, getrs as _GETRS, trtrs as _TRTRS
 
 __all__ = [
     "Status",
@@ -55,46 +46,6 @@ _TOL = 1e-9
 _MAX_ITER = 100
 # iterations without halving the best score after which a run has stalled
 _STALL_ITERS = 20
-
-
-def _lapack_state(failure: str) -> np.errstate:
-    """The error state under which numpy.linalg runs its gufuncs: one that
-    fails raises LinAlgError(failure), and none warns."""
-
-    def fail(err, flag):
-        raise np.linalg.LinAlgError(failure)
-
-    return np.errstate(
-        call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"
-    )
-
-
-def _lapack(gufunc, signature: str, failure: str):
-    """`gufunc` of ``numpy.linalg._umath_linalg`` on float64 operands, as
-    the numpy.linalg function that calls it runs it: under the same error
-    state (:func:`_lapack_state`), so a factorization that fails raises
-    LinAlgError(failure) and no RuntimeWarning, and with the same bits.
-    Its `raw` attribute runs the gufunc alone, for a caller that holds
-    such a state over several calls."""
-    raw = functools.partial(gufunc, signature=signature)
-
-    def call(*operands):
-        with _lapack_state(failure):
-            return raw(*operands)
-
-    call.raw = raw
-    return call
-
-
-_NO_CONVERGENCE = "Eigenvalues did not converge"
-# numpy.linalg's eigh, eigvalsh and cholesky on float64 (lower triangle),
-# solve with a matrix and with a vector right-hand side, and eigvals
-_eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", _NO_CONVERGENCE)
-_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", _NO_CONVERGENCE)
-_cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
-_solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
-_solve1 = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")
-_eigvals = _lapack(_umath_linalg.eigvals, "d->D", _NO_CONVERGENCE)
 
 
 class Status(enum.Enum):

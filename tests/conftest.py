@@ -138,3 +138,17 @@ def settled_points():
         for moments, rate in cases:
             detector_tuning.tune_threshold_sdp(moments, rate, epsilon=1e-4)
     return points
+
+
+# ---------------------------------------------------------------------------
+# random symmetric and positive definite matrices for the solver's kernels
+
+
+def _random_sym(rng, n, scale=1.0):
+    m = rng.standard_normal((n, n))
+    return scale * (m + m.T) / 2.0
+
+
+def _random_pd(rng, n):
+    g = rng.standard_normal((n, n))
+    return g @ g.T + 0.1 * np.eye(n)

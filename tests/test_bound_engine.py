@@ -16,7 +16,7 @@ from drdetect import (
     solve_sdp,
     tail_lower_bound,
 )
-from drdetect import bound_engine, ipm
+from drdetect import _lapack, bound_engine, ipm
 from drdetect.ipm import Status, svec
 from drdetect.moment_core import _hankel_matrix
 
@@ -295,7 +295,7 @@ def test_jacobi_raises_where_numpy_met_an_invalid_value():
     # scalar code raises it too
     upper = np.array([[1e-300, 1e300, 0.0], [0.0, 1e-300, 1e300]])
     for jacobi in (_numpy_jacobi, bound_engine._jacobi):
-        with ipm._lapack_state(ipm._NO_CONVERGENCE):
+        with _lapack._lapack_state(_lapack._NO_CONVERGENCE):
             with pytest.raises(np.linalg.LinAlgError):
                 jacobi(upper)
 
@@ -598,6 +598,19 @@ def test_boundary_law_is_the_few_atom_law(moments, atoms, weights):
             checked += 1
     # two atoms from k = 4 on, three at k = 6, at both thresholds
     assert checked == (6 if r == 2 else 2)
+
+
+def test_boundary_law_that_misses_a_moment_is_refused(monkeypatch):
+    # one rank too few reads a one-atom law off the leading block of the
+    # two-atom Hankel matrix; it misses the moments, and the law's own
+    # moment check turns it down
+    rank = bound_engine._rank
+    for k in (4, 5, 6):
+        scaled = np.array(TWO_ATOM.truncated(k).scaled(1.0 / 4.4551).moments)
+        assert bound_engine._boundary_law(scaled, k) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(bound_engine, "_rank", lambda hankel: rank(hankel) - 1)
+            assert bound_engine._boundary_law(scaled, k) is None
 
 
 def test_rank_counts_the_eigenvalues_above_1e12_of_the_largest():

@@ -294,6 +294,25 @@ def test_upper_end_that_no_point_took_down_is_not_solved(monkeypatch):
     assert means[5] == pytest.approx(4.49e-4, abs=1e-6)
 
 
+def test_epsilon_below_the_float_spacing_stops_at_adjacent_ends(monkeypatch):
+    # one ulp of the threshold is 1.78e-15: at epsilon 1e-15 the bracket
+    # ends become adjacent floats, whose midpoint rounds onto an end, and
+    # bisection stops there where it used to settle that end forever
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    original, calls = detector_tuning._settle, []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 200:
+            raise RuntimeError("bisection settles the same point again")
+        return original(*args)
+
+    monkeypatch.setattr(detector_tuning, "_settle", counted)
+    fine = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-15)
+    assert fine.alpha <= tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4).alpha
+    assert fine.achieved_worst_case <= 0.05
+
+
 def test_law_pair_settles_points_within_1e_7_of_the_rate(monkeypatch):
     # chi-squared(1) at k = 4 and rate 0.01: both law ends at the returned
     # threshold lie 8.5e-8 under the rate and agree to 5e-18; the

@@ -14,17 +14,11 @@ from drdetect.ipm import (
     _GETRF,
     ConicProblem,
     Status,
-    _cholesky,
-    _eigh,
-    _eigvals,
-    _eigvalsh,
     _inner_sum,
     _kkt_solve,
     _max_step,
     _mv,
     _psd_sqrt_pair,
-    _solve,
-    _solve1,
     _sym,
     _sym_kron,
     _t,
@@ -34,15 +28,7 @@ from drdetect.ipm import (
     svec_dim,
 )
 
-
-def _random_sym(rng, n, scale=1.0):
-    m = rng.standard_normal((n, n))
-    return scale * (m + m.T) / 2.0
-
-
-def _random_pd(rng, n):
-    g = rng.standard_normal((n, n))
-    return g @ g.T + 0.1 * np.eye(n)
+from conftest import _random_pd, _random_sym
 
 
 # Entry-by-entry reference versions of the solver's kernels.  The kernels
@@ -101,61 +87,6 @@ def _kkt_solve_lu(kkt, rhs):
     # one step of iterative refinement
     sol += scipy.linalg.lu_solve(lu, rhs - kkt @ sol, check_finite=False)
     return sol
-
-
-def _same_bits(ours, public):
-    ours, public = np.asarray(ours), np.asarray(public)
-    return (ours.dtype, ours.shape, ours.tobytes()) == (
-        public.dtype,
-        public.shape,
-        public.tobytes(),
-    )
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_gufunc_calls_give_the_bits_of_numpy_linalg(n):
-    # one matrix and the stacks of 2 and 4 blocks that the solver factors
-    rng = np.random.default_rng(700 + n)
-    for _ in range(10):
-        for shape in ((), (2,), (4,)):
-            count = int(np.prod(shape))
-            pds = np.stack([_random_pd(rng, n) for _ in range(count)]).reshape(
-                shape + (n, n)
-            )
-            syms = np.stack([_random_sym(rng, n) for _ in range(count)]).reshape(
-                shape + (n, n)
-            )
-            rhs = rng.standard_normal(shape + (n, n + 1))
-            vals, vecs = _eigh(syms)
-            public = np.linalg.eigh(syms)
-            assert _same_bits(vals, public.eigenvalues)
-            assert _same_bits(vecs, public.eigenvectors)
-            assert _same_bits(_eigvalsh(syms), np.linalg.eigvalsh(syms))
-            assert _same_bits(_cholesky(pds), np.linalg.cholesky(pds))
-            assert _same_bits(_solve(pds, rhs), np.linalg.solve(pds, rhs))
-        general, vec = rng.standard_normal((n, n)), rng.standard_normal(n)
-        assert _same_bits(_solve1(general, vec), np.linalg.solve(general, vec))
-        # numpy returns the real parts alone where no eigenvalue is complex
-        ours, public = _eigvals(general), np.linalg.eigvals(general)
-        assert _same_bits(ours.real, public.real)
-        assert _same_bits(ours.imag, np.imag(public).astype(float))
-
-
-def test_gufunc_failures_raise_linalg_error_without_a_warning():
-    # without numpy.linalg's error state the gufunc would only warn and
-    # return NaN
-    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            _cholesky(indefinite)
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            _cholesky(np.stack([np.eye(2), indefinite]))
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            _solve1(singular, np.ones(2))
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            _solve(singular, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drdetect import _scipy_ext, chi_squared_threshold, detector_tuning
+from drdetect import _lapack, chi_squared_threshold, detector_tuning
+from drdetect._lapack import _cholesky, _eigh, _eigvals, _eigvalsh, _solve, _solve1
+
+from conftest import _random_pd, _random_sym
 
 ROOT = Path(__file__).resolve().parents[1]
 LAPACK = ("trtrs", "getrf", "getrs", "tbtrs")
@@ -29,7 +33,7 @@ def _public():
 def test_routines_are_scipys_own():
     import scipy.special
 
-    bound = tuple(getattr(_scipy_ext, name) for name in (*LAPACK, "gammaincinv"))
+    bound = tuple(getattr(_lapack, name) for name in (*LAPACK, "gammaincinv"))
     for mine, public in zip(bound, _public(), strict=True):
         assert mine is public
     for p in range(1, 9):
@@ -63,8 +67,8 @@ def test_scipy_blas_loads_single_threaded_unless_a_count_is_set():
     # is scipy's own OpenBLAS where scipy bundles one
     code = (
         "import ctypes, json, os\n"
-        "from drdetect import _scipy_ext\n"
-        "lib = ctypes.CDLL(_scipy_ext._locate('scipy.linalg._flapack').origin)\n"
+        "from drdetect import _lapack\n"
+        "lib = ctypes.CDLL(_lapack._locate('scipy.linalg._flapack').origin)\n"
         "get = getattr(lib, 'scipy_openblas_get_num_threads', None)\n"
         "print(json.dumps([get and get(), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
@@ -99,13 +103,68 @@ def test_missing_file_falls_back_to_the_public_routines(monkeypatch, missing):
     # scipy is imported by now, so hide its extension modules as well
     for name in missing:
         monkeypatch.delitem(sys.modules, name, raising=False)
-    locate = _scipy_ext._locate
+    locate = _lapack._locate
     monkeypatch.setattr(
-        _scipy_ext, "_locate", lambda name: None if name in missing else locate(name)
+        _lapack, "_locate", lambda name: None if name in missing else locate(name)
     )
-    assert all(_scipy_ext._load(name) is None for name in missing)
-    bound = _scipy_ext._bind()
+    assert all(_lapack._load(name) is None for name in missing)
+    bound = _lapack._bind()
     for mine, theirs in zip(bound, public, strict=True):
         assert mine is theirs
     monkeypatch.setattr(detector_tuning, "_gammaincinv", bound[-1])
     assert {key: chi_squared_threshold(*key) for key in before} == before
+
+
+def _same_bits(ours, public):
+    ours, public = np.asarray(ours), np.asarray(public)
+    return (ours.dtype, ours.shape, ours.tobytes()) == (
+        public.dtype,
+        public.shape,
+        public.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gufunc_calls_give_the_bits_of_numpy_linalg(n):
+    # one matrix and the stacks of 2 and 4 blocks that the solver factors
+    rng = np.random.default_rng(700 + n)
+    for _ in range(10):
+        for shape in ((), (2,), (4,)):
+            count = int(np.prod(shape))
+            pds = np.stack([_random_pd(rng, n) for _ in range(count)]).reshape(
+                shape + (n, n)
+            )
+            syms = np.stack([_random_sym(rng, n) for _ in range(count)]).reshape(
+                shape + (n, n)
+            )
+            rhs = rng.standard_normal(shape + (n, n + 1))
+            vals, vecs = _eigh(syms)
+            public = np.linalg.eigh(syms)
+            assert _same_bits(vals, public.eigenvalues)
+            assert _same_bits(vecs, public.eigenvectors)
+            assert _same_bits(_eigvalsh(syms), np.linalg.eigvalsh(syms))
+            assert _same_bits(_cholesky(pds), np.linalg.cholesky(pds))
+            assert _same_bits(_solve(pds, rhs), np.linalg.solve(pds, rhs))
+        general, vec = rng.standard_normal((n, n)), rng.standard_normal(n)
+        assert _same_bits(_solve1(general, vec), np.linalg.solve(general, vec))
+        # numpy returns the real parts alone where no eigenvalue is complex
+        ours, public = _eigvals(general), np.linalg.eigvals(general)
+        assert _same_bits(ours.real, public.real)
+        assert _same_bits(ours.imag, np.imag(public).astype(float))
+
+
+def test_gufunc_failures_raise_linalg_error_without_a_warning():
+    # without numpy.linalg's error state the gufunc would only warn and
+    # return NaN
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _cholesky(indefinite)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _cholesky(np.stack([np.eye(2), indefinite]))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _solve1(singular, np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _solve(singular, np.ones((2, 3)))
