@@ -26,6 +26,7 @@ the polynomial that interpolates the indicator at its atoms.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -331,7 +332,9 @@ def _law_ends(
     highest-order Gauss-Radau rule that exists (:func:`_interpolant`),
     polished by :func:`_polish`.  The upper end is 1.0 where no rule
     exists, and where the tail exceeds `above`: the certificate is not
-    built there.
+    built there.  The rules come from one descent through the orders k,
+    k - 1, ..., 1 (:func:`_radau_law`), each built only as the walk
+    reaches it; its first rule is the highest that exists.
 
     The polish makes E[p] = sum y_r s_r an upper bound on every law with
     these moments whatever the accuracy of the rule.  Where the rule is
@@ -350,25 +353,30 @@ def _law_ends(
     wrong rank, or a step of the rule that fails, leaves the ends above.
 
     Where the ends so far still leave the point open (a tail at most
-    `above`, a mean above `below` and above `above`), the law is the
-    highest-order rule that fits, plus a far atom (:func:`_far_atom_tail`):
-    where its tail exceeds `above`, it is the lower end, and the upper end
-    is 1.0.  With `below` = `above` = the rate, these are exactly the
-    points where :func:`drdetect.detector_tuning._settle` would solve, and
-    a tail above the rate proves the branch the solve would take, since
-    no certified bound lies under the tail of a law.
+    `above`, a mean above `below` and above `above`), the descent resumes
+    at its first rule, down to the highest-order rule that fits its own
+    moments, and the law is that rule plus a far atom
+    (:func:`_far_atom_law`): where its tail exceeds `above`, it is the
+    lower end, and the upper end is 1.0.  It skips that rule where the
+    ends above took it already: the order-k law, or the order-(k-1) rule
+    with its far atom.  With `below` = `above` = the rate, these are
+    exactly the points where :func:`drdetect.detector_tuning._settle`
+    would solve, and a tail above the rate proves the branch the solve
+    would take, since no certified bound lies under the tail of a law.
     """
     alpha = float(alpha)
     if not 0 < alpha < math.inf:
         raise ValueError("threshold must be positive and finite")
     k = moments.order
     scaled = np.array(_scaled_moments(moments.moments, 1.0 / alpha))
-    for order in range(k, 0, -1):
-        law = _radau_law(scaled, order)
+    # lazy, so no rule is built that the walk does not reach; the far-atom
+    # rung below resumes it
+    rules = ((j, _radau_law(scaled, j)) for j in range(k, 0, -1))
+    for order, law in rules:
         if law is not None:
             break
     else:
-        order = 0
+        order, law = 0, None
     lower, upper = 0.0, 1.0
     if order:
         if order == k:
@@ -394,9 +402,14 @@ def _law_ends(
             # a factorization that failed, or a certificate that is not finite
             pass
     if lower <= above < upper:
-        tail = _far_atom_tail(scaled, order, law)
-        if tail > above:
-            return tail, 1.0
+        for j, rule in itertools.chain([(order, law)], rules):
+            if rule is not None and _fits(scaled[: j + 1], *rule):
+                # the order-k law and the order-(k-1) far atom are taken above
+                if not j == order >= k - 1:
+                    tail = _tail(scaled, _far_atom_law(scaled, *rule))
+                    if tail > above:
+                        return tail, 1.0
+                break
     return lower, upper
 
 
@@ -574,25 +587,6 @@ def _far_atom_law(scaled: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
     except OverflowError:
         return None
     return np.concatenate((nodes, [far])), np.concatenate((weights, [omega]))
-
-
-def _far_atom_tail(scaled: np.ndarray, order: int, law) -> float:
-    """Tail of the highest-order Gauss-Radau rule that fits its own
-    moments plus :func:`_far_atom_law`'s far atom, where that law fits all
-    k + 1 moments in scaled; else 0.0, and 0.0 where that rule is one
-    :func:`_law_ends` already took, the order-k law or the order-(k-1)
-    rule with its far atom.  `law` is the rule of `order`, the highest
-    that exists."""
-    k = len(scaled) - 1
-    for j in range(order, 0, -1):
-        rule = law if j == order else _radau_law(scaled, j)
-        if rule is not None and _fits(scaled[: j + 1], *rule):
-            break
-    else:
-        return 0.0
-    if j == order >= k - 1:
-        return 0.0
-    return _tail(scaled, _far_atom_law(scaled, *rule))
 
 
 def _interpolant(nodes: np.ndarray, k: int) -> list:

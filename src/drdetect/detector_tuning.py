@@ -153,10 +153,7 @@ def tune_threshold_sdp(
     points where solves stall.  Where the point is still open, the
     highest-order Gauss-Radau rule that fits its own moments, plus a far
     atom, may be a law with all k moments whose tail settles it above the
-    rate.  No measured input reaches a solve: neither the `tune-sweep`
-    benchmark inputs at seeds 0-21 nor `drdetect all` on either
-    checked-in config at the seeds whose outputs are checked byte for
-    byte.
+    rate.
 
     The value returned is the bound that settled the returned threshold:
     the objective of :func:`solve_sdp` where a solve did, and the polished
@@ -206,11 +203,7 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
     above only raises the lower end, so every threshold returned carries a
     certificate whose mean is at most the rate: the same float test that
     the SDP objective meets.  Neither test yet allows for the rounding of
-    the sum E[p] = sum y_r s_r (ROADMAP item 10).  At the 70 points of the
-    `tune-sweep` benchmark inputs (seeds 0-21) that a band of 1e-7 around
-    the rate once sent to a solve, its a-priori bound
-    gamma_n sum |y_r s_r| is at most 5.6e-14, and each mean lies at least
-    3.3e-8 under the rate."""
+    the sum E[p] = sum y_r s_r (ROADMAP item 10)."""
     lower, upper = _law_ends(moments, alpha, below=rate, above=rate)
     if lower > rate:
         # an explicit law puts more than the rate above alpha

@@ -40,6 +40,8 @@ def test_chebyshev_bound_values():
     assert chebyshev_bound(m, alpha) == pytest.approx(0.05, abs=1e-12)
     assert chebyshev_bound(m, 2.0) == 1.0
     assert chebyshev_bound(MomentSequence((1.0, 1.0, 1.0)), 2.0) == 0.0
+    # all mass at zero: nothing lies above a positive threshold
+    assert chebyshev_bound(MomentSequence((1.0, 0.0, 0.0)), 1.0) == 0.0
     with pytest.raises(ValueError):
         chebyshev_bound(MomentSequence((1.0, 1.0, 0.5)), 2.0)
     with pytest.raises(ValueError):
@@ -50,6 +52,10 @@ def test_poly_bound_evaluation_and_validity():
     # p(q) = q/alpha certifies the Markov bound
     p = PolyBound((0.0, 0.25), 4.0)
     assert p(4.0) == pytest.approx(1.0)
+    # a list or a tuple of points evaluates as the array of them does
+    q = [0.0, 1.5, 4.0, 9.0]
+    for points in (q, tuple(q)):
+        np.testing.assert_array_equal(p(points), p(np.array(q)))
     assert p.is_valid()
     # a polynomial dipping negative on [0, alpha] must be rejected
     bad = PolyBound((-0.5, 0.25), 4.0)
@@ -613,6 +619,31 @@ def test_boundary_law_that_misses_a_moment_is_refused(monkeypatch):
             assert bound_engine._boundary_law(scaled, k) is None
 
 
+@pytest.mark.parametrize(
+    "error", [None, np.linalg.LinAlgError, ZeroDivisionError, ValueError]
+)
+def test_boundary_law_that_fails_leaves_the_ends_without_it(monkeypatch, error):
+    # the two-atom law at k = 5 and alpha = 3: no order-5 rule exists but
+    # the boundary law does.  A factorization that fails, a zero pivot or a
+    # certificate that is not finite leaves the ends that no boundary law
+    # gives: the order-4 rule's certificate above, no law's tail below
+    m = TWO_ATOM.truncated(5)
+    calls = []
+
+    def boundary_law(scaled, k):
+        calls.append(k)
+        if error is not None:
+            raise error("injected")
+        return None
+
+    monkeypatch.setattr(bound_engine, "_boundary_law", boundary_law)
+    ends = (0.0, 0.47899484433293515)
+    assert bound_engine._law_ends(m, 3.0) == ends
+    assert bound_engine._law_ends(m, 3.0, below=0.2, above=0.2) == ends
+    assert tail_lower_bound(m, 3.0) == 0.0
+    assert calls == [5, 5, 5]
+
+
 def test_rank_counts_the_eigenvalues_above_1e12_of_the_largest():
     for small, rank in ((5e-12, 2), (5e-13, 1), (0.0, 1), (-1e-17, 1)):
         assert bound_engine._rank(np.diag([1.0, small])) == rank, small
@@ -811,3 +842,32 @@ def test_far_atom_that_moves_a_lower_moment_within_1e10_keeps_the_tail():
     scaled = _FAR_MOMENTS + np.array([0.0, 0.0, 0.0, 100.0])
     law = bound_engine._far_atom_law(scaled, *_FAR_LAW)
     assert bound_engine._tail(scaled, law) == 0.25
+
+
+def test_law_ends_walk_the_rules_down_once(settled_points, monkeypatch):
+    # one descent through the Gauss-Radau rules per evaluation: the orders
+    # built fall strictly, so none is built twice, and the far-atom rung
+    # resumes the walk where the highest rule that exists stopped it.
+    # Over the tuner's own evaluation and tail_lower_bound's at every
+    # settled point, the rules built number what the descent has always
+    # built; a rung that restarted at order k would build more
+    built = []
+    radau, law_ends = bound_engine._radau_law, bound_engine._law_ends
+
+    def counted_radau(scaled, k):
+        built[-1].append(k)
+        return radau(scaled, k)
+
+    def counted_law_ends(*args, **kwargs):
+        built.append([])
+        return law_ends(*args, **kwargs)
+
+    monkeypatch.setattr(bound_engine, "_radau_law", counted_radau)
+    monkeypatch.setattr(bound_engine, "_law_ends", counted_law_ends)
+    for seq, alpha, rate, _ in settled_points:
+        bound_engine._law_ends(seq, alpha, below=rate, above=rate)
+        tail_lower_bound(seq, alpha)
+    assert len(built) == 2 * len(settled_points)
+    for orders in built:
+        assert all(a > b for a, b in zip(orders, orders[1:])), orders
+    assert sum(map(len, built)) == 1948

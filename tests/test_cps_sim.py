@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import types
@@ -153,6 +154,48 @@ def test_dimension_validation():
         _simple_system(C=[[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         _simple_system(sigma_v=[[1.0, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: NoiseModel(NoiseFamily.GAUSSIAN, np.ones((2, 3)), 0),
+            "covariance must be square",
+        ),
+        (
+            lambda: NoiseModel("gaussian", np.eye(2), 0),
+            "unknown noise family 'gaussian'",
+        ),
+        (
+            lambda: NoiseModel(NoiseFamily.GAUSSIAN, np.eye(2), 0).sample(0),
+            "sample size must be positive",
+        ),
+        (
+            lambda: ResidualTrace(np.zeros(3), np.zeros(3)),
+            "residuals must be (T, p) and q_values (T,)",
+        ),
+        (
+            lambda: ResidualTrace(np.zeros((3, 2)), np.zeros(2)),
+            "residuals and q_values disagree on length",
+        ),
+        (
+            lambda: ResidualTrace(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2))),
+            "states and q_values disagree on length",
+        ),
+    ],
+    ids=[
+        "non-square-covariance",
+        "family-name",
+        "no-samples",
+        "1d-residuals",
+        "q-length",
+        "state-length",
+    ],
+)
+def test_noise_and_trace_inputs_are_checked(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_noise_model_covariance():
@@ -525,6 +568,20 @@ def test_residual_trace_clips_rounding_below_zero():
     assert ResidualTrace(r, np.array([-5e-13])).q_values.tolist() == [0.0]
     with pytest.raises(ValueError, match="nonnegative"):
         ResidualTrace(r, np.array([-5e-12]))
+
+
+def test_simulate_checks_its_arguments():
+    sys_ = benchmark_system()
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 5)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 6)
+    with pytest.raises(ValueError, match="simulation length must be positive"):
+        simulate(sys_, w, v, 0)
+    with pytest.raises(ValueError, match="burn-in must be nonnegative"):
+        simulate(sys_, w, v, 5, burn_in=-1)
+    # process noise in three dimensions for the two-state plant
+    w3 = NoiseModel(NoiseFamily.GAUSSIAN, np.eye(3), 5)
+    with pytest.raises(ValueError, match="noise dimensions do not match the system"):
+        simulate(sys_, w3, v, 5)
 
 
 def test_simulate_single_step():

@@ -102,6 +102,23 @@ def test_closed_form_rejects_other_orders():
         closed_form_threshold(CHI2.truncated(2), 1.5, 2)
 
 
+def test_closed_form_rejects_sequences_it_cannot_place():
+    with pytest.raises(ValueError, match="moment sequence of order >= 2 required"):
+        closed_form_threshold(MomentSequence((1.0, 1.0)), 0.05, 2)
+    with pytest.raises(ValueError, match="infeasible moment sequence"):
+        closed_form_threshold(MomentSequence((1.0, 1.0, 0.5)), 0.05, 2)
+    with pytest.raises(ValueError, match="the mean must be positive"):
+        closed_form_threshold(MomentSequence((1.0, 0.0)), 0.05, 1)
+
+
+def test_bisection_rejects_an_infeasible_order():
+    # the k = 2 row that brackets k = 3 is feasible, so the order-3
+    # sequence reaches the row function, whose own check turns it down
+    with pytest.raises(ValueError, match="infeasible moment sequence") as error:
+        tune_threshold_sdp(MomentSequence((1.0, 1.0, 2.0, -5.0)), 0.05)
+    assert error.traceback[-1].name == "_bisect"
+
+
 def test_tune_matches_closed_form_k2():
     res = tune_threshold_sdp(CHI2.truncated(2), 0.05, epsilon=1e-4)
     ref = closed_form_threshold(CHI2.truncated(2), 0.05, 2)
@@ -665,6 +682,8 @@ def test_rate_domain():
         achieved_worst_case=0.05,
     )
     ThresholdResult(**valid)
+    with pytest.raises(ValueError, match=r"target rate must be in \(0, 1\)"):
+        ThresholdResult(**{**valid, "target_rate": 1.5})
     for field, bad in (
         ("epsilon", math.nan),
         ("alpha", math.inf),

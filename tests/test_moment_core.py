@@ -85,6 +85,8 @@ def test_estimate_moments_rejects_bad_input():
         estimate_moments([1.0, -0.5], 2)
     with pytest.raises(ValueError):
         estimate_moments([1.0, 2.0], 0)
+    with pytest.raises(ValueError, match="samples must be one-dimensional"):
+        estimate_moments(np.ones((2, 2)), 2)
 
 
 def test_estimate_moments_chi_squared_monte_carlo():
@@ -105,12 +107,16 @@ def test_chi_squared_moments_values():
     assert chi_squared_moments(4, 2).moments == (1.0, 4.0, 24.0)
     with pytest.raises(ValueError):
         chi_squared_moments(0, 2)
+    with pytest.raises(ValueError, match="moment order must be at least 1"):
+        chi_squared_moments(2, 0)
 
 
 def test_mean_and_variance_views():
     m = MomentSequence((1.0, 2.0, 8.0))
     assert m.mean == 2.0
     assert m.variance == 4.0
+    with pytest.raises(ValueError, match="variance needs moments up to order 2"):
+        MomentSequence((1.0, 2.0)).variance
 
 
 def test_truncated_and_scaled():
