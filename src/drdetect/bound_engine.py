@@ -45,7 +45,13 @@ from ._lapack import (
     _solve1,
 )
 from .ipm import Status, svec, svec_dim
-from .moment_core import MomentSequence, _hankel_matrix, _scaled_moments, is_feasible
+from .moment_core import (
+    MomentSequence,
+    _hankel_matrix,
+    _scaled_moments,
+    hankel_pair,
+    is_feasible,
+)
 
 __all__ = [
     "PolyBound",
@@ -411,6 +417,69 @@ def _law_ends(
                         return tail, 1.0
                 break
     return lower, upper
+
+
+def _threshold_root(moments: MomentSequence, rate: float, start: float):
+    """The threshold at which the largest mass that a law on R+ with these
+    moments can put at one point falls to the rate, or None.
+
+    That mass at alpha is min(1 / (v'H^-1 v), 1 / (alpha w'H1^-1 w)) with
+    v = (1, alpha, alpha^2, ...) and w alike, where H = (M_{i+j}) and
+    H1 = (M_{i+j+1}) are the pair of :func:`hankel_pair`: the Christoffel
+    functions of mu and of q mu (Akhiezer, The Classical Moment Problem,
+    1965, ch. 2).  v'H^-1 v is the sum of p_j(alpha)^2 over the
+    orthonormal polynomials of H, which follow the three-term recurrence
+    of the Jacobi matrix of H's Cholesky factor (:func:`_jacobi`).  The
+    result is the lesser of the largest real roots of
+    rate sum p_j(alpha)^2 = 1 and rate alpha sum p~_j(alpha)^2 = 1, each
+    found by Newton steps in Python floats that descend from `start`.
+    Where alpha is the top atom of the extremal law this is the tight
+    threshold; elsewhere it lies below it, since the mass at alpha is at
+    most the tail there.  Nothing here is certified: the caller tests the
+    law ends around it.
+
+    None where either matrix has less than full numerical rank
+    (:func:`_rank`), where a Cholesky factor fails, where a step leaves the
+    convex branch (a slope not positive, or a value that is not finite),
+    or where 64 steps do not converge to relative 1e-12.  No step warns.
+    """
+    roots = []
+    for shift, hankel in enumerate(hankel_pair(moments)):
+        n = len(hankel) - 1
+        if _rank(hankel) <= n:
+            return None
+        try:
+            jacobi = _jacobi(_cholesky(hankel).T).tolist()
+        except np.linalg.LinAlgError:
+            return None
+        p0 = 1.0 / math.sqrt(hankel[0, 0])
+        alpha = start
+        for _ in range(64):
+            # sum p_j^2 and its slope by the recurrence
+            # b_{j+1} p_{j+1} = (alpha - a_j) p_j - b_j p_{j-1}, as in mu
+            p, dp, p_prev, dp_prev, b_j = p0, 0.0, 0.0, 0.0, 0.0
+            total, slope = p * p, 0.0
+            for j in range(n):
+                x, b_next = alpha - jacobi[j][j], jacobi[j + 1][j]
+                p, p_prev = (x * p - b_j * p_prev) / b_next, p
+                dp, dp_prev = (p_prev + x * dp - b_j * dp_prev) / b_next, dp
+                b_j = b_next
+                total, slope = total + p * p, slope + 2.0 * p * dp
+            if shift:
+                value = rate * alpha * total - 1.0
+                slope = rate * (total + alpha * slope)
+            else:
+                value, slope = rate * total - 1.0, rate * slope
+            if not (slope > 0.0 and math.isfinite(value)):
+                return None
+            step = value / slope
+            alpha -= step
+            if abs(step) <= 1e-12 * abs(alpha):
+                break
+        else:
+            return None
+        roots.append(alpha)
+    return min(roots)
 
 
 def _tail(scaled: np.ndarray, law) -> float:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._lapack import gammaincinv as _gammaincinv
-from .bound_engine import _law_ends, solve_sdp
+from .bound_engine import _law_ends, _threshold_root, solve_sdp
 from .moment_core import MomentSequence, is_feasible
 
 __all__ = [
@@ -109,6 +109,8 @@ def closed_form_threshold(
 
 
 _AUTO_CACHE: dict[tuple, "ThresholdResult"] = {}
+# half-width of the bisection window around the root, relative (see _bisect)
+_WINDOW = 2.0**-20
 
 
 def tune_threshold_sdp(
@@ -144,7 +146,13 @@ def tune_threshold_sdp(
     too, and the lower end rises without a solve.  If the polynomial that
     interpolates the indicator at the law's nodes, checked on the whole
     half-line, has a mean at most the rate, no law puts more than the rate
-    there, and the upper end comes down without a solve.  Both tests meet
+    there, and the upper end comes down without a solve.  Most points
+    need neither: the threshold where the largest mass that one point can
+    carry falls to the rate (a Christoffel root,
+    :func:`drdetect.bound_engine._threshold_root`) centres a narrow window
+    whose two ends are settled by this law pair once, and every point
+    outside it is settled by monotonicity alone (:func:`_bisect`), with
+    the same midpoints and bits as if each were settled.  Both tests meet
     the rate itself (see :func:`_settle`), so a solve runs only where the
     rate lies strictly between the two ends.  Where neither settles the
     point and no Gauss-Radau rule of order k exists, a sequence of few
@@ -215,24 +223,75 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
     return bound > rate, bound, None
 
 
+def _window(moments: MomentSequence, rate: float, lo: float, hi: float):
+    """(b, a) of :func:`_bisect`'s window on the bracket [lo, hi]: every
+    point at or below b lies above the rate, every point at or above a
+    below it.  An end that its law pair does not certify, or every end
+    where there is no root, is -inf or inf."""
+    root = _threshold_root(moments, rate, hi)
+    if root is None:
+        return -math.inf, math.inf
+    b, a = (min(max(root * s, lo), hi) for s in (1.0 - _WINDOW, 1.0 + _WINDOW))
+    if not _law_ends(moments, b, below=rate, above=rate)[0] > rate:
+        b = -math.inf
+    tail, mean = _law_ends(moments, a, below=rate, above=rate)
+    if not (tail <= rate and mean <= rate):
+        a = math.inf
+    return b, a
+
+
 def _bisect(
     moments: MomentSequence, rate: float, epsilon: float, upper: ThresholdResult
 ) -> ThresholdResult:
     """The row of :func:`tune_threshold_sdp` for one order, its scalar
     arguments checked, bracketed from above by `upper`, the row one order
-    down.  The mean is the first point settled, the midpoints follow."""
+    down.  The mean is the first point settled, the midpoints follow.
+
+    A window (b, a) = (tau (1 - 2^-20), tau (1 + 2^-20)) around the root
+    tau of :func:`drdetect.bound_engine._threshold_root`, clipped to the
+    bracket (:func:`_window`), settles the points outside it without
+    :func:`_settle`.  Each end takes one law pair: where the tail at b
+    exceeds the rate, every point at or below b lies above it, and where
+    the tail at a does not exceed the rate and the certificate's mean
+    there is at most the rate, every point at or above a lies below it.
+    Both follow from the tight bound not increasing in the threshold: a
+    certificate at a is one at every higher threshold, and a law's mass at
+    or above b lies above every lower one.  So the window proves each
+    branch it takes, and the visited midpoints stay those of a bisection
+    that settles every point.  Where either Hankel matrix has less than
+    full numerical rank, as on few-atom sequences whose law layer decides
+    near its tolerances, there is no root and the window is empty.  The
+    final upper end is settled again where the window settled it, for the
+    bound the row reports; where that does not settle it below, the row is
+    bisected again with an empty window."""
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
-    a_l, a_u, achieved = moments.moments[1], upper.alpha, None
-    point = a_l
-    while point is not None:
-        above, bound, certified = _settle(moments, point, rate)
-        if above:
-            a_l = point
-        else:
-            a_u, achieved = point, certified if bound is None else bound
-        mid = 0.5 * (a_l + a_u)  # equals an end once no float lies between the ends
-        point = mid if a_u - a_l > epsilon and a_l < mid < a_u else None
+    lo, hi = moments.moments[1], upper.alpha
+    above_to, below_from = _window(moments, rate, lo, hi)
+    while True:
+        a_l, a_u, achieved, windowed = lo, hi, None, False
+        point = a_l
+        while point is not None:
+            if point <= above_to:
+                a_l = point
+            elif point >= below_from:
+                a_u, windowed = point, True
+            else:
+                above, bound, certified = _settle(moments, point, rate)
+                if above:
+                    a_l = point
+                else:
+                    a_u, achieved = point, certified if bound is None else bound
+                    windowed = False
+            mid = 0.5 * (a_l + a_u)  # equals an end once no float lies between the ends
+            point = mid if a_u - a_l > epsilon and a_l < mid < a_u else None
+        if not windowed:
+            break
+        above, bound, certified = _settle(moments, a_u, rate)
+        if not above:
+            achieved = certified if bound is None else bound
+            break
+        above_to, below_from = -math.inf, math.inf
     if a_u == upper.alpha:
         # the row keeps the lower-order threshold, whose guarantee is a
         # certified bound for k moments too, since every certificate for

@@ -3,7 +3,7 @@ report printed after every run."""
 import numpy as np
 import pytest
 
-from drdetect import MomentSequence
+from drdetect import MomentSequence, chi_squared_moments
 
 # ---------------------------------------------------------------------------
 # acceptance criteria bookkeeping: tests register one line per criterion and
@@ -108,22 +108,27 @@ def rng():
 # the point rule of `detector_tuning._settle` to the SDP and to the law
 
 
+# (moments, rate) of the tuning runs of `settled_points`
+SETTLED_CASES = [
+    (chi_squared_moments(p, 6).truncated(k), rate)
+    for p in (1, 2, 4)
+    for rate in (0.01, 0.05, 0.2)
+    for k in range(3, 7)
+]
+SETTLED_CASES += [(TWO_ATOM.truncated(k), 0.2) for k in range(3, 7)]
+SETTLED_CASES += [(SEQ15.truncated(k), 0.05) for k in (3, 4)]
+
+
 @pytest.fixture(scope="session")
 def settled_points():
     """(moments, alpha, rate, (above, bound, certified)) for every point
     that bisection settles while tuning chi-squared(1, 2, 4) at rates 0.01,
     0.05 and 0.2, the two-atom law at 0.2 and sequence #15 at 0.05, each
-    at k = 3 and up, from an empty memo."""
-    from drdetect import chi_squared_moments, detector_tuning
+    at k = 3 and up, from an empty memo.  The root of
+    `bound_engine._threshold_root` is taken away, so its window settles no
+    point and every point goes through `_settle`."""
+    from drdetect import detector_tuning
 
-    cases = [
-        (chi_squared_moments(p, 6).truncated(k), rate)
-        for p in (1, 2, 4)
-        for rate in (0.01, 0.05, 0.2)
-        for k in range(3, 7)
-    ]
-    cases += [(TWO_ATOM.truncated(k), 0.2) for k in range(3, 7)]
-    cases += [(SEQ15.truncated(k), 0.05) for k in (3, 4)]
     points = []
     original = detector_tuning._settle
 
@@ -135,7 +140,8 @@ def settled_points():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detector_tuning, "_AUTO_CACHE", {})
         mp.setattr(detector_tuning, "_settle", logged)
-        for moments, rate in cases:
+        mp.setattr(detector_tuning, "_threshold_root", lambda *args: None)
+        for moments, rate in SETTLED_CASES:
             detector_tuning.tune_threshold_sdp(moments, rate, epsilon=1e-4)
     return points
 

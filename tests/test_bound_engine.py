@@ -16,11 +16,18 @@ from drdetect import (
     solve_sdp,
     tail_lower_bound,
 )
-from drdetect import _lapack, bound_engine, ipm
+from drdetect import _lapack, bound_engine, detector_tuning, ipm
 from drdetect.ipm import Status, svec
 from drdetect.moment_core import _hankel_matrix
 
-from conftest import SEQ15, THREE_ATOM, TWO_ATOM, atomic_moments, random_moments
+from conftest import (
+    SEQ15,
+    SETTLED_CASES,
+    THREE_ATOM,
+    TWO_ATOM,
+    atomic_moments,
+    random_moments,
+)
 
 CHI2 = chi_squared_moments(2, 4)
 
@@ -871,3 +878,94 @@ def test_law_ends_walk_the_rules_down_once(settled_points, monkeypatch):
     for orders in built:
         assert all(a > b for a, b in zip(orders, orders[1:])), orders
     assert sum(map(len, built)) == 1948
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("rate", [0.01, 0.05, 0.2, 0.4])
+def test_threshold_root_at_two_moments_is_the_closed_form(p, rate):
+    # at k = 2 the mu form's root is Cantelli's threshold and the q mu
+    # form's is Markov's M1 / rate; the lesser is the k = 2 closed form
+    m = chi_squared_moments(p, 2)
+    closed = detector_tuning.closed_form_threshold(m, rate, 2).alpha
+    root = bound_engine._threshold_root(m, rate, 2.0 * m.moments[1] / rate)
+    assert root == pytest.approx(closed, rel=1e-13)
+
+
+def test_threshold_root_is_the_christoffel_root_of_chi_squared_2():
+    # the k = 4 threshold, where the extremal law has its top atom at the
+    # root: the tuned row lies 1.2e-5 above it
+    m = chi_squared_moments(2, 4)
+    root = bound_engine._threshold_root(m, 0.05, 10.717797887081346)
+    assert root == pytest.approx(9.181835518704698, rel=1e-14)
+
+
+def test_window_around_the_root_brackets_each_tuned_row(monkeypatch):
+    # the window of every bisected order of the settled-point runs: where
+    # it certified both ends, the row lies in [tau (1 - d), tau (1 + d) + eps],
+    # as the tight threshold does where the root is exact; where it
+    # certified its lower end alone, the root is a lower end of the tight
+    # threshold, another atom lying above it, and the row lies above b
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    delta, epsilon = detector_tuning._WINDOW, 1e-4
+    classes = {"both": 0, "b": 0, "a": 0, "neither": 0, "no root": 0}
+    for seq, rate in SETTLED_CASES:
+        row = detector_tuning.tune_threshold_sdp(seq, rate, epsilon=epsilon)
+        k = seq.order
+        if k > 3:
+            below = detector_tuning._AUTO_CACHE[seq.truncated(k - 1), rate, epsilon]
+        else:
+            below = detector_tuning.closed_form_threshold(seq.truncated(2), rate, 2)
+        tau = bound_engine._threshold_root(seq, rate, below.alpha)
+        b, a = detector_tuning._window(seq, rate, seq.moments[1], below.alpha)
+        if tau is None:
+            cls = "no root"
+        else:
+            cls = {(1, 1): "both", (1, 0): "b", (0, 1): "a", (0, 0): "neither"}[
+                b > -math.inf, a < math.inf
+            ]
+        classes[cls] += 1
+        if cls == "both":
+            assert tau * (1 - delta) <= row.alpha <= tau * (1 + delta) + epsilon
+        if cls == "b":
+            assert row.alpha > b
+        if cls in ("both", "b"):
+            assert tau < row.alpha + epsilon
+    assert classes == {"both": 23, "b": 16, "a": 0, "neither": 0, "no root": 3}
+
+
+# the three-atom sequence `atomic1_n3` of perfbench's tune-sweep inputs at
+# seed 6, to six moments.  Its H has an eigenvalue of -3.0e-13 and still a
+# Cholesky factor, where THREE_ATOM's (-3.9e-14) has none
+THREE_ATOM_SEED6 = MomentSequence(
+    (
+        1.0,
+        4.408832530729725,
+        19.46804719002841,
+        86.06743048859636,
+        380.8502097404384,
+        1686.472478971184,
+        7472.176521915839,
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [TWO_ATOM.truncated(4), TWO_ATOM.truncated(5), TWO_ATOM, THREE_ATOM,
+     THREE_ATOM_SEED6, MomentSequence((1.0, 1.0, 0.5, 0.3))],
+    ids=["two_atom_k4", "two_atom_k5", "two_atom_k6", "three_atom_k6",
+         "three_atom_seed6_k6", "infeasible"],
+)
+@pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
+def test_threshold_root_is_none_without_a_warning_off_full_rank(moments, rate):
+    # a Hankel matrix of less than full numerical rank has no root: the
+    # few-atom sequences on the boundary of the moment cone, and the
+    # infeasible (1, 1, 0.5, 0.3), whose H has a negative eigenvalue.  On
+    # the seed-6 sequence the rank alone decides: its Cholesky succeeds, and
+    # a window around its root at rate 0.05 certifies the point 4.4582966
+    # below the rate where the bisection that settles every point finds
+    # 4.4583319 above it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = moments.moments[1] / rate
+        assert bound_engine._threshold_root(moments, rate, start) is None

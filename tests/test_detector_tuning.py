@@ -749,3 +749,101 @@ def test_memoized_recursion_is_stable(monkeypatch):
     a, b = results
     assert a is not b
     assert a == b
+
+
+def _window_cases():
+    """(moments, rate) chains for the window tests: chi-squared(1, 2, 4)
+    at three rates, the few-atom sequences and sequence #15 at each rate,
+    and 40 random atomic laws of 2 to 7 atoms to six moments."""
+    rates = (0.01, 0.05, 0.2)
+    cases = [(chi_squared_moments(p, 6), rate) for p in (1, 2, 4) for rate in rates]
+    cases += [(seq, rate) for seq in (TWO_ATOM, THREE_ATOM, SEQ15) for rate in rates]
+    rng = np.random.default_rng(49)
+    cases += [
+        (random_moments(rng, 6, n_atoms=(2, 3, 5, 7)[i % 4]), rates[i % 3])
+        for i in range(40)
+    ]
+    return cases
+
+
+def _tuned_rows(monkeypatch, cases, root=True):
+    """The rows k = 3 and up of every case, each case from an empty memo,
+    as (alpha hex, achieved hex); every point `_settle` settles, as
+    (moments, alpha, rate, above); and the window of each bisected order,
+    keyed by (moments, rate).  With `root` False the window's root is
+    taken away, so every point goes through `_settle`."""
+    points, windows = [], {}
+    settle, window = detector_tuning._settle, detector_tuning._window
+
+    def logged_settle(moments, alpha, rate):
+        result = settle(moments, alpha, rate)
+        points.append((moments, alpha, rate, result[0]))
+        return result
+
+    def logged_window(moments, rate, lo, hi):
+        windows[moments, rate] = window(moments, rate, lo, hi)
+        return windows[moments, rate]
+
+    rows = []
+    with monkeypatch.context() as mp:
+        mp.setattr(detector_tuning, "_settle", logged_settle)
+        mp.setattr(detector_tuning, "_window", logged_window)
+        if not root:
+            mp.setattr(detector_tuning, "_threshold_root", lambda *args: None)
+        for seq, rate in cases:
+            mp.setattr(detector_tuning, "_AUTO_CACHE", {})
+            tune_threshold_sdp(seq, rate, epsilon=1e-4)
+            for row in sorted(detector_tuning._AUTO_CACHE.values(), key=lambda r: r.k):
+                rows.append((row.alpha.hex(), row.achieved_worst_case.hex()))
+    return rows, points, windows
+
+
+def test_window_keeps_every_row_and_halves_the_settled_points(monkeypatch):
+    # the window around the Christoffel root settles every point outside
+    # it by monotonicity: each row keeps the bits of the bisection that
+    # settles every point, at least half of the points go, and every
+    # point of that bisection outside a window takes the window's branch
+    cases = _window_cases()
+    rows, points, windows = _tuned_rows(monkeypatch, cases)
+    plain_rows, plain_points, _ = _tuned_rows(monkeypatch, cases, root=False)
+    assert len(rows) == 4 * 9 + 4 * 6 + 2 * 3 + 4 * 40
+    assert rows == plain_rows
+    assert 2 * len(points) <= len(plain_points), (len(points), len(plain_points))
+    covered = 0
+    for moments, alpha, rate, above in plain_points:
+        b, a = windows[moments, rate]
+        if alpha <= b or alpha >= a:
+            covered += 1
+            assert above == (alpha <= b), (moments, alpha, rate, b, a)
+    assert 2 * covered >= len(plain_points), (covered, len(plain_points))
+
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
+def test_upper_end_that_settle_refuses_is_bisected_again(monkeypatch, rate):
+    # a window that claims every point from the first midpoint up below the
+    # rate, where the bisection that settles every point finds that
+    # midpoint above it: no later point is settled below, so the claimed
+    # point stays the upper end, is settled again, lies above the rate, and
+    # the row is bisected again with an empty window, to the plain bits
+    brackets = {}
+
+    def wrong_window(moments, rate, lo, hi):
+        brackets[moments.order] = lo, hi
+        return -math.inf, 0.5 * (lo + hi)
+
+    rows = []
+    for patch in ("_threshold_root", "_window"):
+        monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+        if patch == "_threshold_root":
+            monkeypatch.setattr(detector_tuning, "_threshold_root", lambda *args: None)
+        else:
+            monkeypatch.setattr(detector_tuning, "_window", wrong_window)
+        tune_threshold_sdp(CHI2, rate, epsilon=1e-4)
+        rows.append({row.k: row for row in detector_tuning._AUTO_CACHE.values()})
+    plain, windowed = rows
+    assert sorted(brackets) == sorted(plain) == [3, 4]
+    for k, (lo, hi) in brackets.items():
+        assert plain[k].alpha > 0.5 * (lo + hi)
+        assert windowed[k].alpha.hex() == plain[k].alpha.hex()
+        assert windowed[k].achieved_worst_case.hex() == plain[k].achieved_worst_case.hex()
