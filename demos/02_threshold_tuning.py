@@ -15,7 +15,6 @@ import numpy as np
 from drdetect import (
     chi_squared_moments,
     chi_squared_threshold,
-    closed_form_threshold,
     solve_sdp,
     tune_threshold_sdp,
 )
@@ -32,15 +31,14 @@ print(f"chi-squared threshold: {alpha_chi:.4f}  (-2 ln 0.05 = "
 
 # ---------------------------------------------------------------------------
 # Robust thresholds from k moments of q.  k = 1 inverts Markov
-# (M1/rate), k = 2 inverts the one-sided Chebyshev bound, and k >= 3
-# bisects on the SDP worst case.
+# (M1/rate), k = 2 the lesser of Markov and the one-sided Chebyshev
+# bound, both in closed form, and k >= 3 bisects on the SDP worst case.
 
 moments = chi_squared_moments(2, 4)
-rows = []
-for k in (1, 2):
-    rows.append(closed_form_threshold(moments.truncated(k), RATE, k))
-for k in (3, 4):
-    rows.append(tune_threshold_sdp(moments.truncated(k), RATE, epsilon=1e-4))
+rows = [
+    tune_threshold_sdp(moments.truncated(k), RATE, epsilon=1e-4)
+    for k in (1, 2, 3, 4)
+]
 
 print(f"\n{'k':>2} {'method':>16} {'alpha':>10} {'worst case':>11}")
 for row in rows:

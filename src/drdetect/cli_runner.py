@@ -28,7 +28,6 @@ from .detector_tuning import (
     Method,
     ThresholdResult,
     chi_squared_threshold,
-    closed_form_threshold,
     tune_threshold_sdp,
 )
 from .moment_core import MomentSequence, _PowerSums, chi_squared_moments
@@ -228,12 +227,7 @@ def run_tune(config: ExperimentConfig) -> list[ThresholdResult]:
     for k in config.orders:
         try:
             seq = moments.truncated(k)
-            if k <= 2:
-                rows.append(closed_form_threshold(seq, rate, k))
-            else:
-                rows.append(
-                    tune_threshold_sdp(seq, rate, epsilon=config.epsilon)
-                )
+            rows.append(tune_threshold_sdp(seq, rate, epsilon=config.epsilon))
         except (ValueError, ArithmeticError) as exc:
             print(f"tuning failed at order {k}: {exc}", file=_sys.stderr)
     return rows

@@ -79,7 +79,8 @@ def closed_form_threshold(
     sqrt((1-rate)/rate), and its row reports the rate.  Where C = 0 the
     only law with the moments is the point mass at M1, which a threshold
     at M1 meets: the threshold is then the first float above M1, with a
-    worst-case probability of 0.  For k >= 3 use :func:`tune_threshold_sdp`.
+    worst-case probability of 0.  :func:`tune_threshold_sdp` returns these
+    rows at k <= 2, and bisects from k = 3.
     """
     if k not in (1, 2):
         raise ValueError("closed forms exist for k in {1, 2} only")
@@ -116,76 +117,33 @@ _WINDOW = 2.0**-20
 def tune_threshold_sdp(
     moments: MomentSequence, rate: float, epsilon: float = 1e-4
 ) -> ThresholdResult:
-    """Bisection on the tight k-moment SDP bound.
+    """A threshold for all k moments of the sequence at which no law on R+
+    with these moments puts more than the rate at or above it.
 
-    Halves a bracket until it is narrower than epsilon: a midpoint whose
-    worst-case probability exceeds the target raises the lower end,
-    otherwise the upper end comes down.  The returned threshold is the
-    certified upper end of the final bracket.  A step that is solved acts
-    on the objective of :func:`solve_sdp`, which is a certified bound
-    whatever the solver status: a stalled solve (`NUMERICAL_TROUBLE`) may
-    report a loose bound, which only raises the lower end, so the result
-    stays certified but may sit above the tight threshold.
+    At k <= 2 it is the tight closed form, and the row is that of
+    :func:`closed_form_threshold`.  From k = 3 the orders are tuned in one
+    ascending walk from the k = 2 row: each order's row bisects to epsilon
+    from the mean, never below it (ROADMAP item 12a), up to the row one
+    order down, which brackets it from above since the bound shrinks as
+    moments are added (:func:`_bisect`, whose points :func:`_settle`
+    settles).  Each bisected row is memoized per truncated sequence, rate
+    and epsilon.
 
-    The search starts at the mean as its lower end, and never tries a
-    threshold below it, although one may meet the rate there: the law
-    {0.9 w.p. 0.98, 3.0 w.p. 0.02} at k = 4 and rate 0.05 has tail 0.02
-    at every threshold in (0.9, 3] (ROADMAP item 12a).  The upper end
-    starts at the lower-order threshold: the Markov one at k = 2, else the
-    (k-1)-moment one, which is never above Markov's; it brackets from
-    above because the bound shrinks as moments are added.  So the orders
-    are tuned in one ascending walk from the closed form below the first
-    bisected order, each row bracketed by the one before it, and each
-    order's row is memoized per truncated sequence.  If the bound at the
-    lower end already meets the target, that end is returned.
-
-    At the lower end and at each midpoint the SDP is solved only where the
-    Gauss-Radau law through the point cannot settle the branch.  If an
-    explicit law with the given moments puts more than the rate above the
-    threshold (:func:`tail_lower_bound`), every bound lies above the rate
-    too, and the lower end rises without a solve.  If the polynomial that
-    interpolates the indicator at the law's nodes, checked on the whole
-    half-line, has a mean at most the rate, no law puts more than the rate
-    there, and the upper end comes down without a solve.  Most points
-    need neither: the threshold where the largest mass that one point can
-    carry falls to the rate (a Christoffel root,
-    :func:`drdetect.bound_engine._threshold_root`) centres a narrow window
-    whose two ends are settled by this law pair once, and every point
-    outside it is settled by monotonicity alone (:func:`_bisect`), with
-    the same midpoints and bits as if each were settled.  Both tests meet
-    the rate itself (see :func:`_settle`), so a solve runs only where the
-    rate lies strictly between the two ends.  Where neither settles the
-    point and no Gauss-Radau rule of order k exists, a sequence of few
-    atoms on the boundary of the moment cone has one law, and its tail and
-    its certificate's mean settle the point in the same way; these are the
-    points where solves stall.  Where the point is still open, the
-    highest-order Gauss-Radau rule that fits its own moments, plus a far
-    atom, may be a law with all k moments whose tail settles it above the
-    rate.
-
-    The value returned is the bound that settled the returned threshold:
-    the objective of :func:`solve_sdp` where a solve did, and the polished
-    mean of the certificate where that did, which is the tight bound up to
-    rounding (Karlin & Studden 1966; Bertsimas & Popescu 2005).  A row
-    that keeps the lower-order threshold, because no point took the
-    initial upper end down or because the lower end meets the rate where
-    the row below returned it too, reports the lesser of that bound and
-    the lower-order guarantee, since every certificate for fewer moments
-    is one for k moments too.  Where no point took the upper end down
-    nothing is solved there, and the polished mean of the order-k
-    certificate at that end stands in for the bound.
+    A bisected row returns the certified upper end of its final bracket,
+    and reports the bound that settled it: the objective of
+    :func:`solve_sdp` where a solve did, which is certified whatever the
+    solver status, and the polished mean of a law's certificate where
+    that did.  A row that keeps the threshold of the row below reports the
+    lesser of that bound and the row below's guarantee, since every
+    certificate for fewer moments is one for k moments too.
     """
-    if moments.order < 2:
-        raise ValueError("bisection needs a sequence of order >= 2")
     if not 0 < rate <= 0.5:
         raise ValueError("target rate must be in (0, 0.5]")
     if not 0 < epsilon < math.inf:
         raise ValueError("bisection tolerance must be positive and finite")
-    # the closed form below the first bisected order: Markov's at k = 2,
-    # else the k = 2 one, which is never above it
-    start = min(moments.order - 1, 2)
-    row = closed_form_threshold(moments.truncated(start), rate, start)
-    for k in range(start + 1, moments.order + 1):
+    closed = min(moments.order, 2)
+    row = closed_form_threshold(moments.truncated(closed), rate, closed)
+    for k in range(3, moments.order + 1):
         part = moments.truncated(k)
         cache_key = (part, rate, epsilon)
         if cache_key not in _AUTO_CACHE:

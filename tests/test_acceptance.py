@@ -21,7 +21,6 @@ from drdetect import (
     benchmark_system,
     chebyshev_bound,
     chi_squared_moments,
-    closed_form_threshold,
     is_feasible,
     markov_bound,
     noise_threshold,
@@ -96,14 +95,10 @@ def test_criterion_01_threshold_reproduction(gaussian_thresholds):
 
 def test_criterion_02_monotonicity_in_order(rng):
     def chain(seq):
-        alphas = [
-            closed_form_threshold(seq.truncated(k), RATE, k).alpha for k in (1, 2)
-        ]
-        alphas += [
+        return [
             tune_threshold_sdp(seq.truncated(k), RATE, epsilon=EPSILON).alpha
-            for k in (3, 4)
+            for k in (1, 2, 3, 4)
         ]
-        return alphas
 
     sequences = [chi_squared_moments(2, 4)]
     sequences += [random_moments(rng, 4) for _ in range(20)]

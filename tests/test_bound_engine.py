@@ -891,12 +891,17 @@ def test_threshold_root_at_two_moments_is_the_closed_form(p, rate):
     assert root == pytest.approx(closed, rel=1e-13)
 
 
+# chi-squared(2) at k = 4 and rate 0.05: the k = 2 row, where the tuner
+# starts the root's descent, and the root
+CHI2_K2_ROW, CHI2_K4_ROOT = 10.717797887081346, 9.181835518704698
+
+
 def test_threshold_root_is_the_christoffel_root_of_chi_squared_2():
     # the k = 4 threshold, where the extremal law has its top atom at the
     # root: the tuned row lies 1.2e-5 above it
     m = chi_squared_moments(2, 4)
-    root = bound_engine._threshold_root(m, 0.05, 10.717797887081346)
-    assert root == pytest.approx(9.181835518704698, rel=1e-14)
+    root = bound_engine._threshold_root(m, 0.05, CHI2_K2_ROW)
+    assert root == pytest.approx(CHI2_K4_ROOT, rel=1e-14)
 
 
 def test_window_around_the_root_brackets_each_tuned_row(monkeypatch):
@@ -969,3 +974,45 @@ def test_threshold_root_is_none_without_a_warning_off_full_rank(moments, rate):
         warnings.simplefilter("error")
         start = moments.moments[1] / rate
         assert bound_engine._threshold_root(moments, rate, start) is None
+
+
+def test_threshold_root_is_none_where_a_factor_fails(monkeypatch):
+    # both Hankel matrices of chi-squared(2) at k = 4 have full numerical
+    # rank, so no input fails their factors; a factor that raises stands in
+    m = chi_squared_moments(2, 4)
+    assert bound_engine._threshold_root(m, 0.05, CHI2_K2_ROW) is not None
+
+    def fail(hankel):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(bound_engine, "_cholesky", fail)
+    assert bound_engine._threshold_root(m, 0.05, CHI2_K2_ROW) is None
+
+
+@pytest.mark.parametrize("start", [-1e3, 0.0, math.inf, math.nan])
+def test_threshold_root_is_none_off_the_convex_branch(start):
+    # Newton descends to the largest root from above it, where the
+    # Christoffel sum rises; from the left of its minimum the slope is not
+    # positive, and from inf or nan the value is not finite
+    m = chi_squared_moments(2, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound_engine._threshold_root(m, 0.05, start) is None
+
+
+def test_threshold_root_is_none_where_64_steps_do_not_converge():
+    # on the degree-4 sum of the mu form a Newton step far above the root
+    # takes off about a quarter of alpha: from 1e60, 64 steps leave it
+    # near 1e52.  From 1e3 the same descent converges
+    m = chi_squared_moments(2, 4)
+    assert bound_engine._threshold_root(m, 0.05, 1e60) is None
+    root = bound_engine._threshold_root(m, 0.05, 1e3)
+    assert root == pytest.approx(CHI2_K4_ROOT, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polish_rejects_a_certificate_that_is_not_finite(bad):
+    # a solve that diverges could hand one back; no tuning input does
+    scaled = np.array(chi_squared_moments(2, 4).scaled(1.0 / 9.0).moments)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        bound_engine._polish([0.1, bad, 0.0, 0.0, 0.01], scaled)

@@ -36,9 +36,10 @@ def test_chi_squared_threshold_values():
     assert chi_squared_threshold(4, 0.05) == pytest.approx(9.4877, abs=1e-3)
     # 2 dof has the closed form -2 ln(rate)
     assert chi_squared_threshold(2, 0.05) == pytest.approx(-2.0 * math.log(0.05), rel=1e-12)
-    with pytest.raises(ValueError):
-        chi_squared_threshold(2, 0.0)
-    with pytest.raises(ValueError):
+    for rate in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^rate must be in \(0, 1\)$"):
+            chi_squared_threshold(2, rate)
+    with pytest.raises(ValueError, match="degrees of freedom must be at least 1"):
         chi_squared_threshold(0, 0.05)
 
 
@@ -96,10 +97,13 @@ def test_zero_variance_rows_lie_above_the_mean():
 
 
 def test_closed_form_rejects_other_orders():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"closed forms exist for k in \{1, 2\} only"):
         closed_form_threshold(CHI2, 0.05, 3)
-    with pytest.raises(ValueError):
-        closed_form_threshold(CHI2.truncated(2), 1.5, 2)
+    # the rate check's own message: math.sqrt's domain error is a
+    # ValueError too, and the row's own check names the target rate
+    for k in (1, 2):
+        with pytest.raises(ValueError, match=r"^rate must be in \(0, 1\)$"):
+            closed_form_threshold(CHI2.truncated(k), 1.5, k)
 
 
 def test_closed_form_rejects_sequences_it_cannot_place():
@@ -119,12 +123,28 @@ def test_bisection_rejects_an_infeasible_order():
     assert error.traceback[-1].name == "_bisect"
 
 
-def test_tune_matches_closed_form_k2():
-    res = tune_threshold_sdp(CHI2.truncated(2), 0.05, epsilon=1e-4)
-    ref = closed_form_threshold(CHI2.truncated(2), 0.05, 2)
-    assert abs(res.alpha - ref.alpha) <= 2e-4
-    assert res.method == Method.SDP_BISECTION
-    assert res.epsilon == 1e-4
+def _k2_rows(m, rate, monkeypatch):
+    """The k = 2 rows that bisection tunes from the Markov row: with the
+    window around the Christoffel root, which at k = 2 is the closed form
+    itself, and with the root taken away, so that every point goes
+    through `_settle`."""
+    markov = closed_form_threshold(m.truncated(1), rate, 1)
+    rows = [detector_tuning._bisect(m, rate, 1e-4, markov)]
+    with monkeypatch.context() as mp:
+        mp.setattr(detector_tuning, "_threshold_root", lambda *args: None)
+        rows.append(detector_tuning._bisect(m, rate, 1e-4, markov))
+    return rows
+
+
+def test_tune_matches_closed_form_k2(monkeypatch):
+    # the SDP bisection at k = 2 lands within epsilon above the closed
+    # form, which is the tight threshold
+    m = CHI2.truncated(2)
+    ref = closed_form_threshold(m, 0.05, 2)
+    for res in _k2_rows(m, 0.05, monkeypatch):
+        assert ref.alpha <= res.alpha <= ref.alpha + 1e-4
+        assert res.method == Method.SDP_BISECTION
+        assert res.epsilon == 1e-4
 
 
 def test_tune_k4_reference():
@@ -154,7 +174,7 @@ def test_threshold_ordering_in_moment_order_on_chi_squared():
         assert lo <= hi + 1e-4
 
 
-def test_tune_markov_regime_high_dispersion():
+def test_tune_markov_regime_high_dispersion(monkeypatch):
     # when the coefficient of variation is large the two-moment optimum
     # sits at the Markov threshold M1/rate, below Cantelli's; the k = 2
     # closed form takes it there, with the rate as its guarantee
@@ -162,10 +182,10 @@ def test_tune_markov_regime_high_dispersion():
     closed = closed_form_threshold(m, 0.05, 2)
     assert (closed.alpha, closed.achieved_worst_case) == (20.0, 0.05)
     assert closed.method is Method.CLOSED_FORM_K2
-    res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
-    assert res.alpha == pytest.approx(1.0 / 0.05, abs=0.05)
-    assert res.alpha <= closed.alpha < 1.0 + math.sqrt(19.0) * 5.0
-    assert res.achieved_worst_case <= 0.05 + 1e-6
+    for res in _k2_rows(m, 0.05, monkeypatch):
+        assert res.alpha == pytest.approx(1.0 / 0.05, abs=0.05)
+        assert res.alpha <= closed.alpha < 1.0 + math.sqrt(19.0) * 5.0
+        assert res.achieved_worst_case <= 0.05 + 1e-6
 
 
 def test_closed_form_k2_takes_markov_where_it_is_lower():
@@ -183,16 +203,43 @@ def test_closed_form_k2_takes_markov_where_it_is_lower():
     assert res.alpha < 1.0 / 0.05
 
 
-def test_tune_random_sequences_match_closed_form(rng):
+def test_tune_random_sequences_match_closed_form(rng, monkeypatch):
+    # atoms on [0.5, 4] keep C^2 under 1.6, so Cantelli's threshold is the
+    # closed form at rate 0.05, and the k = 2 bisection lands within
+    # epsilon above it
     for _ in range(6):
         m = random_moments(rng, 2, lo=0.5, hi=4.0)
-        c2 = m.variance / m.mean**2
-        if c2 > 10.0:
-            continue
-        res = tune_threshold_sdp(m, 0.05, epsilon=1e-4)
         ref = closed_form_threshold(m, 0.05, 2)
-        expected = min(ref.alpha, m.mean / 0.05)
-        assert abs(res.alpha - expected) <= 3e-4
+        assert ref.alpha < m.mean / 0.05
+        for res in _k2_rows(m, 0.05, monkeypatch):
+            assert ref.alpha <= res.alpha <= ref.alpha + 1e-4
+
+
+def test_orders_1_and_2_return_the_closed_form_rows(monkeypatch):
+    # at k <= 2 the tight threshold is the closed form: the tuner returns
+    # closed_form_threshold's row field for field, and bisects from k = 3
+    orders = []
+
+    def logged(moments, *args):
+        orders.append(moments.order)
+        return _BISECT(moments, *args)
+
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    monkeypatch.setattr(detector_tuning, "_bisect", logged)
+    rng = np.random.default_rng(51)
+    sequences = [chi_squared_moments(p, 3) for p in (1, 2, 4)]
+    sequences += [
+        random_moments(rng, 3, n_atoms=(2, 3, 5, 8)[i % 4]) for i in range(20)
+    ]
+    for seq in sequences:
+        for rate in (0.01, 0.05, 0.2):
+            for k in (1, 2):
+                part = seq.truncated(k)
+                row = tune_threshold_sdp(part, rate)
+                assert row == closed_form_threshold(part, rate, k), (seq, rate, k)
+            assert orders == [], (seq, rate)
+            tune_threshold_sdp(seq, rate)
+            assert orders.pop() == 3 and orders == [], (seq, rate)
 
 
 def test_tune_through_stall_above_the_rate():
@@ -666,14 +713,16 @@ def test_lower_end_returned_when_its_bound_meets_the_rate():
 
 
 def test_rate_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target rate must be in \(0, 0\.5\]"):
         tune_threshold_sdp(CHI2, 0.7, epsilon=1e-4)
     # an infinite tolerance would skip every bisection step
     for epsilon in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             tune_threshold_sdp(CHI2, 0.05, epsilon=epsilon)
-    with pytest.raises(ValueError):
-        tune_threshold_sdp(CHI2.truncated(1), 0.05, epsilon=1e-4)
+    # order 1 is Markov's row, with no bisection
+    res = tune_threshold_sdp(CHI2.truncated(1), 0.05, epsilon=1e-4)
+    assert res == closed_form_threshold(CHI2.truncated(1), 0.05, 1)
+    assert (res.alpha, res.method, res.epsilon) == (40.0, Method.CLOSED_FORM_K1, 0.0)
     valid = dict(
         alpha=9.0,
         method=Method.SDP_BISECTION,
@@ -682,22 +731,29 @@ def test_rate_domain():
         achieved_worst_case=0.05,
     )
     ThresholdResult(**valid)
-    with pytest.raises(ValueError, match=r"target rate must be in \(0, 1\)"):
-        ThresholdResult(**{**valid, "target_rate": 1.5})
-    for field, bad in (
-        ("epsilon", math.nan),
-        ("alpha", math.inf),
-        ("achieved_worst_case", math.nan),
-        ("achieved_worst_case", -1.0),
-        ("achieved_worst_case", 2.0),
+    # each bound of each interval: a zero tolerance and a certain alarm are
+    # valid rows
+    ThresholdResult(**{**valid, "epsilon": 0.0})
+    ThresholdResult(**{**valid, "achieved_worst_case": 1.0})
+    for field, bad, message in (
+        ("target_rate", 1.5, r"target rate must be in \(0, 1\)"),
+        ("target_rate", 1.0, r"target rate must be in \(0, 1\)"),
+        ("target_rate", 0.0, r"target rate must be in \(0, 1\)"),
+        ("epsilon", math.nan, "bisection tolerance must be nonnegative"),
+        ("epsilon", -1e-4, "bisection tolerance must be nonnegative"),
+        ("alpha", math.inf, "threshold must be positive and finite"),
+        ("alpha", 0.0, "threshold must be positive and finite"),
+        ("achieved_worst_case", math.nan, r"worst-case probability must be in \[0, 1\]"),
+        ("achieved_worst_case", -1.0, r"worst-case probability must be in \[0, 1\]"),
+        ("achieved_worst_case", 2.0, r"worst-case probability must be in \[0, 1\]"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             ThresholdResult(**{**valid, field: bad})
 
 
 def test_threshold_result_csv_round_trip(tmp_path):
     # every float field is written with 17 digits, so it parses back exactly
-    res = tune_threshold_sdp(CHI2.truncated(2), 0.05, epsilon=1e-4)
+    res = tune_threshold_sdp(CHI2, 0.05, epsilon=1e-4)
     line = _write_thresholds(tmp_path, [res]).read_text().splitlines()[1]
     method, k, rate, alpha, achieved, epsilon = line.split(",")
     assert method == res.method.value
@@ -817,6 +873,43 @@ def test_window_keeps_every_row_and_halves_the_settled_points(monkeypatch):
             assert above == (alpha <= b), (moments, alpha, rate, b, a)
     assert 2 * covered >= len(plain_points), (covered, len(plain_points))
 
+
+def test_window_drops_a_lower_end_that_no_law_certifies(monkeypatch):
+    # a root at the upper bracket end puts the window's lower end one
+    # relative 2^-20 below the row one order down, above the tight
+    # threshold, where no law puts more than the rate: that end is dropped
+    # and settles nothing, and every row keeps the bits of the bisection
+    # that settles every point.  No input reaches this: where a root
+    # exists, its window's lower end lies below the tight threshold
+    windows = {}
+    window = detector_tuning._window
+
+    def logged(moments, rate, lo, hi):
+        windows[moments.order, rate] = window(moments, rate, lo, hi)
+        return windows[moments.order, rate]
+
+    monkeypatch.setattr(detector_tuning, "_window", logged)
+    rows = []
+    for root in (lambda moments, rate, start: start, lambda *args: None):
+        monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+        monkeypatch.setattr(detector_tuning, "_threshold_root", root)
+        for rate in (0.01, 0.05):
+            tune_threshold_sdp(CHI2, rate, epsilon=1e-4)
+        rows.append(
+            {
+                (row.k, row.target_rate): (
+                    row.alpha.hex(),
+                    row.achieved_worst_case.hex(),
+                )
+                for row in detector_tuning._AUTO_CACHE.values()
+            }
+        )
+        if len(rows) == 1:
+            assert len(windows) == 4
+            assert all(b == -math.inf for b, _ in windows.values()), windows
+    at_the_upper_end, plain = rows
+    assert len(plain) == 4
+    assert at_the_upper_end == plain
 
 
 @pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
