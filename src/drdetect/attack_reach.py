@@ -67,9 +67,17 @@ class AttackPolicy:
         if not 0 <= self.alpha < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
         direction = np.array(self.direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if direction.ndim != 1 or norm == 0 or not np.isfinite(direction).all():
+        finite = np.isfinite(direction).all()
+        if direction.ndim != 1 or not finite or not direction.any():
             raise ValueError("direction must be a finite nonzero vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(direction)
+        # the norm is the root of a sum of squares, which overflows, or
+        # underflows and loses bits, far from 1; scaled by its largest
+        # entry the vector has a norm in [1, sqrt(size)]
+        if not 1e-150 < norm < 1e150:
+            direction = direction / np.abs(direction).max()
+            norm = np.linalg.norm(direction)
         direction = direction / norm
         direction.flags.writeable = False
         object.__setattr__(self, "direction", direction)
@@ -145,25 +153,60 @@ def _tables(n: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray | None]:
     return columns, lines
 
 
-def _power_blocks(sys: LtiSystem, start: int, stop: int):
+def _power_blocks(
+    sys: LtiSystem, start: int, stop: int, tip: np.ndarray | None = None
+):
     """The rows (A^i, H_i) for i = start..stop-1, H_i = (A + B K)^i - A^i,
-    in blocks of at most _BLOCK rows, each yielded with its first i.  The
-    powers (A^i, (A + B K)^i) take one stacked product each, with the bits
-    of one product at a time, and no power past i = stop - 1 is formed."""
+    in blocks of at most _BLOCK rows, each yielded with its first i and
+    the powers (A^j, (A + B K)^j) of its last row j.  The powers take one
+    stacked product each, with the bits of one product at a time, from
+    the identity or from `tip`, the powers of row start - 1 that a block
+    was yielded with; no power past i = stop - 1 is formed."""
     n = sys.n
     pair = np.stack([sys.A, sys.A + sys.B @ sys.K])
-    pw = np.stack([np.eye(n), np.eye(n)])
-    for _ in range(start):
-        pw = pair @ pw
+    if tip is None:
+        pw = np.stack([np.eye(n), np.eye(n)])
+        for _ in range(start):
+            pw = pair @ pw
+    else:
+        pw = pair @ tip
     for first in range(start, stop, _BLOCK):
         ph = np.empty((min(_BLOCK, stop - first), 2, n, n))
         ph[0] = pw
         for j in range(1, len(ph)):
             np.matmul(pair, ph[j - 1], out=ph[j])
+        tip = ph[-1].copy()
         if first + _BLOCK < stop:
-            pw = pair @ ph[-1]
+            pw = pair @ tip
         ph[:, 1] -= ph[:, 0]
-        yield first, ph
+        yield first, ph, tip
+
+
+def _series(sys: LtiSystem, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reach series of `sys` that `reach_bound` reads: the unit
+    factors (F_w', F_r') of sigma_w and L sigma_r L' (`cps_sim._psd_factor`)
+    stacked, and the rows (A^i, H_i) of `_power_blocks` for i < rows at
+    least, as one read-only array.  Both are kept on the system, built on
+    its first call and extended from the last row's powers only when a
+    call asks for more rows, so the stored rows reach the longest horizon
+    asked for and no further."""
+    if (series := sys._reach_series) is None:
+        unit = np.stack(
+            [_psd_factor(sys.sigma_w).T, _psd_factor(sys.L @ sys.sigma_r @ sys.L.T).T]
+        )
+        series = unit, np.empty((0, 2, sys.n, sys.n)), None
+    unit, powers, tip = series
+    if len(powers) < rows:
+        grown = np.empty((rows,) + powers.shape[1:])
+        grown[: len(powers)] = powers
+        for first, ph, tip in _power_blocks(sys, len(powers), rows, tip):
+            grown[first : first + len(ph)] = ph
+        powers = grown
+        powers.flags.writeable = False
+        # one assignment of a new tuple: a concurrent call on the same
+        # system reads the old series or the new one, never a mix
+        object.__setattr__(sys, "_reach_series", (unit, powers, tip))
+    return unit, powers
 
 
 def reach_bound(
@@ -185,18 +228,24 @@ def reach_bound(
     naming its step i.
 
     A summand's shape is s P M P' (s = w_bar or alpha, P = A^i or H_i,
-    M = sigma_w or L sigma_r L').  With F F' = M (`cps_sim._psd_factor`,
-    once per call) and G = sqrt(s) F' P', its support value along d is
-    the norm |G d|, attained at the point G'(G d)/|G d|; no shape matrix
-    is formed and no negative rounding needs a clamp.
+    M = sigma_w or L sigma_r L').  With F F' = M (`cps_sim._psd_factor`)
+    and G = sqrt(s) F' P', its support value along d is the norm |G d|,
+    attained at the point G'(G d)/|G d|; no shape matrix is formed and no
+    negative rounding needs a clamp.
 
-    The powers come from `_power_blocks`; each block takes one stacked
-    product for the rows of its G, one product of all those rows against
-    all directions, and the squares summed over the rows of each G in
-    order, then square-rooted into a buffer whose first row is the
-    running support; one max finds a support value that is not finite,
-    and one reduction adds the buffer's rows in series order.  Every
-    value has the bits of the same arithmetic done one summand at a time.
+    The unit factors F' and the rows (A^i, H_i) depend on the system
+    alone: they are its series (`_series`), built once per system under
+    this call's errstate and extended from its last powers when a call
+    asks for a longer horizon, so a call on a system that has one does
+    only its own (w_bar, alpha) work.  It scales the unit factors by
+    sqrt(s); each block of at most _BLOCK rows takes one stacked product
+    for the rows of its G, one product of all those rows against all
+    directions, and the squares of each G's rows added in order, then
+    square-rooted into a buffer whose first row is the running support;
+    one max finds a support value that is not finite, and one reduction
+    adds the buffer's rows in series order.  Every value has the bits of
+    the same arithmetic done one summand at a time, on a fresh system or
+    on one whose series is longer.
     The directions and the polygon's line pairs are read-only tables,
     built once per (n, n_dirs) (`_tables`).
 
@@ -215,28 +264,29 @@ def reach_bound(
     if not (0 <= w_bar < math.inf and 0 <= alpha < math.inf):
         raise ValueError("w_bar and alpha must be finite and nonnegative")
     n = sys.n
-    factors = np.stack(
-        [
-            math.sqrt(w_bar) * _psd_factor(sys.sigma_w).T,
-            math.sqrt(alpha) * _psd_factor(sys.L @ sys.sigma_r @ sys.L.T).T,
-        ]
-    )
     columns, lines = _tables(n, n_dirs)
     support = np.zeros(n_dirs)
     # a diverged system overflows its powers; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, ph in _power_blocks(sys, 0, t - 1):
+        unit, powers = _series(sys, t - 1)
+        factors = unit * np.array([math.sqrt(w_bar), math.sqrt(alpha)])[:, None, None]
+        for start in range(0, t - 1, _BLOCK):
+            ph = powers[start : min(start + _BLOCK, t - 1)]
             # the rows of G = sqrt(s) F' P', row a of every summand together
             rows = (factors @ ph.swapaxes(-1, -2)).transpose(2, 0, 1, 3)
             gd = (rows.reshape(-1, n) @ columns).reshape(n, -1, n_dirs)
             # row 0 carries the running support, the rows after it the norms
             block = np.empty((1 + gd.shape[1], n_dirs))
             block[0] = support
-            np.square(gd, out=gd)
-            np.add.reduce(gd, axis=0, out=block[1:])
-            np.sqrt(block[1:], out=block[1:])
-            if not np.isfinite(block[1:].max()):
-                bad = ~np.isfinite(block[1:]).all(axis=1)
+            norms = block[1:]
+            # by index: a view kept in a loop variable would hold this gd
+            # while the next block allocates its own, 0.25 MB more at t = 150
+            np.square(gd[0], out=norms)
+            for a in range(1, n):
+                norms += np.square(gd[a], out=gd[a])
+            np.sqrt(norms, out=norms)
+            if not np.isfinite(norms.max()):
+                bad = ~np.isfinite(norms).all(axis=1)
                 step = start + int(bad.argmax()) // 2
                 raise ArithmeticError(f"support function diverged at step {step}")
             # row by row in series order, w then h per i, as np.sum would not add
@@ -250,7 +300,8 @@ def reach_bound(
         values[-1, 1, 0] = support[0]
         boundary = _solve(lines, values)[:, :, 0]
         x, y = boundary.T
-        area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+        x_next, y_next = (np.concatenate((v[1:], v[:1])) for v in (x, y))
+        area = 0.5 * abs(float(np.dot(x, y_next) - np.dot(x_next, y)))
     return ReachBound(
         horizon=t,
         w_bar=float(w_bar),
@@ -277,7 +328,7 @@ def _truncation_bound(sys: LtiSystem, w_bar: float, alpha: float, t: int) -> flo
     # a partial sum of a tail that has not converged, or that holds a term
     # that is not finite, bounds nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, ph in _power_blocks(sys, t - 1, t - 1 + 10_000):
+        for _, ph, _ in _power_blocks(sys, t - 1, t - 1 + 10_000):
             shapes = ph @ middle @ ph.swapaxes(-1, -2)
             # a matrix that is not finite may still give finite eigenvalues
             top = np.linalg.eigvalsh(shapes)[..., -1]

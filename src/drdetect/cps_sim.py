@@ -153,6 +153,10 @@ class LtiSystem:
     sigma_r: np.ndarray
     sigma_r_inv: np.ndarray
     sigma_r_sqrt: np.ndarray
+    # the series of `attack_reach.reach_bound` on this plant, which builds
+    # it on its first call and extends it to longer horizons; not a field,
+    # so `dataclasses.replace` gives a system that builds its own
+    _reach_series = None
 
     def __post_init__(self) -> None:
         for field in fields(self):

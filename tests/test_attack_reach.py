@@ -22,6 +22,7 @@ from drdetect import (
     simulate,
     volume_comparison,
 )
+from drdetect import attack_reach
 from drdetect.attack_reach import _BLOCK, _truncation_bound
 from drdetect.cli_runner import _write_reach
 from drdetect.cps_sim import _psd_factor
@@ -68,14 +69,45 @@ def _three_state_system():
     )
 
 
+def _one_state_system():
+    # one state: the directions are +-1, and each G has a single row
+    return LtiSystem.from_matrices(
+        A=[[0.5]], B=[[1.0]], C=[[1.0]], K=[[-0.2]], sigma_w=[[1.0]], sigma_v=[[1.0]]
+    )
+
+
+def _four_state_system():
+    return LtiSystem.from_matrices(
+        A=[[0.6, 0.1, 0.0, 0.0], [0.0, 0.5, 0.1, 0.0], [0.0, 0.0, 0.4, 0.1], [0.1, 0.0, 0.0, 0.3]],
+        B=[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+        C=[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+        K=[[-0.2, 0.0, 0.0, 0.0], [0.0, 0.0, -0.1, 0.0]],
+        sigma_w=(0.1 * np.eye(4)).tolist(),
+        sigma_v=np.eye(2).tolist(),
+    )
+
+
 _SYSTEMS = {
     "benchmark": benchmark_system,
     "identity": _identity_system,
     "flat": _flat_system,
     # its tail runs over 600 terms, across ten blocks of powers
     "slow": lambda: _diagonal_plant(0.95),
+    "one": _one_state_system,
     "three": _three_state_system,
+    "four": _four_state_system,
 }
+# the gaussian thresholds.csv: chi-squared, k = 4, k = 2, k = 1
+_ALPHAS = (5.991464547107979, 9.1818473667080447, 10.717797887081346, 40.0)
+
+
+def _bits(rb):
+    """Every support value, vertex and area of a bound, bit for bit."""
+    return (
+        rb.support_values.tobytes(),
+        None if rb.boundary is None else rb.boundary.tobytes(),
+        None if rb.area is None else rb.area.hex(),
+    )
 
 
 def _per_matrix_truncation(sys_, w_bar, alpha, t):
@@ -183,6 +215,8 @@ def _assert_inside_polygon(rb, points):
         ("slow", 40.0, 9.0, _BLOCK + 2, 32),
         ("three", 40.0, 9.1818, _BLOCK + 1, 64),
         ("three", 80.0, 40.0, 2 * _BLOCK + 2, 32),
+        ("one", 40.0, 9.0, _BLOCK + 1, 16),
+        ("four", 80.0, 40.0, 2 * _BLOCK + 2, 32),
     ],
 )
 def test_reach_bound_matches_per_direction_reference(system, w_bar, alpha, t, n_dirs):
@@ -313,6 +347,112 @@ def test_reach_bound_support_that_overflows_raises(t):
             reach_bound(sys_, w_bar=40.0, alpha=9.0, t=t, n_dirs=16)
 
 
+@pytest.mark.parametrize(
+    "system, expected",
+    [
+        ("one", [13.313964781466769] * 16),
+        (
+            "three",
+            [
+                35.3773090335277, 31.86521006092806, 14.510906992306765, 40.00698759176692,
+                32.92193469118714, 20.928953260032024, 33.47252400418264, 27.172372253548737,
+                40.45398516371572, 31.420950814023133, 36.85889826961656, 24.46256271125303,
+                12.686119291296157, 16.859154826794455, 13.022543752066479, 22.805348648602,
+            ],
+        ),
+        (
+            "four",
+            [
+                3.812987346470364, 4.7732937946920035, 4.906674274889315, 4.795578712832494,
+                4.253938059892945, 3.8798137172389415, 4.725942646425523, 3.321051457702912,
+                3.785255732822586, 3.964450521554322, 3.776043343654985, 4.756996616785388,
+                4.741491767317701, 3.9578117657189034, 5.409028518139241, 3.550054174985169,
+            ],
+        ),
+    ],
+)
+def test_reach_bound_support_values_off_the_plane(system, expected):
+    # the support values at t = 50 along 16 random directions, as reach_bound
+    # gave them when it summed each G's squares with one reduction; the sum
+    # is now taken row by row, which a one-state G (a single row) must pass
+    rb = reach_bound(_SYSTEMS[system](), 40.0, 9.0, 50, 16)
+    assert rb.boundary is None and rb.area is None
+    np.testing.assert_allclose(rb.support_values, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("system", ["benchmark", "one", "three"])
+def test_reach_series_is_kept_across_thresholds_and_horizons(system):
+    # one system keeps its series: a longer horizon extends it, a shorter
+    # one reads its head, and each call has the bits of the same call on a
+    # system built afresh
+    sys_ = _SYSTEMS[system]()
+    for t in (150, 10, 50, 300, 50):
+        for alpha in _ALPHAS:
+            fresh = reach_bound(_SYSTEMS[system](), 40.0, alpha, t, 64)
+            assert _bits(reach_bound(sys_, 40.0, alpha, t, 64)) == _bits(fresh), (t, alpha)
+    # the stored rows reach the longest horizon asked for, and no further
+    assert len(sys_._reach_series[1]) == 299
+
+
+def test_reach_series_belongs_to_its_system():
+    # calls alternate between two plants, and a copy of the first with
+    # another A (dataclasses.replace keeps no series); each call has the
+    # bits of a fresh system's
+    makers = (
+        benchmark_system,
+        lambda: _diagonal_plant(0.95),
+        lambda: replace(benchmark_system(), A=_diagonal_plant(0.95).A),
+    )
+    systems = [make() for make in makers]
+    for t in (50, 10, 150):
+        for make, sys_ in zip(makers, systems):
+            assert _bits(reach_bound(sys_, 40.0, 9.0, t, 64)) == _bits(
+                reach_bound(make(), 40.0, 9.0, t, 64)
+            ), t
+
+
+def test_reach_round_forms_the_powers_of_its_longest_horizon_once(monkeypatch):
+    # the benchmark's round: 4 thresholds at horizons 10, 50 and 150 on one
+    # system.  Each longer horizon extends the series from the powers of its
+    # last row, so the round forms the 149 rows of t = 150 once, and a
+    # second round forms none
+    producer = attack_reach._power_blocks
+    calls, rows = [], []
+
+    def counted(sys_, start, stop, tip=None):
+        calls.append((start, stop, tip is None))
+        for first, ph, last in producer(sys_, start, stop, tip):
+            rows.append(len(ph))
+            yield first, ph, last
+
+    monkeypatch.setattr(attack_reach, "_power_blocks", counted)
+    sys_ = benchmark_system()
+    for _ in range(2):
+        for t in (10, 50, 150):
+            for alpha in _ALPHAS:
+                reach_bound(sys_, 30.0, alpha, t)
+    assert calls == [(0, 9, True), (9, 49, False), (49, 149, False)]
+    assert sum(rows) == 149
+
+
+def test_reach_series_of_a_diverged_system_raises_at_the_same_step_again():
+    # A = diag(1.2, 0.5): the series to t = 5000 overflows near i = 1945.  The
+    # call that builds it warns nothing; a repeat call, and one at a shorter
+    # horizon that still reaches that step, raise at the step of a fresh
+    # system, and one that stops before it has a fresh system's bits
+    sys_ = _diagonal_plant(1.2)
+    with pytest.raises(ArithmeticError, match="diverged at step") as info:
+        reach_bound(_diagonal_plant(1.2), 40.0, 9.0, 5000, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5000, 5000, 3000):
+            with pytest.raises(ArithmeticError) as again:
+                reach_bound(sys_, 40.0, 9.0, t, 16)
+            assert str(again.value) == str(info.value), t
+        got = reach_bound(sys_, 40.0, 9.0, 50, 16)
+    assert _bits(got) == _bits(reach_bound(_diagonal_plant(1.2), 40.0, 9.0, 50, 16))
+
+
 def test_support_additivity_of_minkowski_sum():
     # identity system, alpha = 0, t = 3: the summands are E(I) and
     # E(I / 4), so the sum is the disc of radius 1 + 1/2
@@ -375,6 +515,30 @@ def test_attack_policy_validation():
     ):
         with pytest.raises(ValueError):
             AttackPolicy(alpha=alpha, direction=np.array(direction))
+
+
+def test_attack_direction_far_from_unit_length():
+    # the squares of 1e200 overflow and those of 1e-200 underflow: the first
+    # direction became [0, 0] with an overflow warning, the second was
+    # rejected.  Each is rescaled by its largest entry before it is
+    # normalized, and a direction of ordinary length keeps its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagonal = AttackPolicy(1.0, [1.0, 1.0]).direction
+        for direction, unit in (
+            ([1e200, 1e200], diagonal),
+            ([1e-200, 1e-200], diagonal),
+            ([-1e308, -1e308], -diagonal),
+            ([5e-324, 0.0], [1.0, 0.0]),
+            ([0.0, -1e-160], [0.0, -1.0]),
+        ):
+            np.testing.assert_array_equal(AttackPolicy(1.0, direction).direction, unit)
+        assert AttackPolicy(1.0, [3.0, 4.0]).direction.tolist() == [0.6, 0.8]
+        d = np.array([0.3, -1.7, 2.9])
+        np.testing.assert_array_equal(AttackPolicy(1.0, d).direction, d / np.linalg.norm(d))
+        for direction in ([math.inf, 0.0], [0.0, 0.0], [], [[1.0, 0.0]]):
+            with pytest.raises(ValueError, match="finite nonzero vector"):
+                AttackPolicy(1.0, direction)
 
 
 @pytest.mark.parametrize("direction", [[1.0], [1.0, 0.0, 0.0]])
