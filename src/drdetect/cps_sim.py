@@ -264,6 +264,8 @@ class NoiseModel:
         stream of the seed's child.  Row t depends on t alone, so
         `sample(n)` is the head of `sample(N)`.  The rows come in the
         attack-free stream's pieces, joined."""
+        if not isinstance(size, (int, np.integer)):
+            raise ValueError("sample size must be an integer")
         if size < 1:
             raise ValueError("sample size must be positive")
         return np.concatenate(list(self._pieces(size)))
@@ -472,6 +474,9 @@ def simulate(
     Where the plant path is computed, raises ArithmeticError at its first
     state whose norm exceeds 1e12 or is not finite.
     """
+    for name, value in (("simulation length T", T), ("burn-in", burn_in)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
     if T < 1:
         raise ValueError("simulation length must be positive")
     if burn_in < 0:

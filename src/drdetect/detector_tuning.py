@@ -182,19 +182,18 @@ def _settle(moments: MomentSequence, alpha: float, rate: float):
 
 
 def _window(moments: MomentSequence, rate: float, lo: float, hi: float):
-    """(b, a) of :func:`_bisect`'s window on the bracket [lo, hi]: every
-    point at or below b lies above the rate, every point at or above a
-    below it.  An end that its law pair does not certify, or every end
-    where there is no root, is -inf or inf."""
+    """(b, a) = (tau (1 - 2^-20), tau (1 + 2^-20)) around the root tau of
+    :func:`drdetect.bound_engine._threshold_root`, clipped to [lo, hi]: b
+    takes one law pair and is -inf where its tail does not exceed the
+    rate; a takes none, as :func:`_bisect` settles it.  Where either Hankel
+    matrix has less than full numerical rank, as on few-atom sequences whose
+    law layer decides near its tolerances, the window is (-inf, inf)."""
     root = _threshold_root(moments, rate, hi)
     if root is None:
         return -math.inf, math.inf
     b, a = (min(max(root * s, lo), hi) for s in (1.0 - _WINDOW, 1.0 + _WINDOW))
     if not _law_ends(moments, b, below=rate, above=rate)[0] > rate:
         b = -math.inf
-    tail, mean = _law_ends(moments, a, below=rate, above=rate)
-    if not (tail <= rate and mean <= rate):
-        a = math.inf
     return b, a
 
 
@@ -205,23 +204,15 @@ def _bisect(
     arguments checked, bracketed from above by `upper`, the row one order
     down.  The mean is the first point settled, the midpoints follow.
 
-    A window (b, a) = (tau (1 - 2^-20), tau (1 + 2^-20)) around the root
-    tau of :func:`drdetect.bound_engine._threshold_root`, clipped to the
-    bracket (:func:`_window`), settles the points outside it without
-    :func:`_settle`.  Each end takes one law pair: where the tail at b
-    exceeds the rate, every point at or below b lies above it, and where
-    the tail at a does not exceed the rate and the certificate's mean
-    there is at most the rate, every point at or above a lies below it.
-    Both follow from the tight bound not increasing in the threshold: a
-    certificate at a is one at every higher threshold, and a law's mass at
-    or above b lies above every lower one.  So the window proves each
-    branch it takes, and the visited midpoints stay those of a bisection
-    that settles every point.  Where either Hankel matrix has less than
-    full numerical rank, as on few-atom sequences whose law layer decides
-    near its tolerances, there is no root and the window is empty.  The
-    final upper end is settled again where the window settled it, for the
-    bound the row reports; where that does not settle it below, the row is
-    bisected again with an empty window."""
+    The tight bound does not increase in the threshold, so the window of
+    :func:`_window` settles the points outside it without :func:`_settle`:
+    a law whose tail at b exceeds the rate puts its mass above every point
+    at or below b, and every point at or above a is taken below the rate.
+    The final upper end, settled again where the window settled it for the
+    row's bound, proves each point taken below, as a certificate there is
+    one at every higher threshold.  So the visited midpoints stay those of
+    a bisection that settles every point.  Where that settle refuses its
+    end, the row is bisected again with b kept and no upper end."""
     if not is_feasible(moments):
         raise ValueError("infeasible moment sequence")
     lo, hi = moments.moments[1], upper.alpha
@@ -249,7 +240,7 @@ def _bisect(
         if not above:
             achieved = certified if bound is None else bound
             break
-        above_to, below_from = -math.inf, math.inf
+        below_from = math.inf
     if a_u == upper.alpha:
         # the row keeps the lower-order threshold, whose guarantee is a
         # certified bound for k moments too, since every certificate for

@@ -257,6 +257,7 @@ def _kkt_solve(
     return sol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(prob: ConicProblem) -> ConicSolution:
     """Run the predictor-corrector iteration until the primal/dual
     residuals and the complementarity gap all fall below `_TOL` (relative
@@ -267,9 +268,9 @@ def solve(prob: ConicProblem) -> ConicSolution:
     whose best score has not halved within `_STALL_ITERS` iterations has
     stalled: it stops with `NUMERICAL_TROUBLE` instead of running on to
     `_MAX_ITER`.  So does a run whose iteration raises `LinAlgError`: a
-    point that cannot be scaled, a singular KKT system, no step on
-    either side, or an iterate that is not finite.  Any run that does
-    not reach `OPTIMAL` returns its best-scored iterate."""
+    point that cannot be scaled, a singular KKT system, no step on either
+    side, or a non-finite iterate, which an overflow makes without a warning.
+    Any run that does not reach `OPTIMAL` returns its best-scored iterate."""
     m = prob.b.shape[0]
     f = prob.c_free.shape[0]
     a_mats = prob.a_blocks

@@ -193,6 +193,8 @@ def estimate_moments(samples, k: int) -> MomentSequence:
     through in bounded pieces of 65 536, so the powers take little memory
     beside the samples themselves.
     """
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError("moment order k must be an integer")
     if k < 1:
         raise ValueError("moment order must be at least 1")
     x = np.atleast_1d(np.asarray(samples, dtype=float))

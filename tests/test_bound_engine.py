@@ -905,11 +905,13 @@ def test_threshold_root_is_the_christoffel_root_of_chi_squared_2():
 
 
 def test_window_around_the_root_brackets_each_tuned_row(monkeypatch):
-    # the window of every bisected order of the settled-point runs: where
-    # it certified both ends, the row lies in [tau (1 - d), tau (1 + d) + eps],
-    # as the tight threshold does where the root is exact; where it
-    # certified its lower end alone, the root is a lower end of the tight
-    # threshold, another atom lying above it, and the row lies above b
+    # the window of every bisected order of the settled-point runs, its
+    # upper end a certified here by the law pair, as the row's final settle
+    # would: where both ends are certified, the row lies in
+    # [tau (1 - d), tau (1 + d) + eps], as the tight threshold does where
+    # the root is exact; where the lower end alone is, the root is a lower
+    # end of the tight threshold, another atom lying above it, and the row
+    # lies above b
     monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
     delta, epsilon = detector_tuning._WINDOW, 1e-4
     classes = {"both": 0, "b": 0, "a": 0, "neither": 0, "no root": 0}
@@ -923,8 +925,12 @@ def test_window_around_the_root_brackets_each_tuned_row(monkeypatch):
         tau = bound_engine._threshold_root(seq, rate, below.alpha)
         b, a = detector_tuning._window(seq, rate, seq.moments[1], below.alpha)
         if tau is None:
+            assert (b, a) == (-math.inf, math.inf)
             cls = "no root"
         else:
+            tail, mean = bound_engine._law_ends(seq, a, below=rate, above=rate)
+            if not (tail <= rate and mean <= rate):
+                a = math.inf
             cls = {(1, 1): "both", (1, 0): "b", (0, 1): "a", (0, 0): "neither"}[
                 b > -math.inf, a < math.inf
             ]
@@ -974,6 +980,19 @@ def test_threshold_root_is_none_without_a_warning_off_full_rank(moments, rate):
         warnings.simplefilter("error")
         start = moments.moments[1] / rate
         assert bound_engine._threshold_root(moments, rate, start) is None
+
+
+@pytest.mark.parametrize("k, alpha", [(2, 0.01), (6, 1e-20), (6, 1e-50)])
+def test_overflowing_solve_returns_its_result_under_error_filters(k, alpha):
+    # these solves overflow inside the IPM iteration, whose non-finite
+    # iterate check and stall rule end the run; an error filter for
+    # warnings must not turn the overflow into an exception
+    moments = chi_squared_moments(2, k)
+    plain = solve_sdp(moments, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = solve_sdp(moments, alpha)
+    assert (strict.objective, strict.status) == (plain.objective, plain.status)
 
 
 def test_threshold_root_is_none_where_a_factor_fails(monkeypatch):

@@ -253,6 +253,15 @@ def test_sample_is_a_prefix_of_a_longer_sample(family):
         assert got.tobytes() == whole[:n].tobytes(), n
 
 
+def test_sample_rejects_a_non_integer_size():
+    # a float count is refused as reach_bound refuses one; a numpy integer
+    # draws the rows of the same int
+    model = NoiseModel(NoiseFamily.GAUSSIAN, benchmark_system().sigma_w, 17)
+    with pytest.raises(ValueError, match="sample size must be an integer"):
+        model.sample(10.5)
+    assert model.sample(np.int64(3)).tobytes() == model.sample(3).tobytes()
+
+
 def test_laplacian_is_the_gaussian_draw_row_scaled():
     cov = np.array([[1.0, 0.3], [0.3, 2.0]])
     n = 140_000
@@ -582,6 +591,26 @@ def test_simulate_checks_its_arguments():
     w3 = NoiseModel(NoiseFamily.GAUSSIAN, np.eye(3), 5)
     with pytest.raises(ValueError, match="noise dimensions do not match the system"):
         simulate(sys_, w3, v, 5)
+
+
+def test_simulate_rejects_a_non_integer_length():
+    sys_ = benchmark_system()
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 5)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 6)
+    with pytest.raises(ValueError, match="simulation length T must be an integer"):
+        simulate(sys_, w, v, 10.5)
+    trace = simulate(sys_, w, v, np.int64(3), burn_in=2)
+    assert trace.residuals.tobytes() == simulate(sys_, w, v, 3, burn_in=2).residuals.tobytes()
+
+
+def test_simulate_rejects_a_non_integer_burn_in():
+    sys_ = benchmark_system()
+    w = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 5)
+    v = NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 6)
+    with pytest.raises(ValueError, match="burn-in must be an integer"):
+        simulate(sys_, w, v, 5, burn_in=2.5)
+    trace = simulate(sys_, w, v, 3, burn_in=np.int64(2))
+    assert trace.residuals.tobytes() == simulate(sys_, w, v, 3, burn_in=2).residuals.tobytes()
 
 
 def test_simulate_single_step():

@@ -854,13 +854,29 @@ def _tuned_rows(monkeypatch, cases, root=True):
     return rows, points, windows
 
 
+def _certified(windows):
+    """Each window with its upper end a certified by the law pair, the
+    check the row's final settle makes there, and inf where the pair does
+    not certify it."""
+    certified = {}
+    for (moments, rate), (b, a) in windows.items():
+        if a < math.inf:
+            tail, mean = bound_engine._law_ends(moments, a, below=rate, above=rate)
+            if not (tail <= rate and mean <= rate):
+                a = math.inf
+        certified[moments, rate] = b, a
+    return certified
+
+
 def test_window_keeps_every_row_and_halves_the_settled_points(monkeypatch):
     # the window around the Christoffel root settles every point outside
     # it by monotonicity: each row keeps the bits of the bisection that
     # settles every point, at least half of the points go, and every
-    # point of that bisection outside a window takes the window's branch
+    # point of that bisection outside a window, its upper end certified
+    # by the law pair, takes the window's branch
     cases = _window_cases()
     rows, points, windows = _tuned_rows(monkeypatch, cases)
+    windows = _certified(windows)
     plain_rows, plain_points, _ = _tuned_rows(monkeypatch, cases, root=False)
     assert len(rows) == 4 * 9 + 4 * 6 + 2 * 3 + 4 * 40
     assert rows == plain_rows
@@ -918,7 +934,7 @@ def test_upper_end_that_settle_refuses_is_bisected_again(monkeypatch, rate):
     # rate, where the bisection that settles every point finds that
     # midpoint above it: no later point is settled below, so the claimed
     # point stays the upper end, is settled again, lies above the rate, and
-    # the row is bisected again with an empty window, to the plain bits
+    # the row is bisected again with no upper end, to the plain bits
     brackets = {}
 
     def wrong_window(moments, rate, lo, hi):
@@ -940,3 +956,79 @@ def test_upper_end_that_settle_refuses_is_bisected_again(monkeypatch, rate):
         assert plain[k].alpha > 0.5 * (lo + hi)
         assert windowed[k].alpha.hex() == plain[k].alpha.hex()
         assert windowed[k].achieved_worst_case.hex() == plain[k].achieved_worst_case.hex()
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
+def test_refused_upper_end_is_bisected_again_from_the_lower_end(monkeypatch, rate):
+    # a window with its certified lower end b and an upper end at the first
+    # float above b, below the tight threshold: every point takes a window
+    # branch, the final upper end's settle refuses it, and the row is
+    # bisected again with b kept and no upper end.  The row keeps the bits
+    # of the bisection that settles every point, and no point at or below
+    # b is settled, where an empty window would settle the mean again
+    window, settle = detector_tuning._window, detector_tuning._settle
+    windows, settled = {}, {}
+
+    def upper_end_below(moments, rate, lo, hi):
+        b, _ = window(moments, rate, lo, hi)
+        windows[moments.order] = b, math.nextafter(b, math.inf)
+        return windows[moments.order]
+
+    def logged_settle(moments, alpha, rate):
+        result = settle(moments, alpha, rate)
+        settled.setdefault(moments.order, []).append((alpha, result[0]))
+        return result
+
+    def tuned():
+        monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+        settled.clear()
+        tune_threshold_sdp(CHI2, rate, epsilon=1e-9)
+        return {row.k: row for row in detector_tuning._AUTO_CACHE.values()}
+
+    monkeypatch.setattr(detector_tuning, "_settle", logged_settle)
+    with monkeypatch.context() as mp:
+        mp.setattr(detector_tuning, "_window", upper_end_below)
+        windowed, windowed_settled = tuned(), dict(settled)
+    monkeypatch.setattr(detector_tuning, "_threshold_root", lambda *args: None)
+    plain = tuned()
+    # the plain bisection settles the mean, which lies at or below b
+    assert all(points[0] == (CHI2.moments[1], True) for points in settled.values())
+    assert sorted(windows) == sorted(plain) == [3, 4]
+    for k, (b, a) in windows.items():
+        assert -math.inf < b
+        # the first point settled is the windowed final upper end, refused
+        (first, above), *rest = windowed_settled[k]
+        assert first >= a and above
+        assert all(alpha > b for alpha, _ in rest), (k, b)
+        assert windowed[k].alpha.hex() == plain[k].alpha.hex()
+        assert windowed[k].achieved_worst_case.hex() == plain[k].achieved_worst_case.hex()
+
+
+def test_window_takes_one_law_pair_per_rooted_order(monkeypatch):
+    # the window evaluates the law pair at its lower end alone: one call
+    # per order with a root, at b where b is certified, and none where
+    # there is no root, as on the two-atom sequence from k = 4
+    window, law_ends = detector_tuning._window, detector_tuning._law_ends
+    calls, windows = [], []
+
+    def counted_law_ends(moments, alpha, **kwargs):
+        calls.append(alpha)
+        return law_ends(moments, alpha, **kwargs)
+
+    def logged_window(moments, rate, lo, hi):
+        before = len(calls)
+        b, a = window(moments, rate, lo, hi)
+        windows.append((b, a, calls[before:]))
+        return b, a
+
+    monkeypatch.setattr(detector_tuning, "_law_ends", counted_law_ends)
+    monkeypatch.setattr(detector_tuning, "_window", logged_window)
+    monkeypatch.setattr(detector_tuning, "_AUTO_CACHE", {})
+    for seq in (chi_squared_moments(1, 6), chi_squared_moments(2, 6), TWO_ATOM):
+        tune_threshold_sdp(seq, 0.05, epsilon=1e-4)
+    rooted = [(b, evaluated) for b, a, evaluated in windows if a < math.inf]
+    assert len(rooted) == 9 and len(windows) == 12
+    for b, evaluated in rooted:
+        assert len(evaluated) == 1
+        assert b == -math.inf or evaluated == [b]
+    assert all(evaluated == [] for _, a, evaluated in windows if a == math.inf)

@@ -89,6 +89,12 @@ def test_estimate_moments_rejects_bad_input():
         estimate_moments(np.ones((2, 2)), 2)
 
 
+def test_estimate_moments_rejects_a_non_integer_order():
+    with pytest.raises(ValueError, match="moment order k must be an integer"):
+        estimate_moments([1.0, 2.0], 2.5)
+    assert estimate_moments([0.0, 4.0], np.int64(2)).moments == (1.0, 2.0, 8.0)
+
+
 def test_estimate_moments_chi_squared_monte_carlo():
     rng = np.random.default_rng(1)
     samples = rng.chisquare(2, size=1_000_000)
