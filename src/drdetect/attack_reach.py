@@ -31,6 +31,7 @@ import numpy as np
 
 from ._lapack import _solve
 from .cps_sim import LtiSystem, _psd_factor
+from .moment_core import _check_count
 
 __all__ = [
     "ReachBound",
@@ -43,9 +44,10 @@ __all__ = [
 
 # steps per full turn of a rotating attack direction
 _ROTATION_PERIOD = 64
-# matrix powers per block of reach_bound and _truncation_bound; a block
-# holds 2 n _BLOCK x n_dirs entries of the products G d, and one block for
-# the whole horizon raised the attack-reach benchmark's peak RSS by a tenth
+# rows (A^i, H_i) per block of reach_bound's products and per fill of
+# _truncation_bound's buffer; a block of reach_bound holds 2 n _BLOCK x
+# n_dirs entries of the products G d, and one block for the whole horizon
+# raised the attack-reach benchmark's peak RSS by a tenth
 _BLOCK = 64
 
 
@@ -153,59 +155,44 @@ def _tables(n: int, n_dirs: int) -> tuple[np.ndarray, np.ndarray | None]:
     return columns, lines
 
 
-def _power_blocks(
-    sys: LtiSystem, start: int, stop: int, tip: np.ndarray | None = None
-):
-    """The rows (A^i, H_i) for i = start..stop-1, H_i = (A + B K)^i - A^i,
-    in blocks of at most _BLOCK rows, each yielded with its first i and
-    the powers (A^j, (A + B K)^j) of its last row j.  The powers take one
-    stacked product each, with the bits of one product at a time, from
-    the identity or from `tip`, the powers of row start - 1 that a block
-    was yielded with; no power past i = stop - 1 is formed."""
-    n = sys.n
-    pair = np.stack([sys.A, sys.A + sys.B @ sys.K])
-    if tip is None:
-        pw = np.stack([np.eye(n), np.eye(n)])
-        for _ in range(start):
-            pw = pair @ pw
-    else:
-        pw = pair @ tip
-    for first in range(start, stop, _BLOCK):
-        ph = np.empty((min(_BLOCK, stop - first), 2, n, n))
-        ph[0] = pw
-        for j in range(1, len(ph)):
-            np.matmul(pair, ph[j - 1], out=ph[j])
-        tip = ph[-1].copy()
-        if first + _BLOCK < stop:
-            pw = pair @ tip
-        ph[:, 1] -= ph[:, 0]
-        yield first, ph, tip
+def _fill(rows: np.ndarray, pair: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """Fill `rows` with the rows (A^i, H_i), H_i = (A + B K)^i - A^i, for
+    i = first..first + len(rows) - 1, from the powers pw = (A^first,
+    (A + B K)^first) of its first row, and return the powers of the row
+    after the last.  `pair` is (A, A + B K) stacked: each power takes one
+    stacked product with it, with the bits of one product at a time."""
+    rows[0] = pw
+    for j in range(1, len(rows)):
+        np.matmul(pair, rows[j - 1], out=rows[j])
+    pw = pair @ rows[-1]
+    rows[:, 1] -= rows[:, 0]
+    return pw
 
 
 def _series(sys: LtiSystem, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The reach series of `sys` that `reach_bound` reads: the unit
     factors (F_w', F_r') of sigma_w and L sigma_r L' (`cps_sim._psd_factor`)
-    stacked, and the rows (A^i, H_i) of `_power_blocks` for i < rows at
-    least, as one read-only array.  Both are kept on the system, built on
-    its first call and extended from the last row's powers only when a
-    call asks for more rows, so the stored rows reach the longest horizon
-    asked for and no further."""
+    stacked, and the rows (A^i, H_i) of `_fill` for i < rows at least, as
+    one read-only array.  Both are kept on the system with the powers of
+    the row after the last, built on its first call from the identity and
+    filled on from those powers only when a call asks for more rows, so
+    the stored rows reach the longest horizon asked for and no further."""
+    n = sys.n
     if (series := sys._reach_series) is None:
         unit = np.stack(
             [_psd_factor(sys.sigma_w).T, _psd_factor(sys.L @ sys.sigma_r @ sys.L.T).T]
         )
-        series = unit, np.empty((0, 2, sys.n, sys.n)), None
-    unit, powers, tip = series
+        series = unit, np.empty((0, 2, n, n)), np.stack([np.eye(n), np.eye(n)])
+    unit, powers, pw = series
     if len(powers) < rows:
-        grown = np.empty((rows,) + powers.shape[1:])
+        grown = np.empty((rows, 2, n, n))
         grown[: len(powers)] = powers
-        for first, ph, tip in _power_blocks(sys, len(powers), rows, tip):
-            grown[first : first + len(ph)] = ph
+        pw = _fill(grown[len(powers) :], np.stack([sys.A, sys.A + sys.B @ sys.K]), pw)
         powers = grown
         powers.flags.writeable = False
         # one assignment of a new tuple: a concurrent call on the same
         # system reads the old series or the new one, never a mix
-        object.__setattr__(sys, "_reach_series", (unit, powers, tip))
+        object.__setattr__(sys, "_reach_series", (unit, powers, pw))
     return unit, powers
 
 
@@ -235,8 +222,8 @@ def reach_bound(
 
     The unit factors F' and the rows (A^i, H_i) depend on the system
     alone: they are its series (`_series`), built once per system under
-    this call's errstate and extended from its last powers when a call
-    asks for a longer horizon, so a call on a system that has one does
+    this call's errstate and filled on from the powers it keeps when a
+    call asks for a longer horizon, so a call on a system that has one does
     only its own (w_bar, alpha) work.  It scales the unit factors by
     sqrt(s); each block of at most _BLOCK rows takes one stacked product
     for the rows of its G, one product of all those rows against all
@@ -254,9 +241,8 @@ def reach_bound(
     stacked 2 x 2 solve (numpy.linalg.solve's gufunc, `_lapack._solve`), and
     the area is its shoelace.
     """
-    for name, value in (("horizon t", t), ("n_dirs", n_dirs)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
+    _check_count(t, "horizon t")
+    _check_count(n_dirs, "n_dirs")
     if t < 2:
         raise ValueError("horizon must be at least 2")
     if n_dirs < 16:
@@ -320,15 +306,25 @@ def _truncation_bound(sys: LtiSystem, w_bar: float, alpha: float, t: int) -> flo
     sqrt(alpha lambda_max(H_i L sigma_r L' H_i')), summed until a term
     falls below 1e-16 of the sum.  It is inf when the tail has not
     converged after 10000 terms or a term is not finite (a power
-    overflowed).  Each block of powers takes one stacked eigvalsh, with
-    the bits of one call per matrix."""
+    overflowed).  The powers walk to row t-1, and `_fill` streams the
+    rows from there through one buffer of _BLOCK rows, which takes one
+    stacked eigvalsh per fill, with the bits of one call per matrix.
+    Nothing is kept on the system."""
+    n = sys.n
+    pair = np.stack([sys.A, sys.A + sys.B @ sys.K])
     middle = np.stack([sys.sigma_w, sys.L @ sys.sigma_r @ sys.L.T])
     scale = np.array([w_bar, alpha])
+    block = np.empty((_BLOCK, 2, n, n))
     tail = 0.0
     # a partial sum of a tail that has not converged, or that holds a term
     # that is not finite, bounds nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, ph, _ in _power_blocks(sys, t - 1, t - 1 + 10_000):
+        pw = np.stack([np.eye(n), np.eye(n)])
+        for _ in range(t - 1):
+            pw = pair @ pw
+        for first in range(0, 10_000, _BLOCK):
+            ph = block[: min(_BLOCK, 10_000 - first)]
+            pw = _fill(ph, pair, pw)
             shapes = ph @ middle @ ph.swapaxes(-1, -2)
             # a matrix that is not finite may still give finite eigenvalues
             top = np.linalg.eigvalsh(shapes)[..., -1]

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._lapack import tbtrs as _TBTRS
+from .moment_core import _check_count
 
 if TYPE_CHECKING:
     from .attack_reach import AttackPolicy
@@ -264,8 +265,7 @@ class NoiseModel:
         stream of the seed's child.  Row t depends on t alone, so
         `sample(n)` is the head of `sample(N)`.  The rows come in the
         attack-free stream's pieces, joined."""
-        if not isinstance(size, (int, np.integer)):
-            raise ValueError("sample size must be an integer")
+        _check_count(size, "sample size")
         if size < 1:
             raise ValueError("sample size must be positive")
         return np.concatenate(list(self._pieces(size)))
@@ -474,9 +474,8 @@ def simulate(
     Where the plant path is computed, raises ArithmeticError at its first
     state whose norm exceeds 1e12 or is not finite.
     """
-    for name, value in (("simulation length T", T), ("burn-in", burn_in)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
+    _check_count(T, "simulation length T")
+    _check_count(burn_in, "burn-in")
     if T < 1:
         raise ValueError("simulation length must be positive")
     if burn_in < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._lapack import gammaincinv as _gammaincinv
 from .bound_engine import _law_ends, _threshold_root, solve_sdp
-from .moment_core import MomentSequence, is_feasible
+from .moment_core import MomentSequence, _check_count, is_feasible
 
 __all__ = [
     "Method",
@@ -82,6 +82,7 @@ def closed_form_threshold(
     worst-case probability of 0.  :func:`tune_threshold_sdp` returns these
     rows at k <= 2, and bisects from k = 3.
     """
+    _check_count(k, "moment order k")
     if k not in (1, 2):
         raise ValueError("closed forms exist for k in {1, 2} only")
     if not 0 < rate < 1:

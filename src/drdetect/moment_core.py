@@ -24,6 +24,13 @@ __all__ = [
 ]
 
 
+def _check_count(value, name: str) -> None:
+    """The rule of every count argument: an int or a numpy integer, and
+    not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class MomentSequence:
     """Raw moments (M^0, M^1, ..., M^k) of a scalar random variable.
@@ -61,6 +68,7 @@ class MomentSequence:
 
     def truncated(self, order: int) -> "MomentSequence":
         """Drop moments above `order`; feasibility is preserved."""
+        _check_count(order, "order")
         if not 1 <= order <= self.order:
             raise ValueError(f"order must be in [1, {self.order}], got {order}")
         return MomentSequence(self.moments[: order + 1])
@@ -193,8 +201,7 @@ def estimate_moments(samples, k: int) -> MomentSequence:
     through in bounded pieces of 65 536, so the powers take little memory
     beside the samples themselves.
     """
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError("moment order k must be an integer")
+    _check_count(k, "moment order k")
     if k < 1:
         raise ValueError("moment order must be at least 1")
     x = np.atleast_1d(np.asarray(samples, dtype=float))
@@ -211,6 +218,7 @@ def estimate_moments(samples, k: int) -> MomentSequence:
 def chi_squared_moments(p: int, k: int) -> MomentSequence:
     """Analytic raw moments of a chi-squared law with p degrees of
     freedom: M^r = prod_{j=0}^{r-1} (p + 2j)."""
+    _check_count(k, "moment order k")
     if p < 1:
         raise ValueError("degrees of freedom must be at least 1")
     if k < 1:

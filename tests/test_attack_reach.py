@@ -413,26 +413,53 @@ def test_reach_series_belongs_to_its_system():
 
 def test_reach_round_forms_the_powers_of_its_longest_horizon_once(monkeypatch):
     # the benchmark's round: 4 thresholds at horizons 10, 50 and 150 on one
-    # system.  Each longer horizon extends the series from the powers of its
-    # last row, so the round forms the 149 rows of t = 150 once, and a
-    # second round forms none
-    producer = attack_reach._power_blocks
-    calls, rows = [], []
-
-    def counted(sys_, start, stop, tip=None):
-        calls.append((start, stop, tip is None))
-        for first, ph, last in producer(sys_, start, stop, tip):
-            rows.append(len(ph))
-            yield first, ph, last
-
-    monkeypatch.setattr(attack_reach, "_power_blocks", counted)
+    # system.  The first fill starts from the identity, and each longer
+    # horizon fills on from the powers the series keeps, those of the row
+    # after its last; so the round forms the 149 rows of t = 150 once, and
+    # a second round forms none.  Every filled row and every returned pair
+    # of powers has the bits of one product at a time
     sys_ = benchmark_system()
+    a_cl = sys_.A + sys_.B @ sys_.K
+    powers = [np.stack([np.eye(2), np.eye(2)])]
+    for _ in range(149):
+        powers.append(np.stack([sys_.A @ powers[-1][0], a_cl @ powers[-1][1]]))
+    reference = np.stack([(p, q - p) for p, q in powers])
+    fill, calls = attack_reach._fill, []
+
+    def checked(rows, pair, pw):
+        series = sys_._reach_series
+        first = 0 if series is None else len(series[1])
+        if series is not None and pw is series[2]:
+            start = "stored"
+        else:
+            start = "identity" if pw.tobytes() == powers[0].tobytes() else "other"
+        calls.append((first, len(rows), start))
+        after = fill(rows, pair, pw)
+        assert rows.tobytes() == reference[first : first + len(rows)].tobytes(), first
+        assert after.tobytes() == powers[first + len(rows)].tobytes(), first
+        return after
+
+    monkeypatch.setattr(attack_reach, "_fill", checked)
     for _ in range(2):
         for t in (10, 50, 150):
             for alpha in _ALPHAS:
                 reach_bound(sys_, 30.0, alpha, t)
-    assert calls == [(0, 9, True), (9, 49, False), (49, 149, False)]
-    assert sum(rows) == 149
+    assert calls == [(0, 9, "identity"), (9, 40, "stored"), (49, 100, "stored")]
+    assert sum(rows for _, rows, _ in calls) == len(sys_._reach_series[1]) == 149
+
+
+def test_truncation_bound_keeps_nothing_on_the_system():
+    # the tail streams its rows through a buffer of its own: a fresh system
+    # keeps no series, and one that has a series keeps the same object
+    fresh = benchmark_system()
+    _truncation_bound(fresh, 40.0, 9.0, 50)
+    assert fresh._reach_series is None
+    sys_ = benchmark_system()
+    reach_bound(sys_, 40.0, 9.0, 50)
+    series = sys_._reach_series
+    for t in (10, 50, 150):
+        _truncation_bound(sys_, 40.0, 9.0, t)
+        assert sys_._reach_series is series, t
 
 
 def test_reach_series_of_a_diverged_system_raises_at_the_same_step_again():

@@ -437,6 +437,26 @@ def test_attack_free_stream_keeps_the_whole_run_bits(monkeypatch, family, total)
         assert got_alarms == alarms
 
 
+@pytest.mark.parametrize(
+    "burn_in, T", [(cps_sim._STREAM + 5000, 3000), (2 * cps_sim._STREAM, 10)], ids=["mid", "rest"]
+)
+@pytest.mark.parametrize("family", list(NoiseFamily))
+def test_burn_in_past_a_stream_piece_records_none_of_it(family, burn_in, T):
+    # the burn-in holds the whole first range, so the stream yields one
+    # piece, the T recorded rows of the last range; at 2 _STREAM + 10 steps
+    # the rest of 10 joins the range before it.  The run keeps the residual,
+    # q and state bits of rows burn_in: of the same run with no burn-in
+    sys_ = benchmark_system()
+    w = NoiseModel(family, sys_.sigma_w, 61)
+    v = NoiseModel(family, sys_.sigma_v, 62)
+    stream = _attack_free_stream(sys_, w, v, T, burn_in, keep_states=True)
+    assert [len(piece.q_values) for piece in stream] == [T]
+    got = simulate(sys_, w, v, T, burn_in=burn_in, keep_states=True)
+    whole = simulate(sys_, w, v, burn_in + T, burn_in=0, keep_states=True)
+    for name in ("residuals", "q_values", "states"):
+        assert getattr(got, name).tobytes() == getattr(whole, name)[burn_in:].tobytes(), name
+
+
 def _stream_record(sys_, w, v, T):
     """Everything a caller takes from the attack-free stream, as bytes:
     the joined residuals, q and states, the power sums and alarm counts

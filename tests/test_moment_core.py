@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drdetect import MomentSequence, chi_squared_moments, estimate_moments, is_feasible
+from drdetect import (
+    MomentSequence,
+    NoiseFamily,
+    NoiseModel,
+    benchmark_system,
+    chi_squared_moments,
+    closed_form_threshold,
+    estimate_moments,
+    is_feasible,
+    reach_bound,
+    simulate,
+)
 from drdetect.moment_core import _PowerSums, hankel_pair
 
 from conftest import atomic_moments
@@ -93,6 +104,46 @@ def test_estimate_moments_rejects_a_non_integer_order():
     with pytest.raises(ValueError, match="moment order k must be an integer"):
         estimate_moments([1.0, 2.0], 2.5)
     assert estimate_moments([0.0, 4.0], np.int64(2)).moments == (1.0, 2.0, 8.0)
+
+
+# each count with its name in the error and a value it accepts
+_COUNT_SITES = {
+    "reach_bound t": ("horizon t", 3, lambda n: reach_bound(benchmark_system(), 1.0, 1.0, n, 16)),
+    "reach_bound n_dirs": ("n_dirs", 16, lambda n: reach_bound(benchmark_system(), 1.0, 1.0, 3, n)),
+    "simulate T": ("simulation length T", 2, lambda n: simulate(*_noises(), n, burn_in=0)),
+    "simulate burn_in": ("burn-in", 1, lambda n: simulate(*_noises(), 1, burn_in=n)),
+    "sample": ("sample size", 2, lambda n: _noises()[1].sample(n)),
+    "estimate_moments": ("moment order k", 2, lambda n: estimate_moments([1.0, 2.0], n)),
+    "truncated": ("order", 2, lambda n: chi_squared_moments(2, 4).truncated(n)),
+    "chi_squared_moments": ("moment order k", 2, lambda n: chi_squared_moments(2, n)),
+    "closed_form_threshold": (
+        "moment order k",
+        1,
+        lambda n: closed_form_threshold(chi_squared_moments(2, 2), 0.05, n),
+    ),
+}
+
+
+def _noises():
+    sys_ = benchmark_system()
+    return (
+        sys_,
+        NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_w, 1),
+        NoiseModel(NoiseFamily.GAUSSIAN, sys_.sigma_v, 2),
+    )
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("site", list(_COUNT_SITES))
+def test_every_count_takes_an_int_or_a_numpy_integer_and_not_a_bool(site, value):
+    # one rule at every count: a bool, a float of any value or another type
+    # raises ValueError naming the count, and a numpy integer counts as its
+    # int; sample(True) drew one row, truncated(2.0) raised TypeError and
+    # closed_form_threshold(m, 0.05, 1.0) returned a row
+    name, valid, call = _COUNT_SITES[site]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
+    call(np.int64(valid))
 
 
 def test_estimate_moments_chi_squared_monte_carlo():
